@@ -50,6 +50,7 @@
 mod builder;
 mod expr;
 mod interp;
+mod lower;
 mod plan;
 mod program;
 pub mod watchdog;
