@@ -8,8 +8,8 @@
 //!
 //! The writer fills the pattern run-by-run, touching each shadow byte exactly
 //! once — the same linear cost as ASan's `memset`-style poisoning — through
-//! the active [`giantsan_shadow::kernel`] backend's `write_folded_run`, so
-//! alloc-heavy workloads benefit from vectorized shadow writes too.
+//! the active [`giantsan_shadow::kernel`] backend's `write_folded_run`
+//! (word-at-a-time on the `swar` and `simd` backends).
 
 use giantsan_shadow::{kernel, Addr, ShadowMemory, SEGMENT_SIZE};
 
@@ -87,74 +87,6 @@ pub fn poison_range(shadow: &mut ShadowMemory, start: Addr, len: u64, code: u8) 
     let lo = shadow.segment_of(start);
     let hi = lo + len / SEGMENT_SIZE;
     shadow.set_range(lo, hi, code);
-    hi - lo
-}
-
-/// Builds the shadow image of one size-class slot: left redzone, the folded
-/// object pattern for a `size`-byte object, right redzone, and an
-/// "unallocated" tail up to `slot_len`.
-///
-/// Every slot of a class-dedicated block that holds a `size`-byte object has
-/// exactly this image, so a sanitizer can stamp a whole block with
-/// [`ShadowMemory::tile_pattern`] instead of poisoning slot by slot. The
-/// object segments are written through the same kernel `write_folded_run` as
-/// [`poison_object`], so the tiled bytes are identical to per-object output.
-///
-/// All of `redzone`, `slot_len` must be segment aligned, and the slot must
-/// hold the object plus both redzones.
-///
-/// # Panics
-///
-/// Panics on misaligned arguments or a slot too small for the layout.
-pub fn class_slot_pattern(
-    size: u64,
-    redzone: u64,
-    slot_len: u64,
-    left_code: u8,
-    right_code: u8,
-    unallocated: u8,
-) -> Vec<u8> {
-    assert!(redzone.is_multiple_of(SEGMENT_SIZE) && slot_len.is_multiple_of(SEGMENT_SIZE));
-    let user_len = (size.max(1)).div_ceil(SEGMENT_SIZE) * SEGMENT_SIZE;
-    assert!(
-        slot_len >= user_len + 2 * redzone,
-        "slot {slot_len} cannot hold {size} bytes with {redzone}-byte redzones"
-    );
-    let rz = (redzone / SEGMENT_SIZE) as usize;
-    let q = (size / SEGMENT_SIZE) as usize;
-    let rem = (size % SEGMENT_SIZE) as u32;
-    let mut pattern = vec![unallocated; (slot_len / SEGMENT_SIZE) as usize];
-    kernel::active().fill(&mut pattern[..rz], left_code);
-    if q > 0 {
-        kernel::active().write_folded_run(&mut pattern[rz..rz + q]);
-    }
-    if rem > 0 {
-        pattern[rz + q] = partial(rem);
-    }
-    // The right redzone covers the slack between the rounded object and the
-    // right edge of the redzoned region, like the per-object writer.
-    let right_lo = rz + (user_len / SEGMENT_SIZE) as usize;
-    kernel::active().fill(&mut pattern[right_lo..right_lo + rz], right_code);
-    pattern
-}
-
-/// Stamps `slots` repetitions of a [`class_slot_pattern`] over the block at
-/// `block_start` — the single bulk write that replaces per-object poisoning
-/// when a block is dedicated to a size class. Returns shadow bytes written.
-///
-/// # Panics
-///
-/// Panics if `block_start` is not segment aligned.
-pub fn poison_class_block(
-    shadow: &mut ShadowMemory,
-    block_start: Addr,
-    slots: u32,
-    pattern: &[u8],
-) -> u64 {
-    assert!(block_start.is_segment_aligned());
-    let lo = shadow.segment_of(block_start);
-    let hi = lo + pattern.len() as u64 * u64::from(slots);
-    shadow.tile_pattern(lo, hi, pattern);
     hi - lo
 }
 
@@ -279,59 +211,6 @@ mod tests {
         assert_eq!(shadow.get(5), encoding::FREED);
         assert_eq!(shadow.get(6), encoding::UNALLOCATED);
         assert_eq!(poison_range(&mut shadow, space.lo(), 0, encoding::FREED), 0);
-    }
-
-    #[test]
-    fn class_pattern_matches_per_object_writes() {
-        // Stamp a block of 4 slots in one call, poison the same layout
-        // object-by-object in a twin shadow, and require identical bytes.
-        let slot_len = 128u64;
-        let size = 68u64;
-        let rz = 16u64;
-        for size in [1, 8, 68, slot_len - 2 * rz, size] {
-            let (space, mut bulk) = fresh(256);
-            let (_, mut manual) = fresh(256);
-            let pattern = class_slot_pattern(
-                size,
-                rz,
-                slot_len,
-                encoding::HEAP_LEFT_REDZONE,
-                encoding::HEAP_RIGHT_REDZONE,
-                encoding::UNALLOCATED,
-            );
-            let written = poison_class_block(&mut bulk, space.lo(), 4, &pattern);
-            assert_eq!(written, 4 * slot_len / 8);
-            for slot in 0..4u64 {
-                let block = space.lo() + slot * slot_len;
-                let user_len = size.div_ceil(8) * 8;
-                poison_range(&mut manual, block, rz, encoding::HEAP_LEFT_REDZONE);
-                poison_object(&mut manual, block + rz, size);
-                poison_range(
-                    &mut manual,
-                    block + rz + user_len,
-                    rz,
-                    encoding::HEAP_RIGHT_REDZONE,
-                );
-            }
-            assert_eq!(
-                bulk.slice(0, 4 * slot_len / 8),
-                manual.slice(0, 4 * slot_len / 8),
-                "bulk/per-object divergence for size {size}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot hold")]
-    fn class_pattern_rejects_overfull_slot() {
-        let _ = class_slot_pattern(
-            200,
-            16,
-            128,
-            encoding::HEAP_LEFT_REDZONE,
-            encoding::HEAP_RIGHT_REDZONE,
-            encoding::UNALLOCATED,
-        );
     }
 
     #[test]

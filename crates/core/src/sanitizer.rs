@@ -1,9 +1,7 @@
 //! The GiantSan tool: segment-folding shadow + O(1) operation-level checks.
 
-use std::collections::HashMap;
-
 use giantsan_runtime::{
-    AccessKind, Allocation, BlockEvent, CacheSlot, CheckResult, Counters, ErrorKind, ErrorReport,
+    AccessKind, Allocation, CacheSlot, CheckResult, Counters, ErrorKind, ErrorReport, FreeOutcome,
     HeapError, ObjectInfo, Region, RuntimeConfig, Sanitizer, World,
 };
 use giantsan_shadow::{align_up, Addr, ShadowMemory, SEGMENT_SIZE};
@@ -44,16 +42,6 @@ pub struct GiantSan {
     shadow: ShadowMemory,
     counters: Counters,
     options: GiantSanOptions,
-    /// Blocks stamped with a whole-block slot pattern, and the object size
-    /// the pattern was built for. A pristine slot in a stamped block whose
-    /// size matches needs no per-object poisoning at all.
-    stamped_blocks: HashMap<u64, u64>,
-    /// Memo of the most recent stamp hit `(block start, object size)`: bump
-    /// allocation lands in the same block run after run, so this keeps the
-    /// hot path to two compares instead of a hash lookup.
-    last_stamp: Option<(u64, u64)>,
-    /// Cache of slot patterns keyed by `(slot_len, object size)`.
-    slot_patterns: HashMap<(u64, u64), Vec<u8>>,
 }
 
 /// Optional behaviours of the GiantSan runtime, covering the mitigation
@@ -73,18 +61,6 @@ pub struct GiantSanOptions {
     /// quasi-lower-bound, making subsequent reverse accesses register
     /// compares.
     pub reverse_mitigation: bool,
-    /// Stamp whole blocks of the block/line heap with their size-class slot
-    /// pattern the moment the block is dedicated (one
-    /// [`ShadowMemory::tile_pattern`] write), and skip per-object poisoning
-    /// for pristine slots whose size matches the stamp.
-    ///
-    /// Off by default: pre-poisoning marks *never-allocated* slots of the
-    /// block as addressable, a bounded false-negative window (wild pointers
-    /// into unallocated slots pass checks until the block is freed) traded
-    /// for O(1) shadow work per allocation on class-homogeneous workloads.
-    /// Requires [`giantsan_runtime::HeapBackend::BlockLine`]; with the
-    /// free-list backend no block events arrive and the flag is inert.
-    pub block_granular_poison: bool,
 }
 
 impl Default for GiantSanOptions {
@@ -92,7 +68,6 @@ impl Default for GiantSanOptions {
         GiantSanOptions {
             underflow_anchor: true,
             reverse_mitigation: false,
-            block_granular_poison: false,
         }
     }
 }
@@ -108,12 +83,6 @@ impl GiantSanOptions {
     /// toggled.
     pub fn with_reverse_mitigation(mut self, on: bool) -> Self {
         self.reverse_mitigation = on;
-        self
-    }
-
-    /// Returns the options with whole-block pattern poisoning toggled.
-    pub fn with_block_granular_poison(mut self, on: bool) -> Self {
-        self.block_granular_poison = on;
         self
     }
 }
@@ -166,13 +135,6 @@ impl GiantSanBuilder {
         self
     }
 
-    /// Toggles whole-block pattern poisoning for the block/line heap
-    /// backend (see [`GiantSanOptions::block_granular_poison`]).
-    pub fn block_granular_poison(&mut self, on: bool) -> &mut Self {
-        self.options.block_granular_poison = on;
-        self
-    }
-
     /// Builds a GiantSan instance over a fresh world (the builder stays
     /// usable for further sessions).
     pub fn build(&self) -> GiantSan {
@@ -205,9 +167,6 @@ impl GiantSan {
             shadow,
             counters: Counters::default(),
             options,
-            stamped_blocks: HashMap::new(),
-            last_stamp: None,
-            slot_patterns: HashMap::new(),
         }
     }
 
@@ -308,102 +267,23 @@ impl GiantSan {
             poison::poison_range(&mut self.shadow, info.block_start, info.block_len, code);
     }
 
-    /// Handles the block events of an allocation (block/line backend):
-    /// stamps freshly mapped class blocks with their whole-block slot
-    /// pattern when [`GiantSanOptions::block_granular_poison`] is on, and
-    /// decides whether the new object's slot is already exactly poisoned by
-    /// a stamp (pristine slot, matching size) so per-object work can be
-    /// skipped.
-    fn absorb_alloc_events(&mut self, a: &Allocation, events: &[BlockEvent]) -> bool {
-        if self.options.block_granular_poison {
-            let rz = self.world.effective_redzone();
-            for ev in events {
-                let BlockEvent::Mapped {
-                    start,
-                    slot_len,
-                    slots,
-                } = *ev
-                else {
-                    continue;
-                };
-                // A block mapped during this allocation serves this
-                // allocation's size class; stamp it with this size's image.
-                let pattern = self
-                    .slot_patterns
-                    .entry((slot_len, a.size))
-                    .or_insert_with(|| {
-                        poison::class_slot_pattern(
-                            a.size,
-                            rz,
-                            slot_len,
-                            encoding::HEAP_LEFT_REDZONE,
-                            encoding::HEAP_RIGHT_REDZONE,
-                            encoding::UNALLOCATED,
-                        )
-                    });
-                self.counters.shadow_stores +=
-                    poison::poison_class_block(&mut self.shadow, start, slots, pattern);
-                self.counters.bulk_poison_runs += 1;
-                self.stamped_blocks.insert(start.raw(), a.size);
-                self.last_stamp = Some((start.raw(), a.size));
-            }
-        } else {
-            return false;
-        }
-        let Some(p) = a.placement else { return false };
-        if !p.pristine {
-            return false;
-        }
-        let Some(heap) = self.world.heap().as_block() else {
-            return false;
-        };
-        let block = heap.cluster_of(a.base);
-        if self.last_stamp == Some((block, a.size)) {
-            return true;
-        }
-        let hit = self.stamped_blocks.get(&block) == Some(&a.size);
-        if hit {
-            self.last_stamp = Some((block, a.size));
-        }
-        hit
+    /// Poisons a fresh allocation's redzones and folded user region.
+    fn poison_new(&mut self, a: &Allocation) {
+        let info = self
+            .world
+            .objects()
+            .get(a.id)
+            .expect("fresh allocation must be registered")
+            .clone();
+        self.poison_allocation(&info);
     }
 
-    /// Handles the block events of a free: whole blocks returned to the
-    /// free pool get one bulk "unallocated" fill, and recycled objects
-    /// inside those blocks skip their per-object reset. Recycled objects
-    /// whose block stayed partially live are still reset individually.
-    fn absorb_free_events(&mut self, events: &[BlockEvent], recycled: &[ObjectInfo]) {
-        let freed: Vec<(u64, u64)> = events
-            .iter()
-            .filter_map(|ev| match *ev {
-                BlockEvent::Freed { start, len } => Some((start.raw(), len)),
-                BlockEvent::Mapped { .. } => None,
-            })
-            .collect();
-        for info in recycled {
-            let covered = freed
-                .iter()
-                .any(|&(s, l)| info.block_start.raw() >= s && info.block_start.raw() < s + l);
-            if !covered {
-                self.poison_block(info, encoding::UNALLOCATED);
-            }
-        }
-        for &(start, len) in &freed {
-            self.counters.shadow_stores += poison::poison_range(
-                &mut self.shadow,
-                Addr::new(start),
-                len,
-                encoding::UNALLOCATED,
-            );
-            self.counters.bulk_poison_runs += 1;
-            let mut b = start;
-            while b < start + len {
-                self.stamped_blocks.remove(&b);
-                if self.last_stamp.is_some_and(|(s, _)| s == b) {
-                    self.last_stamp = None;
-                }
-                b += giantsan_runtime::block_heap::BLOCK_SIZE;
-            }
+    /// Marks a freed block as freed and resets the blocks the quarantine
+    /// evicted to unallocated.
+    fn poison_freed(&mut self, outcome: &FreeOutcome) {
+        self.poison_block(&outcome.freed, encoding::FREED);
+        for info in &outcome.recycled {
+            self.poison_block(info, encoding::UNALLOCATED);
         }
     }
 
@@ -502,21 +382,11 @@ impl Sanitizer for GiantSan {
 
     fn alloc(&mut self, size: u64, region: Region) -> Result<Allocation, HeapError> {
         let a = self.world.alloc(size, region)?;
-        let events = self.world.take_block_events();
         self.counters.allocs += 1;
         if region == Region::Stack {
             self.counters.stack_allocs += 1;
         }
-        let slot_prepoisoned = self.absorb_alloc_events(&a, &events);
-        if !slot_prepoisoned {
-            let info = self
-                .world
-                .objects()
-                .get(a.id)
-                .expect("fresh allocation must be registered")
-                .clone();
-            self.poison_allocation(&info);
-        }
+        self.poison_new(&a);
         Ok(a)
     }
 
@@ -524,9 +394,7 @@ impl Sanitizer for GiantSan {
         self.counters.frees += 1;
         match self.world.free(base) {
             Ok(outcome) => {
-                let events = self.world.take_block_events();
-                self.poison_block(&outcome.freed, encoding::FREED);
-                self.absorb_free_events(&events, &outcome.recycled);
+                self.poison_freed(&outcome);
                 Ok(())
             }
             Err(report) => {
@@ -539,21 +407,10 @@ impl Sanitizer for GiantSan {
     fn realloc(&mut self, base: Addr, new_size: u64) -> Result<Allocation, ErrorReport> {
         match self.world.realloc(base, new_size) {
             Ok((a, outcome)) => {
-                let events = self.world.take_block_events();
                 self.counters.allocs += 1;
                 self.counters.frees += 1;
-                let slot_prepoisoned = self.absorb_alloc_events(&a, &events);
-                if !slot_prepoisoned {
-                    let info = self
-                        .world
-                        .objects()
-                        .get(a.id)
-                        .expect("fresh allocation must be registered")
-                        .clone();
-                    self.poison_allocation(&info);
-                }
-                self.poison_block(&outcome.freed, encoding::FREED);
-                self.absorb_free_events(&events, &outcome.recycled);
+                self.poison_new(&a);
+                self.poison_freed(&outcome);
                 Ok(a)
             }
             Err(report) => {
@@ -766,139 +623,6 @@ mod tests {
         // Redzones on both sides.
         assert_eq!(s.shadow.get(seg - 1), encoding::HEAP_LEFT_REDZONE);
         assert_eq!(s.shadow.get(seg + 9), encoding::HEAP_RIGHT_REDZONE);
-    }
-
-    fn block_san(granular: bool) -> GiantSan {
-        GiantSan::builder()
-            .config(
-                RuntimeConfig::small()
-                    .to_builder()
-                    .heap_backend(giantsan_runtime::HeapBackend::BlockLine)
-                    .quarantine_cap(1 << 12)
-                    .build(),
-            )
-            .block_granular_poison(granular)
-            .build()
-    }
-
-    #[test]
-    fn block_backend_shadow_matches_free_list_per_object() {
-        // Same alloc/free sequence under the block/line backend (bulk drain
-        // fills on) and the per-object writer: the live objects' shadow
-        // windows must be identical, and detection verdicts must agree.
-        let mut blk = block_san(false);
-        let mut fl = san();
-        let mut pairs = Vec::new();
-        for size in [1u64, 8, 68, 96, 200, 1000] {
-            let a = blk.alloc(size, Region::Heap).unwrap();
-            let b = fl.alloc(size, Region::Heap).unwrap();
-            pairs.push((a, b, size));
-        }
-        for (a, b, size) in &pairs {
-            let sa = blk.shadow.segment_of(a.base - 16);
-            let sb = fl.shadow.segment_of(b.base - 16);
-            let segs = (size.div_ceil(8) * 8 + 32) / 8;
-            assert_eq!(
-                blk.shadow.slice(sa, sa + segs),
-                fl.shadow.slice(sb, sb + segs),
-                "shadow window mismatch for size {size}"
-            );
-            for (san, alloc) in [(&mut blk, a), (&mut fl, b)] {
-                assert!(san
-                    .check_region(alloc.base, alloc.base + *size, AccessKind::Read)
-                    .is_ok());
-                assert_eq!(
-                    san.check_access(alloc.base + (size.div_ceil(8) * 8), 8, AccessKind::Read)
-                        .unwrap_err()
-                        .kind,
-                    ErrorKind::HeapBufferOverflow
-                );
-            }
-        }
-        for (a, b, _) in pairs {
-            assert!(blk.free(a.base).is_ok());
-            assert!(fl.free(b.base).is_ok());
-            assert_eq!(
-                blk.check_access(a.base, 8, AccessKind::Read)
-                    .unwrap_err()
-                    .kind,
-                ErrorKind::UseAfterFree
-            );
-            assert_eq!(
-                fl.check_access(b.base, 8, AccessKind::Read)
-                    .unwrap_err()
-                    .kind,
-                ErrorKind::UseAfterFree
-            );
-        }
-    }
-
-    #[test]
-    fn block_granular_poison_is_byte_identical_for_matching_slots() {
-        // With pre-stamping on, a run of same-size allocations must produce
-        // exactly the bytes the per-object writer produces, while writing
-        // far fewer shadow stores per allocation.
-        let mut bulk = block_san(true);
-        let mut per = block_san(false);
-        let mut allocs = Vec::new();
-        for _ in 0..64 {
-            let a = bulk.alloc(68, Region::Heap).unwrap();
-            let b = per.alloc(68, Region::Heap).unwrap();
-            assert_eq!(a.base, b.base, "backends must place identically");
-            allocs.push(a.base);
-        }
-        assert!(bulk.counters().bulk_poison_runs > 0);
-        assert_eq!(per.counters().bulk_poison_runs, 0);
-        for base in &allocs {
-            let lo = bulk.shadow.segment_of(*base - 16);
-            assert_eq!(
-                bulk.shadow.slice(lo, lo + 13),
-                per.shadow.slice(lo, lo + 13),
-                "stamped slot diverges from per-object poisoning"
-            );
-        }
-        // Detection agrees on overflow and use-after-free.
-        let victim = allocs[10];
-        for s in [&mut bulk, &mut per] {
-            assert!(s
-                .check_region(victim, victim + 68, AccessKind::Read)
-                .is_ok());
-            assert_eq!(
-                s.check_access(victim + 72, 8, AccessKind::Read)
-                    .unwrap_err()
-                    .kind,
-                ErrorKind::HeapBufferOverflow
-            );
-            assert!(s.free(victim).is_ok());
-            assert_eq!(
-                s.check_access(victim, 8, AccessKind::Read)
-                    .unwrap_err()
-                    .kind,
-                ErrorKind::UseAfterFree
-            );
-        }
-    }
-
-    #[test]
-    fn block_granular_stamp_does_not_leak_across_sizes() {
-        // A hole-recycled or size-mismatched slot must be re-poisoned per
-        // object even when its block carries a stamp.
-        let mut s = block_san(true);
-        let a = s.alloc(68, Region::Heap).unwrap();
-        // Different size, same class (68 and 90 both fit one 128-byte line
-        // with redzones? 90+32=122 ≤ 128 yes): must NOT reuse the 68 stamp.
-        let b = s.alloc(90, Region::Heap).unwrap();
-        assert!(s
-            .check_region(b.base, b.base + 90, AccessKind::Read)
-            .is_ok());
-        assert_eq!(
-            s.check_access(b.base + 96, 8, AccessKind::Read)
-                .unwrap_err()
-                .kind,
-            ErrorKind::HeapBufferOverflow,
-            "size-90 slot must carry size-90 bounds, not the size-68 stamp"
-        );
-        let _ = a;
     }
 
     #[test]
@@ -1151,7 +875,6 @@ mod tests {
             GiantSanOptions {
                 underflow_anchor: false,
                 reverse_mitigation: true,
-                block_granular_poison: false,
             }
         );
         assert_eq!(

@@ -23,10 +23,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use giantsan_shadow::kernel::{self, Backend};
-use giantsan_telemetry::NoopRecorder;
+use giantsan_telemetry::{fnv1a, NoopRecorder};
 use giantsan_workloads::spec_workload;
 
-use crate::experiments::fault_study::fnv1a;
 use crate::tool::Tool;
 
 /// Application-region sizes swept (bytes); shadow slices are 1/8 of these.
@@ -297,9 +296,8 @@ fn end_to_end_digests() -> (u64, u64) {
 /// Runs only the digest-parity half of the sweep: the clean mix end-to-end
 /// under each forced backend, restoring the backend that was active on entry
 /// (the forced windows are benign: every backend returns identical results
-/// by contract). The alloc study backfills these rows into `BENCH_PR8.json`
-/// without paying for the timing half.
-pub fn digest_parity() -> Vec<BackendDigest> {
+/// by contract).
+fn digest_parity() -> Vec<BackendDigest> {
     let restore = kernel::active().backend();
     let mut digests = Vec::new();
     for backend in Backend::ALL {
@@ -318,7 +316,7 @@ pub fn digest_parity() -> Vec<BackendDigest> {
 
 /// Runs the timing half of the sweep: every kernel on every backend over the
 /// region-size ladder.
-pub fn timing_sweep() -> Vec<KernelCase> {
+fn timing_sweep() -> Vec<KernelCase> {
     let mut cases = Vec::new();
     for op in ["first_ne", "first_ge", "fill", "write_folded_run"] {
         for region in REGION_SIZES {

@@ -131,7 +131,7 @@ const ALL: [&str; 10] = [
 fn usage() -> String {
     format!(
         "usage: repro <table2|fig10|table3|table4|table5|fig11|ablation|plan|memory|density\
-         |alloc|echo|bench|faults|trace|all> {}\n       repro merge DIR [--format text|json] \
+         |echo|bench|faults|trace|all> {}\n       repro merge DIR [--format text|json] \
          [--out-dir DIR]\n       repro serve {}\n       repro perfgate {}",
         cli::FLAG_USAGE,
         serve::FLAG_USAGE,

@@ -31,9 +31,10 @@ use std::io::Write as _;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
+use giantsan_telemetry::{fnv1a, Fnv1a};
+
 use crate::batch::BatchRunner;
 use crate::json::Json;
-use crate::matrix::Fnv1a;
 use crate::study::{Record, Study, StudyOpts, StudyRegistry};
 
 /// On-disk format version of `campaign.json` / `manifest.jsonl`.
@@ -339,7 +340,7 @@ impl<'a> Campaign<'a> {
             let _ = std::fs::remove_file(&blob_path);
             return Err(io_err(e, &blob_path));
         }
-        let digest = crate::matrix::fnv1a(blob.as_bytes());
+        let digest = fnv1a(blob.as_bytes());
         let line = Json::obj()
             .field("shard", shard.index)
             .field("start", range.start)
@@ -442,7 +443,7 @@ impl<'a> Campaign<'a> {
     fn load_shard(&self, dir: &Path, entry: &ManifestEntry) -> Result<Vec<Record>, CampaignError> {
         let path = dir.join(blob_name(entry.shard));
         let blob = std::fs::read_to_string(&path).map_err(|e| io_err(e, &path))?;
-        let digest = crate::matrix::fnv1a(blob.as_bytes());
+        let digest = fnv1a(blob.as_bytes());
         if digest != entry.digest {
             return Err(CampaignError::Invalid(format!(
                 "{}: blob digest {digest:#018x} does not match the manifest's {:#018x}; the \

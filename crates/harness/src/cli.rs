@@ -13,9 +13,10 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use giantsan_telemetry::fnv1a;
+
 use crate::batch::{BatchRunner, TraceSink};
 use crate::campaign::ShardSpec;
-use crate::matrix::fnv1a;
 use crate::study::StudyOpts;
 use crate::tool::Tool;
 

@@ -11,11 +11,11 @@
 //! shift the job digest, which is what the chaos drill checks.
 
 use giantsan_runtime::RuntimeConfig;
+use giantsan_telemetry::Fnv1a;
 use giantsan_workloads::fuzz::safe_program;
 
 use crate::faults::splitmix64;
 use crate::json::Json;
-use crate::matrix::Fnv1a;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
 use crate::tool::run_tool;

@@ -15,6 +15,7 @@
 //! golden (`tests/golden/faults_digest.txt`).
 
 use giantsan_runtime::{RecoveryPolicy, RuntimeConfig};
+use giantsan_telemetry::{fnv1a, Fnv1a};
 use giantsan_workloads::fuzz::InjectedBug;
 
 use crate::batch::BatchRunner;
@@ -277,20 +278,14 @@ impl FaultStudy {
     /// FNV-1a digest over every cell's label, verdict, and result digest —
     /// the quantity CI compares against the committed golden.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(&self.seed.to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.eat(&self.seed.to_le_bytes());
         for o in &self.outcomes {
-            eat(o.label.as_bytes());
-            eat(o.verdict.name().as_bytes());
-            eat(&o.result_digest.to_le_bytes());
+            h.eat(o.label.as_bytes());
+            h.eat(o.verdict.name().as_bytes());
+            h.eat(&o.result_digest.to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// Verdict counts for one tool (detected, recovered, missed, crashed).
@@ -386,10 +381,6 @@ impl FaultStudy {
             .render()
     }
 }
-
-/// FNV-1a over raw bytes (label hashing for schedule derivation) — the
-/// canonical definition now lives in [`crate::matrix`].
-pub use crate::matrix::fnv1a;
 
 /// Matrix breadth `repro faults` has always used (5 seeds ⇒ 1050 cells).
 const FAULT_SEEDS: u64 = 5;

@@ -1,7 +1,6 @@
 //! One module per table/figure of the paper's evaluation.
 
 pub mod ablation;
-pub mod alloc;
 pub mod density;
 pub mod echo;
 pub mod fault_study;

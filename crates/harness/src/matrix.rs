@@ -15,6 +15,7 @@
 
 use giantsan_ir::Program;
 use giantsan_runtime::{Counters, RuntimeConfig};
+use giantsan_telemetry::Fnv1a;
 use giantsan_workloads::fuzz::{buggy_program, safe_program, InjectedBug};
 use giantsan_workloads::{spec_workload, traversal_program, Pattern};
 
@@ -179,45 +180,6 @@ pub fn digest(outcomes: &[CellOutcome]) -> u64 {
         // Counters is plain data with a stable Debug form within a build.
         h.eat(format!("{:?}", o.counters).as_bytes());
     }
-    h.finish()
-}
-
-/// Incremental FNV-1a hasher — the repo's single digest discipline, shared
-/// by the matrix digest above, the fault campaign, the telemetry JSONL
-/// export, and the campaign layer's spec hashes and shard blobs.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv1a {
-    /// Starts a hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv1a(0xcbf29ce484222325)
-    }
-
-    /// Folds `bytes` into the running hash.
-    pub fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One-shot FNV-1a over raw bytes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.eat(bytes);
     h.finish()
 }
 

@@ -217,7 +217,6 @@ impl ServiceMetrics {
         // label the default allocator backend jobs execute under.
         let heap = match giantsan_runtime::RuntimeConfig::default().heap_backend {
             giantsan_runtime::HeapBackend::FreeList => "freelist",
-            giantsan_runtime::HeapBackend::BlockLine => "blockline",
         };
         out.push_str(
             "# HELP repro_build_info Build and backend identity of the serving binary.\n\

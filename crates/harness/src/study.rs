@@ -229,7 +229,6 @@ impl StudyRegistry {
                 Box::new(plan::PlanEntry),
                 Box::new(memory::MemoryEntry),
                 Box::new(density::DensityEntry),
-                Box::new(alloc::AllocEntry),
                 Box::new(echo::EchoEntry),
                 Box::new(BenchEntry),
                 Box::new(fault_study::FaultsEntry),

@@ -41,7 +41,7 @@ use giantsan_runtime::{
 };
 use giantsan_shadow::Addr;
 use giantsan_telemetry::{
-    CheckPathKind, EventKind, NoopRecorder, Recorder, LOOP_FINAL_SITE, PRE_CHECK_SITE,
+    CheckPathKind, EventKind, Fnv1a, NoopRecorder, Recorder, LOOP_FINAL_SITE, PRE_CHECK_SITE,
 };
 
 use crate::expr::Expr;
@@ -115,13 +115,8 @@ impl ExecResult {
     /// interpreter can observe; the batch engine's determinism checks
     /// compare these instead of whole results.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
+        let mut h = Fnv1a::new();
+        let mut eat = |bytes: &[u8]| h.eat(bytes);
         eat(&self.checksum.to_le_bytes());
         eat(&self.steps.to_le_bytes());
         eat(&self.native_work.to_le_bytes());
@@ -137,7 +132,7 @@ impl ExecResult {
         for r in &self.reports {
             eat(r.to_string().as_bytes());
         }
-        h
+        h.finish()
     }
 }
 
@@ -813,13 +808,6 @@ impl<S: Sanitizer + ?Sized, R: Recorder> Interp<'_, S, R> {
                                     .counters()
                                     .shadow_stores
                                     .saturating_sub(stores_before),
-                                placement: a.placement.map(|p| {
-                                    giantsan_telemetry::AllocPlacement {
-                                        block: p.block,
-                                        line: p.line,
-                                        class: p.class,
-                                    }
-                                }),
                             });
                         }
                     }

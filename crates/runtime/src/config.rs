@@ -3,18 +3,15 @@
 use crate::recovery::RecoveryPolicy;
 
 /// Which allocator backs the simulated heap.
+///
+/// There is one: the enum names it so host fingerprints and metrics can
+/// record the heap a measurement ran on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HeapBackend {
     /// First-fit free list ([`crate::SimHeap`]): coalescing `BTreeMap` of
-    /// holes, flat FIFO quarantine. The default — its address-reuse order is
-    /// what every pinned golden digest was recorded against.
+    /// holes behind a flat FIFO quarantine, as ASan's allocator.
     #[default]
     FreeList,
-    /// Immix-style block/line allocator ([`crate::block_heap::BlockHeap`]):
-    /// 32 KiB blocks, 128-byte lines, size-class bump allocation with
-    /// hole-finding, per-thread arenas, cluster-based quarantine, and
-    /// block-granular shadow poisoning.
-    BlockLine,
 }
 
 /// Configuration of the simulated runtime environment.
@@ -57,9 +54,6 @@ pub struct RuntimeConfig {
     pub recovery: RecoveryPolicy,
     /// Which allocator backs the heap arena.
     pub heap_backend: HeapBackend,
-    /// Number of per-thread arenas the block/line backend partitions the
-    /// heap into. Ignored by [`HeapBackend::FreeList`]. Must be ≥ 1.
-    pub heap_arenas: u32,
 }
 
 impl RuntimeConfig {
@@ -172,18 +166,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Selects the heap allocator backend.
-    pub fn heap_backend(&mut self, backend: HeapBackend) -> &mut Self {
-        self.cfg.heap_backend = backend;
-        self
-    }
-
-    /// Sets the arena count for the block/line backend (≥ 1).
-    pub fn heap_arenas(&mut self, arenas: u32) -> &mut Self {
-        self.cfg.heap_arenas = arenas.max(1);
-        self
-    }
-
     /// Produces the configuration described so far.
     pub fn build(&self) -> RuntimeConfig {
         self.cfg.clone()
@@ -200,7 +182,6 @@ impl Default for RuntimeConfig {
             global_size: 1 << 20,
             recovery: RecoveryPolicy::Continue,
             heap_backend: HeapBackend::FreeList,
-            heap_arenas: 1,
         }
     }
 }
@@ -243,19 +224,6 @@ mod tests {
             .recovery(RecoveryPolicy::recover())
             .build();
         assert!(recov.recovery.contains_faults());
-    }
-
-    #[test]
-    fn default_backend_is_free_list() {
-        let cfg = RuntimeConfig::default();
-        assert_eq!(cfg.heap_backend, HeapBackend::FreeList);
-        assert_eq!(cfg.heap_arenas, 1);
-        let block = RuntimeConfig::builder()
-            .heap_backend(HeapBackend::BlockLine)
-            .heap_arenas(0)
-            .build();
-        assert_eq!(block.heap_backend, HeapBackend::BlockLine);
-        assert_eq!(block.heap_arenas, 1, "arena count clamps to >= 1");
     }
 
     #[test]

@@ -61,9 +61,10 @@ pub struct Counters {
     /// Reports dropped by recover-mode dedup/rate limits (still counted in
     /// `reports` by the raising tool, but not recorded by the interpreter).
     pub errors_suppressed: u64,
-    /// Bulk shadow writes performed at block granularity (whole-block
-    /// pattern poisoning on block map, whole-block fills on block free) —
-    /// each run replaces what would otherwise be many per-object writes.
+    /// Bulk shadow writes performed at heap-block granularity instead of
+    /// per object. Every tool poisons per object, so this stays 0; the
+    /// field is kept because the pinned run digests and the benchmark's
+    /// `alloc.bulk_poison_runs` metric name every counter.
     pub bulk_poison_runs: u64,
 }
 

@@ -10,12 +10,7 @@
 //! that substrate for the simulated address space of `giantsan-shadow`:
 //!
 //! * [`SimHeap`] — a first-fit free-list heap with configurable redzones;
-//! * [`block_heap::BlockHeap`] — the Immix-style block/line allocator
-//!   (32 KiB blocks, 128-byte lines, size classes, per-thread arenas)
-//!   selected by [`config::HeapBackend::BlockLine`];
 //! * [`Quarantine`] — a FIFO byte-capped quarantine (temporal-error defence);
-//! * [`ClusterQuarantine`] — the block-clustered quarantine paired with the
-//!   block/line heap (whole clusters evict together);
 //! * [`StackSim`] — simulated stack frames with per-slot redzones;
 //! * [`ObjectTable`] — ground-truth object bounds used as an oracle when
 //!   counting false negatives/positives (a luxury real sanitizers lack);
@@ -37,7 +32,6 @@
 //! native.free(a.base).unwrap();
 //! ```
 
-pub mod block_heap;
 mod config;
 mod counters;
 mod heap;
@@ -50,15 +44,14 @@ mod stack;
 mod tcache;
 mod world;
 
-pub use block_heap::{BlockEvent, BlockHeap, BlockHeapStats, Placement};
 pub use config::{HeapBackend, RuntimeConfig, RuntimeConfigBuilder};
 pub use counters::Counters;
 pub use heap::{HeapError, SimHeap};
 pub use object::{ObjectId, ObjectInfo, ObjectState, ObjectTable};
-pub use quarantine::{ClusterQuarantine, Evictions, Quarantine};
+pub use quarantine::{Evictions, Quarantine};
 pub use recovery::{Admission, MetadataFault, RecoverLimits, RecoveryPolicy, RecoveryState};
 pub use report::{AccessKind, CheckResult, ErrorKind, ErrorReport};
 pub use sanitizer::{CacheSlot, NullSanitizer, Sanitizer};
 pub use stack::StackSim;
 pub use tcache::{TcacheStats, ThreadCachedAllocator};
-pub use world::{Allocation, FreeOutcome, HeapArena, Region, World};
+pub use world::{Allocation, FreeOutcome, Region, World};

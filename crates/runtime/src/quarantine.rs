@@ -1,19 +1,11 @@
-//! Quarantines for freed heap blocks: flat FIFO and block-clustered.
+//! The FIFO quarantine for freed heap blocks.
 //!
 //! Location-based sanitizers delay the reuse of freed memory so that dangling
-//! pointers keep landing on poisoned shadow (paper §2.2). Both layouts here
-//! are byte-capped; they differ in *what* an eviction returns to the
-//! allocator:
-//!
-//! * [`Quarantine`] — the classic flat FIFO: blocks leave one at a time in
-//!   arrival order ("quarantine bypassing" is the limitation the paper
-//!   acknowledges in §5.4);
-//! * [`ClusterQuarantine`] — objects are grouped by the 32 KiB heap block
-//!   that contains them (Beyond Tag Collision's cluster layout) and the
-//!   *oldest whole cluster* is evicted at once, so the block/line heap gets
-//!   its blocks back drained and can reset their shadow with a single fill.
+//! pointers keep landing on poisoned shadow (paper §2.2). [`Quarantine`] is
+//! ASan's byte-capped FIFO: blocks leave one at a time in arrival order
+//! ("quarantine bypassing" is the limitation the paper acknowledges in §5.4).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::ObjectId;
 
@@ -121,115 +113,6 @@ impl Drop for Evictions<'_> {
     }
 }
 
-/// A byte-capped quarantine that groups objects by their containing heap
-/// block and evicts whole clusters at once.
-///
-/// Pairing this with [`crate::block_heap::BlockHeap`] means every eviction
-/// hands back all quarantined objects of one 32 KiB block together: once the
-/// block's remaining live objects leave too, the heap frees the whole block
-/// and its shadow resets with one bulk fill instead of per-object writes.
-///
-/// # Example
-///
-/// ```
-/// use giantsan_runtime::{ClusterQuarantine, ObjectId};
-///
-/// let mut q = ClusterQuarantine::new(100);
-/// assert!(q.push(0x8000, ObjectId(1), 40).is_empty());
-/// assert!(q.push(0x8000, ObjectId(2), 40).is_empty());
-/// // Over the cap: the oldest *cluster* (both objects of block 0x8000)
-/// // leaves at once.
-/// let evicted = q.push(0x10000, ObjectId(3), 40).to_vec();
-/// assert_eq!(evicted, vec![ObjectId(1), ObjectId(2)]);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ClusterQuarantine {
-    cap: u64,
-    used: u64,
-    /// Cluster keys in arrival order of their *first* object.
-    order: VecDeque<u64>,
-    /// Cluster key → (member ids in arrival order, quarantined bytes).
-    clusters: HashMap<u64, (Vec<ObjectId>, u64)>,
-    /// Reused eviction buffer: [`ClusterQuarantine::push`] returns a slice
-    /// of this instead of allocating per call.
-    scratch: Vec<ObjectId>,
-}
-
-impl ClusterQuarantine {
-    /// Creates a cluster quarantine holding at most `cap` bytes. A zero cap
-    /// disables quarantining: every push evicts its cluster immediately.
-    pub fn new(cap: u64) -> Self {
-        ClusterQuarantine {
-            cap,
-            used: 0,
-            order: VecDeque::new(),
-            clusters: HashMap::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Bytes currently quarantined.
-    pub fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
-    /// Number of objects currently quarantined.
-    pub fn len(&self) -> usize {
-        self.clusters.values().map(|(ids, _)| ids.len()).sum()
-    }
-
-    /// Number of clusters (blocks with at least one quarantined object).
-    pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
-    }
-
-    /// Returns `true` if no objects are quarantined.
-    pub fn is_empty(&self) -> bool {
-        self.clusters.is_empty()
-    }
-
-    /// Quarantines `id` (`len` bytes) under `cluster` — the start address of
-    /// its containing heap block. While the cap is exceeded, the oldest
-    /// clusters are evicted whole (a cluster's age is its first object's
-    /// arrival). Returns the evicted ids, oldest cluster first, as a slice
-    /// of an internal scratch buffer valid until the next push.
-    pub fn push(&mut self, cluster: u64, id: ObjectId, len: u64) -> &[ObjectId] {
-        self.scratch.clear();
-        let entry = self.clusters.entry(cluster).or_insert_with(|| {
-            self.order.push_back(cluster);
-            (Vec::new(), 0)
-        });
-        entry.0.push(id);
-        entry.1 += len;
-        self.used += len;
-        while self.used > self.cap {
-            let key = self
-                .order
-                .pop_front()
-                .expect("used > cap implies a nonempty cluster queue");
-            let (ids, bytes) = self
-                .clusters
-                .remove(&key)
-                .expect("ordered key has a cluster");
-            self.used -= bytes;
-            self.scratch.extend_from_slice(&ids);
-        }
-        &self.scratch
-    }
-
-    /// Drains every object (oldest cluster first), e.g. at world teardown.
-    pub fn drain(&mut self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.used = 0;
-        let clusters = &mut self.clusters;
-        self.order.drain(..).flat_map(move |key| {
-            clusters
-                .remove(&key)
-                .map(|(ids, _)| ids)
-                .unwrap_or_default()
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,56 +163,6 @@ mod tests {
         q.push(ObjectId(3), 10).count();
         let all: Vec<_> = q.drain().collect();
         assert_eq!(all, vec![ObjectId(1), ObjectId(2), ObjectId(3)]);
-        assert!(q.is_empty());
-        assert_eq!(q.used_bytes(), 0);
-    }
-
-    #[test]
-    fn clusters_group_by_block_and_evict_whole() {
-        let mut q = ClusterQuarantine::new(100);
-        assert!(q.push(0x8000, ObjectId(1), 30).is_empty());
-        assert!(q.push(0x10000, ObjectId(2), 30).is_empty());
-        assert!(q.push(0x8000, ObjectId(3), 30).is_empty());
-        assert_eq!(q.cluster_count(), 2);
-        // Over the cap: the oldest cluster (0x8000, objects 1 and 3) leaves
-        // whole even though evicting one object would have sufficed.
-        let ev = q.push(0x18000, ObjectId(4), 30).to_vec();
-        assert_eq!(ev, vec![ObjectId(1), ObjectId(3)]);
-        assert_eq!(q.used_bytes(), 60);
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn cluster_zero_cap_evicts_immediately() {
-        let mut q = ClusterQuarantine::new(0);
-        let ev = q.push(0x8000, ObjectId(1), 8).to_vec();
-        assert_eq!(ev, vec![ObjectId(1)]);
-        assert!(q.is_empty());
-        assert_eq!(q.used_bytes(), 0);
-    }
-
-    #[test]
-    fn cluster_eviction_cascades_over_multiple_clusters() {
-        let mut q = ClusterQuarantine::new(50);
-        q.push(0x8000, ObjectId(1), 20);
-        q.push(0x10000, ObjectId(2), 20);
-        let ev = q.push(0x18000, ObjectId(3), 60).to_vec();
-        assert_eq!(
-            ev,
-            vec![ObjectId(1), ObjectId(2), ObjectId(3)],
-            "cascade drains oldest-first until under cap"
-        );
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cluster_drain_returns_oldest_cluster_first() {
-        let mut q = ClusterQuarantine::new(1000);
-        q.push(0x10000, ObjectId(1), 10);
-        q.push(0x8000, ObjectId(2), 10);
-        q.push(0x10000, ObjectId(3), 10);
-        let all: Vec<_> = q.drain().collect();
-        assert_eq!(all, vec![ObjectId(1), ObjectId(3), ObjectId(2)]);
         assert!(q.is_empty());
         assert_eq!(q.used_bytes(), 0);
     }

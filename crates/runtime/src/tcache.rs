@@ -57,9 +57,6 @@ pub struct ThreadCachedAllocator<S: Sanitizer> {
     shared: Arc<Mutex<S>>,
     bins: HashMap<u64, Vec<Allocation>>,
     stats: TcacheStats,
-    /// Heap arena this thread's shared allocations are directed to
-    /// (block/line backend only).
-    arena: Option<u32>,
 }
 
 impl<S: Sanitizer> ThreadCachedAllocator<S> {
@@ -73,19 +70,7 @@ impl<S: Sanitizer> ThreadCachedAllocator<S> {
             shared,
             bins: HashMap::new(),
             stats: TcacheStats::default(),
-            arena: None,
         }
-    }
-
-    /// Creates a cache fronting `shared` whose allocations draw from heap
-    /// `arena` of the block/line backend. Bin misses still lock the shared
-    /// sanitizer, but each thread bump-allocates in its own block range, so
-    /// no two threads interleave within a block. The free-list backend
-    /// ignores the arena.
-    pub fn with_arena(shared: Arc<Mutex<S>>, arena: u32) -> Self {
-        let mut tc = Self::new(shared);
-        tc.arena = Some(arena);
-        tc
     }
 
     /// Local statistics.
@@ -112,11 +97,7 @@ impl<S: Sanitizer> ThreadCachedAllocator<S> {
             }
         }
         self.stats.shared_locks += 1;
-        let mut shared = self.shared.lock();
-        if let Some(arena) = self.arena {
-            shared.world_mut().set_active_arena(arena);
-        }
-        shared.alloc(size, region)
+        self.shared.lock().alloc(size, region)
     }
 
     /// Frees by parking the block in the local bin; flushes half the bin to
@@ -246,25 +227,6 @@ mod tests {
         // to the shared free path and is ignored by the null sanitizer.
         tc.free(a);
         assert_eq!(tc.stats().local_frees, 0);
-    }
-
-    #[test]
-    fn arena_affinity_partitions_threads() {
-        use crate::block_heap::BLOCK_SIZE;
-        use crate::HeapBackend;
-        let cfg = RuntimeConfig::small()
-            .to_builder()
-            .heap_backend(HeapBackend::BlockLine)
-            .heap_arenas(2)
-            .build();
-        let s = Arc::new(Mutex::new(NullSanitizer::new(cfg)));
-        let mut t0 = ThreadCachedAllocator::with_arena(Arc::clone(&s), 0);
-        let mut t1 = ThreadCachedAllocator::with_arena(Arc::clone(&s), 1);
-        let a = t0.alloc(64, Region::Heap).unwrap();
-        let b = t1.alloc(64, Region::Heap).unwrap();
-        assert_eq!(a.placement.unwrap().arena, 0);
-        assert_eq!(b.placement.unwrap().arena, 1);
-        assert!(b.base - a.base >= BLOCK_SIZE, "no shared block");
     }
 
     #[test]

@@ -3,11 +3,9 @@
 
 use giantsan_shadow::{align_up, Addr, AddressSpace, SEGMENT_SIZE};
 
-use crate::block_heap::{BlockEvent, BlockHeap, Placement};
-use crate::config::HeapBackend;
 use crate::{
-    ClusterQuarantine, ErrorKind, ErrorReport, HeapError, ObjectId, ObjectInfo, ObjectTable,
-    Quarantine, RuntimeConfig, SimHeap, StackSim,
+    ErrorKind, ErrorReport, HeapError, ObjectId, ObjectInfo, ObjectTable, Quarantine,
+    RuntimeConfig, SimHeap, StackSim,
 };
 use std::collections::HashMap;
 
@@ -43,9 +41,6 @@ pub struct Allocation {
     pub size: u64,
     /// Region the object lives in.
     pub region: Region,
-    /// Block/line placement when the block/line heap served the request;
-    /// `None` for the free-list backend and for stack/global objects.
-    pub placement: Option<Placement>,
 }
 
 /// What happened when an object was freed.
@@ -56,98 +51,6 @@ pub struct FreeOutcome {
     /// Objects evicted from quarantine whose memory returned to the free
     /// list; the sanitizer must reset their shadow to "unallocated".
     pub recycled: Vec<ObjectInfo>,
-}
-
-/// The heap allocator behind a [`World`], selected by
-/// [`RuntimeConfig::heap_backend`].
-#[derive(Debug, Clone)]
-pub enum HeapArena {
-    /// First-fit coalescing free list.
-    FreeList(SimHeap),
-    /// Immix-style block/line allocator.
-    Block(BlockHeap),
-}
-
-impl HeapArena {
-    /// Lowest address managed by the heap.
-    pub fn lo(&self) -> Addr {
-        match self {
-            HeapArena::FreeList(h) => h.lo(),
-            HeapArena::Block(h) => h.lo(),
-        }
-    }
-
-    /// One past the highest address managed by the heap.
-    pub fn hi(&self) -> Addr {
-        match self {
-            HeapArena::FreeList(h) => h.hi(),
-            HeapArena::Block(h) => h.hi(),
-        }
-    }
-
-    /// Bytes currently reserved by live blocks.
-    pub fn bytes_in_use(&self) -> u64 {
-        match self {
-            HeapArena::FreeList(h) => h.bytes_in_use(),
-            HeapArena::Block(h) => h.bytes_in_use(),
-        }
-    }
-
-    /// Peak of [`HeapArena::bytes_in_use`] over the heap's lifetime.
-    pub fn high_water(&self) -> u64 {
-        match self {
-            HeapArena::FreeList(h) => h.high_water(),
-            HeapArena::Block(h) => h.high_water(),
-        }
-    }
-
-    /// The block/line heap, when that backend is active.
-    pub fn as_block(&self) -> Option<&BlockHeap> {
-        match self {
-            HeapArena::FreeList(_) => None,
-            HeapArena::Block(h) => Some(h),
-        }
-    }
-
-    /// The free-list heap, when that backend is active.
-    pub fn as_free_list(&self) -> Option<&SimHeap> {
-        match self {
-            HeapArena::FreeList(h) => Some(h),
-            HeapArena::Block(_) => None,
-        }
-    }
-
-    fn acquire(&mut self, arena: u32, len: u64) -> Result<(Addr, Option<Placement>), HeapError> {
-        match self {
-            HeapArena::FreeList(h) => h.acquire(len).map(|a| (a, None)),
-            HeapArena::Block(h) => {
-                let arena = arena.min(h.arena_count() - 1);
-                h.acquire_in(arena, len).map(|(a, p)| (a, Some(p)))
-            }
-        }
-    }
-
-    fn release(&mut self, start: Addr, len: u64) -> Result<(), HeapError> {
-        match self {
-            HeapArena::FreeList(h) => h.release(start, len),
-            HeapArena::Block(h) => h.release(start, len),
-        }
-    }
-
-    fn take_events(&mut self) -> Vec<BlockEvent> {
-        match self {
-            HeapArena::FreeList(_) => Vec::new(),
-            HeapArena::Block(h) => h.take_events(),
-        }
-    }
-}
-
-/// The quarantine layout behind a [`World`]: flat FIFO for the free-list
-/// backend, block-clustered for the block/line backend.
-#[derive(Debug, Clone)]
-enum QuarantineKind {
-    Fifo(Quarantine),
-    Cluster(ClusterQuarantine),
 }
 
 /// The full simulated runtime environment.
@@ -174,18 +77,14 @@ enum QuarantineKind {
 pub struct World {
     config: RuntimeConfig,
     space: AddressSpace,
-    heap: HeapArena,
+    heap: SimHeap,
     stack: StackSim,
     globals_next: Addr,
     globals_end: Addr,
     objects: ObjectTable,
-    quarantine: QuarantineKind,
+    quarantine: Quarantine,
     /// Stack blocks outstanding, keyed by block start, for frame pops.
     stack_blocks: HashMap<u64, ObjectId>,
-    /// Arena the next heap allocation draws from (block/line backend only).
-    active_arena: u32,
-    /// Block events of the most recent heap operation, for bulk poisoning.
-    block_events: Vec<BlockEvent>,
 }
 
 /// Base simulated address of the world (the null page below is unmapped).
@@ -207,30 +106,14 @@ impl World {
         // like a real process where caller frames sit above the current one;
         // only wildly large overflows fault.
         let guard = align_up((stack_size / 4).min(64 << 10), SEGMENT_SIZE);
-        let (heap, quarantine) = match config.heap_backend {
-            HeapBackend::FreeList => (
-                HeapArena::FreeList(SimHeap::new(heap_lo, stack_lo)),
-                QuarantineKind::Fifo(Quarantine::new(config.quarantine_cap)),
-            ),
-            HeapBackend::BlockLine => {
-                let n_blocks = heap_size / crate::block_heap::BLOCK_SIZE;
-                let arenas = config.heap_arenas.max(1).min(n_blocks.max(1) as u32);
-                (
-                    HeapArena::Block(BlockHeap::new(heap_lo, stack_lo, arenas)),
-                    QuarantineKind::Cluster(ClusterQuarantine::new(config.quarantine_cap)),
-                )
-            }
-        };
         World {
-            heap,
+            heap: SimHeap::new(heap_lo, stack_lo),
             stack: StackSim::new(stack_lo, stack_hi - guard),
             globals_next: globals_lo,
             globals_end: heap_lo,
             objects: ObjectTable::new(),
-            quarantine,
+            quarantine: Quarantine::new(config.quarantine_cap),
             stack_blocks: HashMap::new(),
-            active_arena: 0,
-            block_events: Vec::new(),
             space,
             config,
         }
@@ -257,34 +140,13 @@ impl World {
     }
 
     /// The heap arena (statistics).
-    pub fn heap(&self) -> &HeapArena {
+    pub fn heap(&self) -> &SimHeap {
         &self.heap
     }
 
     /// The stack simulator (statistics).
     pub fn stack(&self) -> &StackSim {
         &self.stack
-    }
-
-    /// Arena the next heap allocation draws from. Only the block/line
-    /// backend distinguishes arenas; the free list ignores this.
-    pub fn active_arena(&self) -> u32 {
-        self.active_arena
-    }
-
-    /// Directs subsequent heap allocations to `arena` (clamped to the
-    /// configured arena count). Thread-cached allocators pin each thread to
-    /// its own arena so parallel allocation stops contending on one cursor.
-    pub fn set_active_arena(&mut self, arena: u32) {
-        self.active_arena = arena;
-    }
-
-    /// Block events (block mapped / block freed) produced by the most
-    /// recent `alloc`/`free`/`realloc`. A block-granular sanitizer turns
-    /// each into one bulk shadow write; other callers may ignore them —
-    /// the buffer is cleared at the start of every heap operation.
-    pub fn take_block_events(&mut self) -> Vec<BlockEvent> {
-        std::mem::take(&mut self.block_events)
     }
 
     /// Redzone size in bytes actually laid out (config value rounded up to
@@ -303,28 +165,19 @@ impl World {
     ///
     /// Returns [`HeapError::OutOfMemory`] when the arena is exhausted.
     pub fn alloc(&mut self, size: u64, region: Region) -> Result<Allocation, HeapError> {
-        self.block_events.clear();
-        self.alloc_inner(size, region)
-    }
-
-    fn alloc_inner(&mut self, size: u64, region: Region) -> Result<Allocation, HeapError> {
         let rz = self.effective_redzone();
         let user_len = align_up(size.max(1), SEGMENT_SIZE);
         let total = user_len + 2 * rz;
-        let (block, placement) = match region {
-            Region::Heap => {
-                let got = self.heap.acquire(self.active_arena, total)?;
-                self.block_events.extend(self.heap.take_events());
-                got
-            }
-            Region::Stack => (self.stack.alloca(total)?, None),
+        let block = match region {
+            Region::Heap => self.heap.acquire(total)?,
+            Region::Stack => self.stack.alloca(total)?,
             Region::Global => {
                 if self.globals_end - self.globals_next < total {
                     return Err(HeapError::OutOfMemory { requested: total });
                 }
                 let b = self.globals_next;
                 self.globals_next += total;
-                (b, None)
+                b
             }
         };
         let base = block + rz;
@@ -337,7 +190,6 @@ impl World {
             base,
             size,
             region,
-            placement,
         })
     }
 
@@ -359,23 +211,18 @@ impl World {
         reserve: u64,
         region: Region,
     ) -> Result<Allocation, HeapError> {
-        self.block_events.clear();
         let user_len = align_up(size.max(1), SEGMENT_SIZE);
         assert!(reserve >= user_len, "reservation smaller than object");
-        let (block, placement) = match region {
-            Region::Heap => {
-                let got = self.heap.acquire(self.active_arena, reserve)?;
-                self.block_events.extend(self.heap.take_events());
-                got
-            }
-            Region::Stack => (self.stack.alloca(reserve)?, None),
+        let block = match region {
+            Region::Heap => self.heap.acquire(reserve)?,
+            Region::Stack => self.stack.alloca(reserve)?,
             Region::Global => {
                 if self.globals_end - self.globals_next < reserve {
                     return Err(HeapError::OutOfMemory { requested: reserve });
                 }
                 let b = self.globals_next;
                 self.globals_next += reserve;
-                (b, None)
+                b
             }
         };
         let id = self.objects.insert(block, size, region, block, reserve);
@@ -387,7 +234,6 @@ impl World {
             base: block,
             size,
             region,
-            placement,
         })
     }
 
@@ -405,11 +251,6 @@ impl World {
     /// [`ErrorKind::DoubleFree`] when it points into an already-freed block,
     /// and [`ErrorKind::Wild`] otherwise.
     pub fn free(&mut self, base: Addr) -> Result<FreeOutcome, ErrorReport> {
-        self.block_events.clear();
-        self.free_inner(base)
-    }
-
-    fn free_inner(&mut self, base: Addr) -> Result<FreeOutcome, ErrorReport> {
         if let Some(info) = self.objects.live_at_base(base) {
             if info.region != Region::Heap {
                 return Err(ErrorReport::new(ErrorKind::InvalidFree, base, info.size));
@@ -417,31 +258,13 @@ impl World {
             let id = info.id;
             let freed = self.objects.mark_quarantined(id);
             let mut recycled = Vec::new();
-            match &mut self.quarantine {
-                QuarantineKind::Fifo(q) => {
-                    for evicted in q.push(id, freed.block_len) {
-                        let info = self.objects.mark_recycled(evicted);
-                        self.heap
-                            .release(info.block_start, info.block_len)
-                            .expect("quarantined block must be releasable");
-                        recycled.push(info);
-                    }
-                }
-                QuarantineKind::Cluster(q) => {
-                    let cluster = match &self.heap {
-                        HeapArena::Block(h) => h.cluster_of(freed.block_start),
-                        HeapArena::FreeList(_) => freed.block_start.raw(),
-                    };
-                    for &evicted in q.push(cluster, id, freed.block_len) {
-                        let info = self.objects.mark_recycled(evicted);
-                        self.heap
-                            .release(info.block_start, info.block_len)
-                            .expect("quarantined block must be releasable");
-                        recycled.push(info);
-                    }
-                }
+            for evicted in self.quarantine.push(id, freed.block_len) {
+                let info = self.objects.mark_recycled(evicted);
+                self.heap
+                    .release(info.block_start, info.block_len)
+                    .expect("quarantined block must be releasable");
+                recycled.push(info);
             }
-            self.block_events.extend(self.heap.take_events());
             return Ok(FreeOutcome { freed, recycled });
         }
         if let Some(live) = self.objects.live_containing(base) {
@@ -462,29 +285,28 @@ impl World {
     ///
     /// # Errors
     ///
-    /// Returns the same reports as [`World::free`] for invalid bases, and
-    /// an out-of-memory report-free [`HeapError`] is surfaced as an
-    /// [`ErrorKind::Wild`]-free `Err` via panic-free fallback: allocation
-    /// failure leaves the old object live and returns the free error path.
+    /// Returns the same reports as [`World::free`] for invalid bases. When
+    /// the new block cannot be allocated it returns [`ErrorKind::Unknown`]
+    /// (address `base`, size `new_size`) and changes nothing: the old object
+    /// stays live with its data, and a later `free` of it succeeds.
     pub fn realloc(
         &mut self,
         base: Addr,
         new_size: u64,
     ) -> Result<(Allocation, FreeOutcome), ErrorReport> {
-        self.block_events.clear();
         let old = match self.objects.live_at_base(base) {
             Some(o) if o.region == Region::Heap => o.clone(),
             Some(o) => return Err(ErrorReport::new(ErrorKind::InvalidFree, base, o.size)),
             None => {
                 // Reuse free()'s classification for the error cases.
                 return Err(self
-                    .free_inner(base)
+                    .free(base)
                     .err()
                     .unwrap_or_else(|| ErrorReport::new(ErrorKind::Wild, base, 0)));
             }
         };
         let new = self
-            .alloc_inner(new_size, Region::Heap)
+            .alloc(new_size, Region::Heap)
             .map_err(|_| ErrorReport::new(ErrorKind::Unknown, base, new_size))?;
         let copy_len = old.size.min(new_size);
         if copy_len > 0 {
@@ -493,7 +315,7 @@ impl World {
                 .expect("both objects are mapped");
         }
         let outcome = self
-            .free_inner(base)
+            .free(base)
             .expect("old object verified live at its base");
         Ok((new, outcome))
     }
@@ -520,31 +342,16 @@ impl World {
 
     /// Bytes currently held in quarantine.
     pub fn quarantined_bytes(&self) -> u64 {
-        match &self.quarantine {
-            QuarantineKind::Fifo(q) => q.used_bytes(),
-            QuarantineKind::Cluster(q) => q.used_bytes(),
-        }
+        self.quarantine.used_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block_heap::{BLOCK_SIZE, LINE_SIZE};
 
     fn world() -> World {
         World::new(RuntimeConfig::small())
-    }
-
-    fn block_world(arenas: u32, quarantine_cap: u64) -> World {
-        World::new(
-            RuntimeConfig::small()
-                .to_builder()
-                .heap_backend(HeapBackend::BlockLine)
-                .heap_arenas(arenas)
-                .quarantine_cap(quarantine_cap)
-                .build(),
-        )
     }
 
     #[test]
@@ -563,7 +370,6 @@ mod tests {
         assert_eq!(info.base - info.block_start, 16);
         assert_eq!(info.block_len, 16 + 104 + 16); // 100 rounds to 104
         assert!(a.base.is_segment_aligned());
-        assert_eq!(a.placement, None, "free-list backend has no placement");
     }
 
     #[test]
@@ -711,6 +517,22 @@ mod tests {
     }
 
     #[test]
+    fn realloc_allocation_failure_leaves_old_object_live() {
+        let mut w = world();
+        let a = w.alloc(32, Region::Heap).unwrap();
+        w.space_mut().write_u64(a.base, 0xfeed).unwrap();
+        let too_big = w.config().heap_size + 1;
+        let err = w.realloc(a.base, too_big).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Unknown);
+        assert_eq!(err.addr, a.base);
+        assert_eq!(w.space().read_u64(a.base).unwrap(), 0xfeed);
+        assert!(w.objects().valid_access(a.base, 32));
+        assert_eq!(w.quarantined_bytes(), 0, "nothing was freed");
+        let out = w.free(a.base).unwrap();
+        assert_eq!(out.freed.id, a.id);
+    }
+
+    #[test]
     fn realloc_shrink_copies_prefix_only() {
         let mut w = world();
         let a = w.alloc(64, Region::Heap).unwrap();
@@ -737,85 +559,5 @@ mod tests {
         assert_eq!(out.recycled.len(), 1);
         let b = w.alloc(8, Region::Heap).unwrap();
         assert_eq!(a.base, b.base, "first fit reuses the hole immediately");
-    }
-
-    #[test]
-    fn block_backend_reports_placement_and_events() {
-        let mut w = block_world(1, 0);
-        let a = w.alloc(8, Region::Heap).unwrap();
-        let p = a.placement.expect("block backend placements");
-        // 8 bytes + 2×16-byte redzones = 40 bytes → one 128-byte line.
-        assert_eq!(p.slot_len, LINE_SIZE);
-        assert!(p.pristine);
-        let ev = w.take_block_events();
-        assert!(
-            matches!(ev[..], [BlockEvent::Mapped { slot_len, .. }] if slot_len == LINE_SIZE),
-            "{ev:?}"
-        );
-        // Stack allocations carry no placement.
-        w.push_frame();
-        let s = w.alloc(8, Region::Stack).unwrap();
-        assert_eq!(s.placement, None);
-    }
-
-    #[test]
-    fn block_backend_zero_quarantine_reuses_slot() {
-        let mut w = block_world(1, 0);
-        let a = w.alloc(8, Region::Heap).unwrap();
-        let out = w.free(a.base).unwrap();
-        assert_eq!(out.recycled.len(), 1);
-        // Draining the only slot freed the whole block.
-        let ev = w.take_block_events();
-        assert!(
-            matches!(ev[..], [BlockEvent::Freed { len, .. }] if len == BLOCK_SIZE),
-            "{ev:?}"
-        );
-        let b = w.alloc(8, Region::Heap).unwrap();
-        assert_eq!(a.base, b.base, "hole-finding reuses the drained block");
-    }
-
-    #[test]
-    fn cluster_quarantine_evicts_blockmates_together() {
-        // a and b (8 bytes + 32 redzone = 40-byte blocks) share a 1-line
-        // class block; c (200 bytes → 232-byte block) lives in a 2-line
-        // class block, i.e. a different cluster. Cap 250 holds c but not
-        // a+b+c, so the oldest cluster {a, b} leaves whole.
-        let mut w = block_world(1, 250);
-        let a = w.alloc(8, Region::Heap).unwrap();
-        let b = w.alloc(8, Region::Heap).unwrap();
-        let c = w.alloc(200, Region::Heap).unwrap();
-        let block = |addr| w.heap.as_block().unwrap().cluster_of(addr);
-        assert_eq!(block(a.base), block(b.base), "same class, same block");
-        assert_ne!(block(a.base), block(c.base), "classes segregate blocks");
-        w.free(a.base).unwrap();
-        w.free(b.base).unwrap();
-        let out = w.free(c.base).unwrap();
-        let ids: Vec<_> = out.recycled.iter().map(|o| o.id).collect();
-        assert_eq!(ids, vec![a.id, b.id]);
-    }
-
-    #[test]
-    fn arena_direction_is_sticky() {
-        let mut w = block_world(2, 0);
-        let a = w.alloc(8, Region::Heap).unwrap();
-        w.set_active_arena(1);
-        let b = w.alloc(8, Region::Heap).unwrap();
-        assert_eq!(a.placement.unwrap().arena, 0);
-        assert_eq!(b.placement.unwrap().arena, 1);
-        assert!(b.base - a.base >= BLOCK_SIZE, "arenas are disjoint ranges");
-        // Out-of-range arenas clamp instead of panicking.
-        w.set_active_arena(99);
-        let c = w.alloc(8, Region::Heap).unwrap();
-        assert_eq!(c.placement.unwrap().arena, 1);
-    }
-
-    #[test]
-    fn block_backend_free_error_classification_matches() {
-        let mut w = block_world(1, 1 << 16);
-        let a = w.alloc(64, Region::Heap).unwrap();
-        assert_eq!(w.free(a.base + 8).unwrap_err().kind, ErrorKind::InvalidFree);
-        w.free(a.base).unwrap();
-        assert_eq!(w.free(a.base).unwrap_err().kind, ErrorKind::DoubleFree);
-        assert_eq!(w.free(Addr::new(0x100)).unwrap_err().kind, ErrorKind::Wild);
     }
 }

@@ -18,8 +18,11 @@
 //! | backend  | step width | notes |
 //! |----------|------------|-------|
 //! | `scalar` | 1 byte     | the reference the others are tested against |
-//! | `swar`   | 8 bytes    | SIMD-within-a-register `u64` predicates (PR 1) |
-//! | `simd`   | 16/32 bytes| explicit `core::arch` SSE2/AVX2 kernels, portable fallback elsewhere |
+//! | `swar`   | 8 bytes    | SIMD-within-a-register `u64` predicates |
+//! | `simd`   | 16/32 bytes| explicit `core::arch` SSE2/AVX2 scans, portable fallback elsewhere |
+//!
+//! Every `simd` table writes with the `swar` writers; the `simd` module docs
+//! give the measurement behind that.
 //!
 //! # Dispatch
 //!

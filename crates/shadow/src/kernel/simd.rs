@@ -1,7 +1,13 @@
-//! The `simd` backend: explicit x86-64 vector kernels, 16 (SSE2) or 32
+//! The `simd` backend: explicit x86-64 vector scans, 16 (SSE2) or 32
 //! (AVX2) bytes per step.
 //!
-//! Both widths share one shape per kernel: compare a full vector, extract a
+//! Only the scans are vectorized. The bulk writers (`fill`,
+//! `write_folded_run`) are the SWAR ones: the kernel sweep measured the
+//! vector writers slower than SWAR at every region size (AVX2
+//! `write_folded_run` 34 vs 26 ns at 1 KiB, 208 vs 81 ns at 64 KiB), and
+//! `fill` is memset-bound on every backend.
+//!
+//! Both widths share one shape per scan: compare a full vector, extract a
 //! per-lane bitmask with `movemask`, and let `trailing_zeros` name the first
 //! hit lane — the vector analogue of the SWAR word-then-byte split, except
 //! the mask is already byte-precise so no re-scan is needed. Unsigned `>=`
@@ -18,18 +24,18 @@
 //! [`AVX2`] table, which [`super::simd_resolved`] installs strictly after
 //! `is_x86_feature_detected!("avx2")` succeeds. SSE2 is part of the x86-64
 //! baseline, so [`SSE2`] needs no gate beyond the architecture itself. The
-//! remaining `unsafe` is the unaligned vector loads/stores, which are valid
-//! for any `len >= width` slice region.
+//! remaining `unsafe` is the unaligned vector loads, which are valid for any
+//! `len >= width` slice region.
 
 #![cfg(target_arch = "x86_64")]
 
 use core::arch::x86_64::{
     __m128i, __m256i, _mm256_cmpeq_epi8, _mm256_loadu_si256, _mm256_max_epu8, _mm256_movemask_epi8,
-    _mm256_set1_epi8, _mm256_storeu_si256, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_max_epu8,
-    _mm_movemask_epi8, _mm_set1_epi8, _mm_storeu_si128,
+    _mm256_set1_epi8, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_max_epu8, _mm_movemask_epi8,
+    _mm_set1_epi8,
 };
 
-use super::{folded_runs, swar, Backend, Kernels};
+use super::{swar, Backend, Kernels};
 
 /// Kernel table installed on AVX2-capable hosts.
 pub(super) static AVX2: Kernels = Kernels {
@@ -38,8 +44,8 @@ pub(super) static AVX2: Kernels = Kernels {
     first_ne: first_ne_avx2,
     first_ge: first_ge_avx2,
     all_eq: all_eq_avx2,
-    fill: fill_avx2,
-    write_folded_run: write_folded_run_avx2,
+    fill: swar::fill,
+    write_folded_run: swar::write_folded_run,
 };
 
 /// Kernel table installed on SSE2-only hosts.
@@ -49,8 +55,8 @@ pub(super) static SSE2: Kernels = Kernels {
     first_ne: first_ne_sse2,
     first_ge: first_ge_sse2,
     all_eq: all_eq_sse2,
-    fill: fill_sse2,
-    write_folded_run: write_folded_run_sse2,
+    fill: swar::fill,
+    write_folded_run: swar::write_folded_run,
 };
 
 // ---------------------------------------------------------------- AVX2 ----
@@ -122,52 +128,6 @@ unsafe fn all_eq_avx2_impl(s: &[u8], byte: u8) -> bool {
     }
 }
 
-/// Above this many bytes the buffer no longer fits the fast cache levels and
-/// libc memset's non-temporal stores win over a plain vector store loop;
-/// below it the loop avoids memset's dispatch overhead.
-const FILL_MEMSET_CUTOVER: usize = 32 * 1024;
-
-fn fill_avx2(dst: &mut [u8], byte: u8) {
-    if dst.len() >= FILL_MEMSET_CUTOVER {
-        return swar::fill(dst, byte);
-    }
-    // SAFETY: this table is only installed after the AVX2 CPUID probe.
-    unsafe { fill_avx2_impl(dst, byte) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn fill_avx2_impl(dst: &mut [u8], byte: u8) {
-    unsafe {
-        let pattern = _mm256_set1_epi8(byte as i8);
-        let mut i = 0usize;
-        while i + 32 <= dst.len() {
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, pattern);
-            i += 32;
-        }
-        swar::fill(&mut dst[i..], byte);
-    }
-}
-
-fn write_folded_run_avx2(dst: &mut [u8]) {
-    // SAFETY: this table is only installed after the AVX2 CPUID probe.
-    unsafe { write_folded_run_avx2_impl(dst) }
-}
-
-// One annotated frame for the whole decomposition: the per-run fills inline
-// into it, instead of paying an AVX/SSE transition per run.
-#[target_feature(enable = "avx2")]
-unsafe fn write_folded_run_avx2_impl(dst: &mut [u8]) {
-    folded_runs(dst.len() as u64, |lo, hi, code| {
-        let run = &mut dst[lo as usize..hi as usize];
-        if run.len() >= FILL_MEMSET_CUTOVER {
-            swar::fill(run, code);
-        } else {
-            // SAFETY: in the enclosing AVX2 target-feature context.
-            unsafe { fill_avx2_impl(run, code) }
-        }
-    });
-}
-
 // ---------------------------------------------------------------- SSE2 ----
 
 fn first_ne_sse2(s: &[u8], byte: u8) -> Option<usize> {
@@ -236,33 +196,6 @@ unsafe fn all_eq_sse2_impl(s: &[u8], byte: u8) -> bool {
     }
 }
 
-fn fill_sse2(dst: &mut [u8], byte: u8) {
-    if dst.len() >= FILL_MEMSET_CUTOVER {
-        return swar::fill(dst, byte);
-    }
-    // SAFETY: SSE2 is part of the x86-64 baseline.
-    unsafe { fill_sse2_impl(dst, byte) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn fill_sse2_impl(dst: &mut [u8], byte: u8) {
-    unsafe {
-        let pattern = _mm_set1_epi8(byte as i8);
-        let mut i = 0usize;
-        while i + 16 <= dst.len() {
-            _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, pattern);
-            i += 16;
-        }
-        swar::fill(&mut dst[i..], byte);
-    }
-}
-
-fn write_folded_run_sse2(dst: &mut [u8]) {
-    folded_runs(dst.len() as u64, |lo, hi, code| {
-        fill_sse2(&mut dst[lo as usize..hi as usize], code);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,9 +222,6 @@ mod tests {
                     );
                     assert_eq!(k.first_ge(&v, 0x91), None, "{} len={len}", k.name());
                     assert!(!k.all_eq(&v, 0x40), "{} len={len}", k.name());
-                    let mut filled = v.clone();
-                    k.fill(&mut filled, 0x4e);
-                    assert!(filled.iter().all(|&b| b == 0x4e), "{} len={len}", k.name());
                 }
             }
         }

@@ -153,36 +153,6 @@ impl ShadowMemory {
         &mut self.bytes[lo as usize..hi as usize]
     }
 
-    /// Tiles `pattern` repeatedly over the segments in `[lo, hi)` — the
-    /// block-granular poison entry point: a size-class block whose slots all
-    /// share one shadow image is stamped with that image in a single call
-    /// instead of one write sequence per slot.
-    ///
-    /// The range length must be a multiple of the pattern length; a
-    /// single-byte pattern degenerates to [`ShadowMemory::set_range`]'s
-    /// kernel fill.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or reversed, if `pattern` is
-    /// empty, or if the range length is not a multiple of `pattern.len()`.
-    pub fn tile_pattern(&mut self, lo: SegmentIndex, hi: SegmentIndex, pattern: &[u8]) {
-        assert!(!pattern.is_empty(), "empty tile pattern");
-        let dst = &mut self.bytes[lo as usize..hi as usize];
-        if let [byte] = pattern {
-            kernel::active().fill(dst, *byte);
-            return;
-        }
-        assert_eq!(
-            dst.len() % pattern.len(),
-            0,
-            "range must hold whole pattern repetitions"
-        );
-        for chunk in dst.chunks_exact_mut(pattern.len()) {
-            chunk.copy_from_slice(pattern);
-        }
-    }
-
     /// Resets the whole shadow to the fill byte.
     pub fn clear(&mut self) {
         let fill = self.fill;
@@ -249,26 +219,6 @@ mod tests {
         assert_eq!(shadow.get(11), 2);
         shadow.clear();
         assert_eq!(shadow.get(10), 0xfe);
-    }
-
-    #[test]
-    fn tile_pattern_stamps_whole_range() {
-        let (_, mut shadow) = shadow();
-        shadow.tile_pattern(8, 20, &[1, 2, 3]);
-        assert_eq!(shadow.slice(8, 14), &[1, 2, 3, 1, 2, 3]);
-        assert_eq!(shadow.get(19), 3);
-        assert_eq!(shadow.get(7), 0xfe);
-        assert_eq!(shadow.get(20), 0xfe);
-        // Single-byte pattern takes the kernel fill path.
-        shadow.tile_pattern(8, 20, &[9]);
-        assert_eq!(shadow.slice(8, 20), &[9u8; 12][..]);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole pattern repetitions")]
-    fn tile_pattern_rejects_ragged_range() {
-        let (_, mut shadow) = shadow();
-        shadow.tile_pattern(0, 10, &[1, 2, 3]);
     }
 
     #[test]

@@ -69,19 +69,6 @@ impl CheckPathKind {
     }
 }
 
-/// Where the block/line heap placed an allocation — a dependency-free mirror
-/// of the runtime's `Placement`, carried on [`EventKind::Alloc`] only when
-/// the block/line backend served the request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AllocPlacement {
-    /// Block index within the heap (start-relative, not an address).
-    pub block: u64,
-    /// First line of the slot within its block.
-    pub line: u32,
-    /// Size-class index, or `u8::MAX` for whole-block spans.
-    pub class: u8,
-}
-
 /// One structured telemetry event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
@@ -120,10 +107,6 @@ pub enum EventKind {
         stack: bool,
         /// Shadow bytes written while poisoning (0 for shadow-less tools).
         poison: u64,
-        /// Block/line placement when the block/line backend served the
-        /// request; `None` for the free-list backend and stack slots, so
-        /// free-list traces serialize byte-identically to before.
-        placement: Option<AllocPlacement>,
     },
     /// A free was served (metadata re-poisoned, block quarantined).
     Free {
@@ -188,14 +171,43 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// FNV-1a over `bytes` — the digest primitive every trace artefact uses.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// Incremental 64-bit FNV-1a hasher: the digest behind every trace
+/// artefact, interpreter result, span id, fault campaign, batch matrix and
+/// campaign blob.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
     }
-    h
+}
+
+impl Fnv1a {
+    /// Starts a hasher at the FNV offset basis.
+    pub fn new() -> Self {
+        Fnv1a(0xcbf29ce484222325)
+    }
+
+    /// Folds `bytes` into the running hash.
+    pub fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    /// The digest so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One-shot FNV-1a over `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.eat(bytes);
+    h.finish()
 }
 
 #[cfg(test)]

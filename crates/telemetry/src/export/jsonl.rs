@@ -56,19 +56,11 @@ pub fn events_jsonl(events: &[Event]) -> String {
                 size,
                 stack,
                 poison,
-                placement,
             } => {
                 let _ = write!(
                     out,
                     "\"ev\":\"alloc\",\"size\":{size},\"stack\":{stack},\"poison\":{poison}"
                 );
-                if let Some(p) = placement {
-                    let _ = write!(
-                        out,
-                        ",\"block\":{},\"line\":{},\"class\":{}",
-                        p.block, p.line, p.class
-                    );
-                }
             }
             EventKind::Free { poison } => {
                 let _ = write!(out, "\"ev\":\"free\",\"poison\":{poison}");
@@ -191,7 +183,6 @@ mod tests {
                 size: 10,
                 stack: true,
                 poison: 4,
-                placement: None,
             },
             EventKind::Free { poison: 4 },
             EventKind::Realloc {

@@ -181,7 +181,6 @@ mod tests {
             size: 64,
             stack: false,
             poison: 8,
-            placement: None,
         });
         let s = prometheus("swar", &[("shadow_loads", 3), ("reports", 0)], &h, 5);
         assert!(s.contains("giantsan_kernel_info{kernel=\"swar\"} 1"));
@@ -202,7 +201,6 @@ mod tests {
                 size,
                 stack: false,
                 poison: 0,
-                placement: None,
             });
         }
         let s = prometheus("scalar", &[], &h, 0);

@@ -248,7 +248,6 @@ mod tests {
             size: 100,
             stack: false,
             poison: 16,
-            placement: None,
         });
         h.observe(&EventKind::Run {
             steps: 1,
@@ -274,14 +273,12 @@ mod tests {
                 size: v,
                 stack: false,
                 poison: 0,
-                placement: None,
             });
         }
         b.observe(&EventKind::Alloc {
             size: 3,
             stack: true,
             poison: 0,
-            placement: None,
         });
         let mut merged = a.clone();
         merged.merge(&b);

@@ -72,8 +72,7 @@ pub mod recorder;
 pub mod span;
 
 pub use event::{
-    fnv1a, site_label, AllocPlacement, CheckPathKind, Event, EventKind, LOOP_FINAL_SITE,
-    PRE_CHECK_SITE,
+    fnv1a, site_label, CheckPathKind, Event, EventKind, Fnv1a, LOOP_FINAL_SITE, PRE_CHECK_SITE,
 };
 pub use flight::{FlightEvent, FlightEventKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use hist::{Histograms, Log2Hist, PathMix};

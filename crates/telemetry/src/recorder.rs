@@ -147,7 +147,6 @@ mod tests {
                 size: i,
                 stack: false,
                 poison: 0,
-                placement: None,
             });
         }
         const { assert!(TraceRecorder::ENABLED) };

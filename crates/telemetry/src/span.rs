@@ -27,7 +27,7 @@
 
 use std::fmt::Write as _;
 
-use crate::event::{fnv1a, site_label, Event, EventKind};
+use crate::event::{fnv1a, site_label, Event, EventKind, Fnv1a};
 use crate::export::json_escape;
 
 /// Where in the service stack a span sits. The ordering of the variants is
@@ -68,23 +68,15 @@ impl SpanKind {
     }
 }
 
-fn mix(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Derives a span id from its parent id (or the campaign spec hash for the
 /// root), the span kind, and a deterministic index. Pure FNV-1a — no
 /// wall-clock, no randomness, no worker identity.
 pub fn span_id(parent: u64, kind: SpanKind, index: u64) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    h = mix(h, &parent.to_le_bytes());
-    h = mix(h, kind.name().as_bytes());
-    h = mix(h, &index.to_le_bytes());
-    h
+    let mut h = Fnv1a::new();
+    h.eat(&parent.to_le_bytes());
+    h.eat(kind.name().as_bytes());
+    h.eat(&index.to_le_bytes());
+    h.finish()
 }
 
 /// One span: a node in the causal chain.

@@ -34,7 +34,6 @@ fn event_for(v: u64) -> EventKind {
             size: v,
             stack: v.is_multiple_of(2),
             poison: v / 8,
-            placement: None,
         },
         _ => EventKind::QuasiBound {
             site: (v % 5) as u32,

@@ -15,7 +15,6 @@ fn event_for(v: u64) -> EventKind {
             size: v,
             stack: false,
             poison: v / 8,
-            placement: None,
         },
         1 => EventKind::Free { poison: v % 17 },
         _ => EventKind::Run {
