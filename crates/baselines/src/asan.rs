@@ -371,10 +371,9 @@ impl Sanitizer for Asan {
 
 impl Asan {
     /// Byte-at-a-time reference for [`Sanitizer::check_region`]: the
-    /// pre-scanner guardian walk, kept as the differential-testing baseline
-    /// and the "before" side of the hot-path benchmarks. Updates the same
-    /// counters the same way, so differential tests can compare full
-    /// counter state, not just verdicts.
+    /// pre-scanner guardian walk, kept as the differential-testing baseline.
+    /// Updates the same counters the same way, so differential tests can
+    /// compare full counter state, not just verdicts.
     pub fn check_region_reference(&mut self, lo: Addr, hi: Addr, kind: AccessKind) -> CheckResult {
         if lo >= hi {
             return Ok(());

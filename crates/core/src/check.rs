@@ -279,8 +279,7 @@ pub fn check_region_bytewise(shadow: &ShadowMemory, l: Addr, r: Addr) -> Result<
 }
 
 /// Byte-at-a-time reference for [`check_region_bytewise`]: the pre-scanner
-/// implementation, kept as the differential-testing baseline and as the
-/// "before" side of the hot-path benchmarks.
+/// implementation, kept as the differential-testing baseline.
 pub fn check_region_bytewise_reference(
     shadow: &ShadowMemory,
     l: Addr,

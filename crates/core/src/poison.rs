@@ -90,7 +90,7 @@ pub fn poison_range(shadow: &mut ShadowMemory, start: Addr, len: u64, code: u8) 
     hi - lo
 }
 
-/// Reference (quadratic) poisoner used by tests and benchmarks to validate
+/// Reference (quadratic) poisoner used by tests to validate
 /// the run-based writer: computes each segment's degree independently.
 pub fn poison_object_reference(shadow: &mut ShadowMemory, base: Addr, size: u64) -> u64 {
     assert!(base.is_segment_aligned());

@@ -2,8 +2,8 @@
 //!
 //! The paper measures seconds on a Xeon workstation; a simulator cannot
 //! reproduce absolute times, so Table 2's *shape* is reproduced two ways:
-//! wall-clock time of the instrumented interpreter (reported by the
-//! criterion benches) and this analytic model, which converts the runtime
+//! wall-clock time of the instrumented interpreter (measured by wallbench's
+//! `spec` workload) and this analytic model, which converts the runtime
 //! counters into abstract time units using per-operation weights.
 //!
 //! The weights are order-of-magnitude estimates of x86 costs for each

@@ -6,9 +6,9 @@
 //! index) under `--tool` and digesting the interpreter results. Cells cost
 //! microseconds-to-milliseconds, so thousands of submissions saturate the
 //! admission queue without each one monopolising a worker — exactly the
-//! regime `loadgen` and `BENCH_PR9.json` measure. Because every payload is a
-//! pure function of `(seed, index, rounds, tool)`, lost or duplicated cells
-//! shift the job digest, which is what the chaos drill checks.
+//! regime `loadgen hammer` measures. Because every payload is a pure
+//! function of `(seed, index, rounds, tool)`, lost or duplicated cells shift
+//! the job digest, which is what the chaos drill checks.
 
 use giantsan_runtime::RuntimeConfig;
 use giantsan_telemetry::Fnv1a;

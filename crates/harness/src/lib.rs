@@ -26,12 +26,6 @@
 //! ```
 
 pub mod batch;
-pub mod bench_pr1;
-pub mod bench_pr2;
-pub mod bench_pr4;
-pub mod bench_pr5;
-pub mod bench_pr6;
-pub mod bench_pr9;
 pub mod campaign;
 pub mod cli;
 pub mod cost;
@@ -40,7 +34,6 @@ pub mod experiments;
 pub mod faults;
 pub mod json;
 pub mod matrix;
-pub mod perfgate;
 pub mod serve;
 pub mod session;
 pub mod study;

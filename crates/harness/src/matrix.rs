@@ -2,10 +2,9 @@
 //!
 //! A *cell* is one independent run — a tool on a workload at a size with a
 //! seed. Every experiment in the harness is some fold over such a matrix;
-//! this module gives the cross-cutting form used by the PR 2 batch benchmark
-//! (`repro bench` → `BENCH_PR2.json`), the determinism differential test,
-//! and the CI smoke job: build the matrix, run it under a
-//! [`BatchRunner`], and digest the deterministic outcome fields.
+//! this module gives the cross-cutting form the determinism differential
+//! test uses: build the matrix, run it under a [`BatchRunner`], and digest
+//! the deterministic outcome fields.
 //!
 //! Cells carry *descriptions*, not programs: each worker materialises its
 //! own [`Program`] from the cell, so the matrix itself is tiny and trivially

@@ -525,7 +525,7 @@ mod tests {
         assert!(flight.contains("\"ev\":\"quarantine\""));
         assert!(job.dir.join("flight_chrome.json").exists());
         // Every cell event's span resolves in spans.jsonl and chains back
-        // to a request root — the acceptance criterion for post-mortems.
+        // to a request root — what a post-mortem needs.
         let spans_text = std::fs::read_to_string(job.dir.join("spans.jsonl")).unwrap();
         let mut set = std::collections::HashMap::new();
         for line in spans_text.lines() {

@@ -170,7 +170,7 @@ impl SessionSpec {
     }
 
     /// Builds a fresh boxed session (for callers that need to hold the
-    /// sanitizer across calls, e.g. the memory study and microbenches).
+    /// sanitizer across calls, e.g. the memory study).
     pub fn session(&self) -> Box<dyn Sanitizer> {
         fn boxed<S: Sanitizer + 'static>(san: S, faults: Option<&FaultPlan>) -> Box<dyn Sanitizer> {
             match faults {

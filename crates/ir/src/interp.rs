@@ -22,7 +22,7 @@
 //! monomorphizes the whole interpreter loop around that tool's check
 //! methods, so the per-access fast path inlines instead of going through a
 //! vtable. [`run_dyn`] pins the `dyn Sanitizer` instantiation for call
-//! sites that hold boxed tools and for dispatch-cost benchmarks.
+//! sites that hold boxed tools.
 //!
 //! [`run_with`] additionally threads a [`Recorder`] through the loop. Every
 //! emission site is guarded by `if R::ENABLED`, so [`run`] — which delegates
@@ -220,9 +220,8 @@ pub fn run_with<S: Sanitizer + ?Sized, R: Recorder>(
 
 /// Dynamic-dispatch entry point: [`run`] instantiated at `dyn Sanitizer`.
 ///
-/// Kept as an explicit shim so call sites that hold a boxed tool (and the
-/// dispatch-cost benchmarks) have a stable, guaranteed-virtual path to
-/// compare against the monomorphized one.
+/// Kept as an explicit shim so call sites that hold a boxed tool have a
+/// stable, guaranteed-virtual path.
 pub fn run_dyn(
     program: &Program,
     inputs: &[i64],

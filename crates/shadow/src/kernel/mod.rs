@@ -213,8 +213,8 @@ fn simd_resolved() -> &'static Kernels {
 
 /// Returns the kernel table of an explicit backend, independent of the
 /// process-wide selection. `Backend::Simd` resolves to the widest variant
-/// the host supports. Differential tests and the kernel-sweep benchmarks
-/// compare backends through this without touching global state.
+/// the host supports. Differential tests compare backends through this
+/// without touching global state.
 pub fn select(backend: Backend) -> &'static Kernels {
     match backend {
         Backend::Scalar => &SCALAR,
@@ -255,10 +255,10 @@ fn resolve_active() -> &'static Kernels {
 
 /// Forces the process-wide backend, overriding the env/CPUID resolution.
 ///
-/// A testing and benchmarking hook: the digest-invariance contract makes
-/// switching benign (all backends return identical answers), but production
-/// code should let the startup resolution stand. Takes effect for every
-/// subsequent [`active`] call in the process.
+/// A testing hook: the digest-invariance contract makes switching benign
+/// (all backends return identical answers), but production code should let
+/// the startup resolution stand. Takes effect for every subsequent
+/// [`active`] call in the process.
 pub fn force(backend: Backend) {
     ACTIVE.store(backend as u8, Ordering::Relaxed);
 }

@@ -15,7 +15,7 @@
 //!   `ENABLED` const makes the disabled case **zero-cost**: every emission
 //!   site is guarded by `if R::ENABLED`, so instantiating a caller at
 //!   [`NoopRecorder`] (the default everywhere) compiles the telemetry code
-//!   out entirely — determinism digests and BENCH numbers are untouched.
+//!   out entirely — determinism digests and timings are untouched.
 //! * [`TraceRecorder`] — the enabled implementation: an in-memory event
 //!   stream plus deterministic sampling [`Histograms`].
 //! * [`Event`] / [`EventKind`] — the event taxonomy (checks with path and

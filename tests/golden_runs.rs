@@ -6,9 +6,12 @@
 //! interpreter that alters a checksum, a step count, a report, or the number
 //! of checks, shadow loads or cache hits fails here with a readable diff.
 //!
-//! The traced path is pinned too: the Figure-8 GiantSan trace study (the
-//! data plane `repro trace --workload figure8 --tool giantsan` digests) must
-//! reproduce `tests/golden/trace_digest.txt`.
+//! The same document must come out of every run under a full
+//! `TraceRecorder` (tracing never perturbs execution) and under every shadow
+//! kernel backend (the backends are interchangeable). The traced path is
+//! pinned too: the Figure-8 GiantSan trace study (the data plane
+//! `repro trace --workload figure8 --tool giantsan` digests) must reproduce
+//! `tests/golden/trace_digest.txt`.
 //!
 //! To regenerate after an *intentional* behaviour change (requires
 //! justification in review): `GOLDEN_REGEN=1 cargo test --test golden_runs`.
@@ -17,11 +20,23 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use giantsan::harness::experiments::trace::trace_study;
-use giantsan::harness::Tool;
+use giantsan::harness::{RunOutcome, SessionSpec, Tool};
+use giantsan::ir::{CheckPlan, Program};
 use giantsan::runtime::{RecoveryPolicy, RuntimeConfig};
+use giantsan::shadow::kernel::{self, Backend};
 use giantsan::workloads::spec_suite;
+use giantsan_telemetry::TraceRecorder;
+
+/// The kernel backend is process-wide state: the backend test holds this
+/// for writing while it forces backends, every other test for reading.
+static BACKEND: RwLock<()> = RwLock::new(());
+
+fn active_backend() -> RwLockReadGuard<'static, ()> {
+    BACKEND.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn golden(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -30,8 +45,11 @@ fn golden(name: &str) -> PathBuf {
 }
 
 /// One line per (program, tool, policy): the result digest, then every
-/// counter in `Counters::FIELD_NAMES` order.
-fn run_document() -> String {
+/// counter in `Counters::FIELD_NAMES` order. `run` executes one planned
+/// session, so the variants below can attach a recorder.
+fn run_document(
+    mut run: impl FnMut(&SessionSpec, &Program, &CheckPlan, &[i64]) -> RunOutcome,
+) -> String {
     let policies = [
         ("continue", RecoveryPolicy::Continue),
         ("halt", RecoveryPolicy::Halt),
@@ -43,11 +61,8 @@ fn run_document() -> String {
             let plan = tool.builder().spec().plan(&w.program);
             for (label, policy) in &policies {
                 let cfg = RuntimeConfig::builder().recovery(*policy).build();
-                let out = tool
-                    .builder()
-                    .config(cfg)
-                    .spec()
-                    .run_planned(&w.program, &plan, &w.inputs);
+                let spec = tool.builder().config(cfg).spec();
+                let out = run(&spec, &w.program, &plan, &w.inputs);
                 let _ = write!(
                     doc,
                     "{} {} {label} digest={:#018x}",
@@ -65,14 +80,9 @@ fn run_document() -> String {
     doc
 }
 
-#[test]
-fn spec_runs_match_golden_digests() {
-    let doc = run_document();
+/// Fails with a per-line diff unless `doc` equals `run_digests.txt`.
+fn assert_matches_golden(doc: &str, what: &str) {
     let path = golden("run_digests.txt");
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::write(&path, &doc).unwrap();
-        return;
-    }
     let want = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
     let drift: Vec<String> = want
@@ -83,15 +93,58 @@ fn spec_runs_match_golden_digests() {
         .collect();
     assert!(
         drift.is_empty() && want.lines().count() == doc.lines().count(),
-        "whole-run drift against {} (regenerate only if the behaviour \
-         change is intentional: GOLDEN_REGEN=1):\n{}",
+        "{what}: whole-run drift against {} (regenerate only if the \
+         behaviour change is intentional: GOLDEN_REGEN=1):\n{}",
         path.display(),
         drift.join("\n")
     );
 }
 
 #[test]
+fn spec_runs_match_golden_digests() {
+    let _backend = active_backend();
+    let doc = run_document(SessionSpec::run_planned);
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        std::fs::write(golden("run_digests.txt"), &doc).unwrap();
+        return;
+    }
+    assert_matches_golden(&doc, "plain runs");
+}
+
+#[test]
+fn traced_runs_match_golden_digests() {
+    let _backend = active_backend();
+    let mut events = 0u64;
+    let doc = run_document(|spec, program, plan, inputs| {
+        let mut rec = TraceRecorder::for_cell(0);
+        let out = spec.run_planned_recorded(program, plan, inputs, &mut rec);
+        events += rec.events().len() as u64 + rec.dropped();
+        out
+    });
+    assert!(events > 0, "traced runs must capture events");
+    assert_matches_golden(&doc, "runs under a TraceRecorder");
+}
+
+#[test]
+fn runs_match_golden_digests_under_every_kernel_backend() {
+    let _exclusive = BACKEND.write().unwrap_or_else(PoisonError::into_inner);
+    let restore = kernel::active().backend();
+    let docs: Vec<(Backend, String)> = Backend::ALL
+        .into_iter()
+        .map(|backend| {
+            kernel::force(backend);
+            (backend, run_document(SessionSpec::run_planned))
+        })
+        .collect();
+    kernel::force(restore);
+    for (backend, doc) in docs {
+        assert_matches_golden(&doc, &format!("runs under the {} backend", backend.label()));
+    }
+}
+
+#[test]
 fn figure8_trace_matches_golden_digest() {
+    let _backend = active_backend();
     let study = trace_study("figure8", Tool::GiantSan, 1).unwrap();
     let want = std::fs::read_to_string(golden("trace_digest.txt")).unwrap();
     assert_eq!(
