@@ -116,20 +116,21 @@ impl Analysis {
     }
 
     /// Renders the per-pass statistics table (one row per pipeline stage).
+    ///
+    /// Wall time is left out so the table is identical run to run.
     pub fn render_pass_stats(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        out.push_str("pass           on   visited  transformed  eliminated  wall\n");
+        out.push_str("pass           on   visited  transformed  eliminated\n");
         for s in &self.pass_stats {
             let _ = writeln!(
                 out,
-                "{:<14} {:<3} {:>8} {:>12} {:>11}  {:?}",
+                "{:<14} {:<3} {:>8} {:>12} {:>11}",
                 s.pass.name(),
                 if s.enabled { "yes" } else { "no" },
                 s.visited,
                 s.transformed,
-                s.eliminated,
-                s.wall
+                s.eliminated
             );
         }
         out

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! repro table2 [--scale N]          Table 2: SPEC overhead (+ ablation)
-//! repro table2 --wall [--scale N]   ... wall-clock variant
 //! repro fig10  [--scale N]          Figure 10: check breakdown
 //! repro table3 [--div N]            Table 3: Juliet detection
 //! repro table4                      Table 4: CVE detection
@@ -49,9 +48,9 @@
 //! matrix fails loudly instead of mixing incompatible results. The merged
 //! report and artifacts are byte-identical to a monolithic run's.
 //!
-//! Results are deterministic: the modelled tables, CSVs, and digests are
-//! byte-identical for every thread count and every shard partition; only
-//! wall-clock columns vary run to run.
+//! Results are deterministic: every table, CSV, and digest is byte-identical
+//! for every thread count and every shard partition. Wall-clock time is
+//! measured by the separate `wallbench/` benchmark, never here.
 //!
 //! `repro faults` sweeps every tool across a fuzz corpus with one
 //! deterministic fault armed per cell (shadow bit flips, fold downgrades,

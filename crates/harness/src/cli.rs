@@ -2,7 +2,7 @@
 //!
 //! Historically each experiment grew its own flag subset; this module gives
 //! the uniform surface — [`StudyOpts`] knobs (`--scale`, `--div`,
-//! `--rounds`, `--seed`, `--threads`, `--workload`, `--tool`, `--wall`) plus
+//! `--rounds`, `--seed`, `--threads`, `--workload`, `--tool`) plus
 //! the cross-cutting flags (`--format text|json`, `--out-dir DIR`,
 //! `--telemetry PATH`, `--shard i/n`, `--resume DIR`) — on every
 //! subcommand. Flag validation happens here so every subcommand reports the
@@ -69,7 +69,7 @@ pub fn parse_tool(s: &str) -> Result<Tool, String> {
 
 /// The one-line flag summary shared by usage strings.
 pub const FLAG_USAGE: &str = "[--scale N] [--div N] [--rounds N] [--threads N] [--seed S] \
-[--wall] [--out-dir DIR] [--workload W] [--tool T] [--telemetry PATH] [--format text|json] \
+[--out-dir DIR] [--workload W] [--tool T] [--telemetry PATH] [--format text|json] \
 [--shard i/n] [--resume DIR]";
 
 /// Parses the flags following the subcommand, cross-validating the
@@ -119,7 +119,6 @@ pub fn parse_opts(args: &[String]) -> Result<CliOpts, String> {
             "--seed" => {
                 opts.study.seed = parse_seed(it.next().ok_or("--seed needs a value")?);
             }
-            "--wall" => opts.study.wall = true,
             "--out-dir" | "--out" => {
                 opts.out_dir = Some(it.next().ok_or("--out-dir needs a directory")?.into());
             }
@@ -239,6 +238,13 @@ mod tests {
     }
 
     #[test]
+    fn wall_is_not_a_flag() {
+        // repro reports no wall-clock time; wallbench measures it.
+        let e = parse(&["--wall"]).unwrap_err();
+        assert_eq!(e, "unknown option --wall");
+    }
+
+    #[test]
     fn study_knobs_land_in_study_opts() {
         let o = parse(&[
             "--scale",
@@ -251,7 +257,6 @@ mod tests {
             "5",
             "--seed",
             "0x9",
-            "--wall",
             "--workload",
             "519.lbm_r",
             "--tool",
@@ -265,7 +270,6 @@ mod tests {
         assert_eq!(o.study.rounds, 8);
         assert_eq!(o.study.threads, 5);
         assert_eq!(o.study.seed, 9);
-        assert!(o.study.wall);
         assert_eq!(o.study.workload, "519.lbm_r");
         assert_eq!(o.study.tool, Tool::AsanMinusMinus);
         assert!(o.json);

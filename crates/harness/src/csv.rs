@@ -109,11 +109,10 @@ pub fn table5_csv(t: &Table5) -> String {
 }
 
 /// Header of the plan-provenance CSV.
-pub const PLAN_PROVENANCE_HEADER: &str = "workload,tool,site,fate,pass,reason\n";
+const PLAN_PROVENANCE_HEADER: &str = "workload,tool,site,fate,pass,reason\n";
 
 /// Header of the plan per-pass statistics CSV.
-pub const PLAN_PASSES_HEADER: &str =
-    "workload,tool,pass,enabled,visited,transformed,eliminated,wall_ns\n";
+const PLAN_PASSES_HEADER: &str = "workload,tool,pass,enabled,visited,transformed,eliminated\n";
 
 /// The provenance rows of one plan cell (no header) — the unit campaign
 /// shards store, so a merged CSV concatenates byte-identically.
@@ -144,15 +143,14 @@ pub fn plan_passes_rows(cell: &crate::experiments::plan::PlanCell) -> String {
     for p in &cell.analysis.pass_stats {
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{}",
             esc(cell.workload),
             esc(cell.tool.name()),
             p.pass.name(),
             p.enabled as u8,
             p.visited,
             p.transformed,
-            p.eliminated,
-            p.wall.as_nanos()
+            p.eliminated
         );
     }
     out
@@ -162,8 +160,8 @@ pub fn plan_passes_rows(cell: &crate::experiments::plan::PlanCell) -> String {
 /// (workload, tool) cell: fate, deciding pass, recorded reasoning).
 pub fn plan_provenance_csv(s: &crate::experiments::plan::PlanStudy) -> String {
     let mut out = String::from(PLAN_PROVENANCE_HEADER);
-    for cell in &s.cells {
-        out.push_str(&plan_provenance_rows(cell));
+    for row in &s.rows {
+        out.push_str(&row.provenance);
     }
     out
 }
@@ -172,8 +170,8 @@ pub fn plan_provenance_csv(s: &crate::experiments::plan::PlanStudy) -> String {
 /// stage per (workload, tool) cell).
 pub fn plan_passes_csv(s: &crate::experiments::plan::PlanStudy) -> String {
     let mut out = String::from(PLAN_PASSES_HEADER);
-    for cell in &s.cells {
-        out.push_str(&plan_passes_rows(cell));
+    for row in &s.rows {
+        out.push_str(&row.passes);
     }
     out
 }
@@ -196,22 +194,14 @@ pub fn faults_csv(s: &crate::experiments::fault_study::FaultStudy) -> String {
     out
 }
 
-/// Serialises per-cell sanitizer counters of a trace study.
+/// Serialises per-cell sanitizer counters of a trace study's runs.
 ///
 /// The header is driven by [`Counters::FIELD_NAMES`] — the single
 /// authoritative exporter field list — so a counter added to the struct
 /// (with its pinning test) appears here without touching this function.
 ///
 /// [`Counters::FIELD_NAMES`]: giantsan_runtime::Counters::FIELD_NAMES
-pub fn trace_counters_csv(s: &crate::experiments::trace::TraceStudy) -> String {
-    trace_counters_csv_runs(&s.runs)
-}
-
-/// [`trace_counters_csv`] over bare runs — the campaign path, which rebuilds
-/// runs from shard payloads without a full [`TraceStudy`].
-///
-/// [`TraceStudy`]: crate::experiments::trace::TraceStudy
-pub fn trace_counters_csv_runs(runs: &[crate::experiments::trace::TraceRun]) -> String {
+pub fn trace_counters_csv(runs: &[crate::experiments::trace::TraceRun]) -> String {
     let mut out = String::from("cell");
     for name in giantsan_runtime::Counters::FIELD_NAMES {
         let _ = write!(out, ",{name}");
@@ -227,20 +217,19 @@ pub fn trace_counters_csv_runs(runs: &[crate::experiments::trace::TraceRun]) -> 
     out
 }
 
-/// Serialises Figure 11 (units and wall time per pattern/size/tool).
+/// Serialises Figure 11 (modelled units per pattern/size/tool).
 pub fn fig11_csv(f: &Fig11) -> String {
-    let mut out = String::from("pattern,size_bytes,tool,model_units,wall_us\n");
+    let mut out = String::from("pattern,size_bytes,tool,model_units\n");
     for s in &f.series {
         for p in &s.points {
             for (i, tool) in crate::experiments::fig11::SERIES.iter().enumerate() {
                 let _ = writeln!(
                     out,
-                    "{},{},{},{:.1},{:.1}",
+                    "{},{},{},{:.1}",
                     s.pattern.name(),
                     p.size,
                     tool.name().replace('-', "m"),
-                    p.units[i],
-                    p.wall_us[i]
+                    p.units[i]
                 );
             }
         }
@@ -251,10 +240,12 @@ pub fn fig11_csv(f: &Fig11) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{fig10::Fig10Entry, plan, table4::Table4Entry, trace};
+    use crate::study::{self, StudyOpts};
 
     #[test]
     fn table4_csv_round_trips_structure() {
-        let t = crate::experiments::table4::table4();
+        let t = Table4::from_records(&study::run_all(&Table4Entry, StudyOpts::default()));
         let csv = table4_csv(&t);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), t.rows.len() + 1);
@@ -273,9 +264,14 @@ mod tests {
 
     #[test]
     fn plan_csvs_cover_every_cell() {
-        let s = crate::experiments::plan::plan_study(1);
+        let s =
+            plan::PlanStudy::from_records(&study::run_all(&plan::PlanEntry, StudyOpts::default()));
         let prov = plan_provenance_csv(&s);
-        let total_sites: usize = s.cells.iter().map(|c| c.analysis.fates.len()).sum();
+        let total_sites: usize = s
+            .rows
+            .iter()
+            .map(|r| study::req_array(&r.json, "sites").len())
+            .sum();
         assert_eq!(prov.lines().count(), total_sites + 1);
         assert!(prov.starts_with("workload,tool,site,fate,pass,reason"));
         assert!(
@@ -283,18 +279,18 @@ mod tests {
             "{prov}"
         );
         let passes = plan_passes_csv(&s);
-        assert_eq!(passes.lines().count(), s.cells.len() * 9 + 1);
+        assert_eq!(passes.lines().count(), s.rows.len() * 9 + 1);
         assert!(passes.contains("figure8,GiantSan,cache,1,"), "{passes}");
     }
 
     #[test]
     fn trace_counters_csv_uses_the_canonical_field_list() {
         use giantsan_runtime::Counters;
-        let s =
-            crate::experiments::trace::trace_study("figure8", crate::Tool::GiantSan, 1).unwrap();
-        let csv = trace_counters_csv(&s);
+        let records = study::run_all(&trace::TraceEntry, StudyOpts::default());
+        let runs = trace::TraceData::from_records(&records).runs;
+        let csv = trace_counters_csv(&runs);
         let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), s.runs.len() + 1);
+        assert_eq!(lines.len(), runs.len() + 1);
         assert_eq!(
             lines[0],
             format!("cell,{}", Counters::FIELD_NAMES.join(","))
@@ -306,7 +302,7 @@ mod tests {
 
     #[test]
     fn fig10_csv_has_all_rows() {
-        let f = crate::experiments::fig10::fig10(1);
+        let f = Fig10::from_records(&study::run_all(&Fig10Entry, StudyOpts::default()));
         let csv = fig10_csv(&f);
         assert_eq!(csv.lines().count(), f.rows.len() + 1);
         assert!(csv.contains("519.lbm_r"));

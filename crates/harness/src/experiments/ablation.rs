@@ -7,7 +7,6 @@ use giantsan_core::GiantSanOptions;
 use giantsan_runtime::RuntimeConfig;
 use giantsan_workloads::{figure8_program, quarantine_probe, traversal_program, Pattern};
 
-use crate::batch::BatchRunner;
 use crate::cost::CostModel;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
@@ -18,7 +17,7 @@ use crate::tool::{run_tool, Tool};
 #[derive(Debug, Clone)]
 pub struct ReverseRow {
     /// Configuration label.
-    pub label: &'static str,
+    pub label: String,
     /// Modelled time units.
     pub units: f64,
     /// Shadow loads performed.
@@ -28,18 +27,56 @@ pub struct ReverseRow {
     pub catches_bypass: bool,
 }
 
-/// The §5.4 study: cost and accuracy of each underflow-handling mode on a
-/// reverse traversal, with ASan as the reference point.
-pub fn reverse_ablation(size: u64, rounds: u64) -> Vec<ReverseRow> {
-    reverse_ablation_with(&BatchRunner::default(), size, rounds)
+/// One quarantine-capacity sample.
+#[derive(Debug, Clone)]
+pub struct QuarantineRow {
+    /// Quarantine capacity in bytes.
+    pub cap: u64,
+    /// Of the churn levels probed, how many UAFs were still detected.
+    pub detected: u64,
+    /// Number of churn levels probed.
+    pub total: u64,
 }
 
-/// [`reverse_ablation`] on an explicit runner (one cell per configuration).
-pub fn reverse_ablation_with(runner: &BatchRunner, size: u64, rounds: u64) -> Vec<ReverseRow> {
+/// One pass-subset variant's static plan shape and dynamic cost on the
+/// Figure-8 workload.
+#[derive(Debug, Clone)]
+pub struct PassAblationRow {
+    /// Variant label.
+    pub label: String,
+    /// Sites hoisted to a pre-header CI.
+    pub promoted: u64,
+    /// Sites routed through a quasi-bound cache.
+    pub cached: u64,
+    /// Sites eliminated by merging (leaders not counted).
+    pub merged_away: u64,
+    /// Sites left as per-execution checks (direct or anchored).
+    pub per_access: u64,
+    /// Shadow loads the plan actually performed at runtime.
+    pub shadow_loads: u64,
+}
+
+/// The three ablation studies, rebuilt from [`AblationEntry`]'s records.
+#[derive(Debug, Clone)]
+pub struct Ablation {
+    /// The §5.4 study: cost and accuracy of each underflow-handling mode on
+    /// a reverse traversal, with ASan as the reference point.
+    pub reverse: Vec<ReverseRow>,
+    /// UAF detection across churn volumes for several quarantine
+    /// capacities (the §5.4 "quarantine bypassing" limitation).
+    pub quarantine: Vec<QuarantineRow>,
+    /// The planner pass-subset sweep: full GiantSan against dropping one
+    /// optimisation pass at a time.
+    pub passes: Vec<PassAblationRow>,
+}
+
+/// The reverse-traversal cell: every underflow-handling configuration on
+/// one reverse traversal.
+fn reverse_rows(size: u64, rounds: u64) -> Vec<ReverseRow> {
     let model = CostModel::default();
     let (prog, inputs) = traversal_program(Pattern::Reverse, size, rounds);
     let plan = Tool::GiantSan.plan(&prog);
-    let configs: [(&'static str, Option<GiantSanOptions>); 4] = [
+    let configs: [(&str, Option<GiantSanOptions>); 4] = [
         (
             "GiantSan (anchored underflow)",
             Some(GiantSanOptions::default()),
@@ -54,32 +91,35 @@ pub fn reverse_ablation_with(runner: &BatchRunner, size: u64, rounds: u64) -> Ve
         ),
         ("ASan", None),
     ];
-    runner.map(&configs, |_, (label, options)| {
-        let out = match options {
-            Some(opts) => Tool::GiantSan
-                .builder()
-                .options(opts.clone())
-                .spec()
-                .run_planned(&prog, &plan, &inputs),
-            None => run_tool(Tool::Asan, &prog, &inputs, &RuntimeConfig::default()),
-        };
-        assert!(
-            out.result.reports.is_empty(),
-            "{label}: clean traversal raised {:?}",
-            out.result.reports.first()
-        );
-        let tool = if options.is_some() {
-            Tool::GiantSan
-        } else {
-            Tool::Asan
-        };
-        ReverseRow {
-            label,
-            units: model.native_units(&out) + model.extra_units(tool, &out.counters),
-            shadow_loads: out.counters.shadow_loads,
-            catches_bypass: catches_underflow_bypass(options.as_ref()),
-        }
-    })
+    configs
+        .into_iter()
+        .map(|(label, options)| {
+            let out = match &options {
+                Some(opts) => Tool::GiantSan
+                    .builder()
+                    .options(opts.clone())
+                    .spec()
+                    .run_planned(&prog, &plan, &inputs),
+                None => run_tool(Tool::Asan, &prog, &inputs, &RuntimeConfig::default()),
+            };
+            assert!(
+                out.result.reports.is_empty(),
+                "{label}: clean traversal raised {:?}",
+                out.result.reports.first()
+            );
+            let tool = if options.is_some() {
+                Tool::GiantSan
+            } else {
+                Tool::Asan
+            };
+            ReverseRow {
+                label: label.to_string(),
+                units: model.native_units(&out) + model.extra_units(tool, &out.counters),
+                shadow_loads: out.counters.shadow_loads,
+                catches_bypass: catches_underflow_bypass(options.as_ref()),
+            }
+        })
+        .collect()
 }
 
 /// Does this configuration catch a redzone-bypassing negative offset?
@@ -98,81 +138,42 @@ fn catches_underflow_bypass(options: Option<&GiantSanOptions>) -> bool {
     }
 }
 
-/// One quarantine-capacity sample.
-#[derive(Debug, Clone)]
-pub struct QuarantineRow {
-    /// Quarantine capacity in bytes.
-    pub cap: u64,
-    /// Of the churn levels probed, how many UAFs were still detected.
-    pub detected: u32,
-    /// Number of churn levels probed.
-    pub total: u32,
-}
-
-/// The quarantine study: UAF detection across churn volumes for several
-/// quarantine capacities (the §5.4 "quarantine bypassing" limitation).
-pub fn quarantine_ablation() -> Vec<QuarantineRow> {
-    quarantine_ablation_with(&BatchRunner::default())
-}
-
-/// [`quarantine_ablation`] on an explicit runner (one cell per capacity).
-pub fn quarantine_ablation_with(runner: &BatchRunner) -> Vec<QuarantineRow> {
-    let churn_levels: Vec<u64> = vec![0, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20];
-    let caps: Vec<u64> = vec![0, 8 << 10, 128 << 10, 1 << 20, 16 << 20];
-    runner.map(&caps, |_, &cap| {
-        let spec = Tool::GiantSan
-            .builder()
-            .config(
-                RuntimeConfig::builder()
-                    .quarantine_cap(cap)
-                    .heap_size(32 << 20)
-                    .build(),
-            )
-            .spec();
-        let mut detected = 0;
-        for &churn in &churn_levels {
-            let (prog, inputs) = quarantine_probe(churn);
-            if spec.run(&prog, &inputs).detected() {
-                detected += 1;
+/// The quarantine cell: UAF detection per capacity across churn levels.
+fn quarantine_rows() -> Vec<QuarantineRow> {
+    let churn_levels: [u64; 6] = [0, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20];
+    let caps: [u64; 5] = [0, 8 << 10, 128 << 10, 1 << 20, 16 << 20];
+    caps.into_iter()
+        .map(|cap| {
+            let spec = Tool::GiantSan
+                .builder()
+                .config(
+                    RuntimeConfig::builder()
+                        .quarantine_cap(cap)
+                        .heap_size(32 << 20)
+                        .build(),
+                )
+                .spec();
+            let detected = churn_levels
+                .iter()
+                .filter(|&&churn| {
+                    let (prog, inputs) = quarantine_probe(churn);
+                    spec.run(&prog, &inputs).detected()
+                })
+                .count() as u64;
+            QuarantineRow {
+                cap,
+                detected,
+                total: churn_levels.len() as u64,
             }
-        }
-        QuarantineRow {
-            cap,
-            detected,
-            total: churn_levels.len() as u32,
-        }
-    })
+        })
+        .collect()
 }
 
-/// One pass-subset variant's static plan shape and dynamic cost on the
-/// Figure-8 workload.
-#[derive(Debug, Clone)]
-pub struct PassAblationRow {
-    /// Variant label.
-    pub label: &'static str,
-    /// Sites hoisted to a pre-header CI.
-    pub promoted: usize,
-    /// Sites routed through a quasi-bound cache.
-    pub cached: usize,
-    /// Sites eliminated by merging (leaders not counted).
-    pub merged_away: usize,
-    /// Sites left as per-execution checks (direct or anchored).
-    pub per_access: usize,
-    /// Shadow loads the plan actually performed at runtime.
-    pub shadow_loads: u64,
-}
-
-/// The planner pass-subset sweep: full GiantSan against dropping one
-/// optimisation pass at a time. With profiles now declarative
+/// The pass-subset cell. With profiles declarative
 /// [`giantsan_analysis::PassSet`]s, each variant is literally the full
 /// profile minus one pass.
-pub fn pass_ablation() -> Vec<PassAblationRow> {
-    pass_ablation_with(&BatchRunner::default())
-}
-
-/// [`pass_ablation`] on an explicit runner (one cell per variant).
-pub fn pass_ablation_with(runner: &BatchRunner) -> Vec<PassAblationRow> {
-    let variants: [(&'static str, ToolProfile); 5] = [
+fn pass_rows() -> Vec<PassAblationRow> {
+    let variants: [(&str, ToolProfile); 5] = [
         ("GiantSan (all passes)", ToolProfile::giantsan()),
         (
             "- cache",
@@ -192,127 +193,152 @@ pub fn pass_ablation_with(runner: &BatchRunner) -> Vec<PassAblationRow> {
         ),
     ];
     let (prog, inputs) = figure8_program(512);
-    runner.map(&variants, |_, (label, profile)| {
-        let a = analyze(&prog, profile);
-        let out = Tool::GiantSan
-            .builder()
-            .spec()
-            .run_planned(&prog, &a.plan, &inputs);
-        assert!(
-            out.result.reports.is_empty(),
-            "{label}: clean workload raised {:?}",
-            out.result.reports.first()
-        );
-        let counts = a.fate_counts();
-        let n = |f: SiteFate| counts.get(&f).copied().unwrap_or(0);
-        PassAblationRow {
-            label,
-            promoted: n(SiteFate::Promoted),
-            cached: n(SiteFate::Cached),
-            merged_away: n(SiteFate::MergedAway),
-            per_access: n(SiteFate::Direct) + n(SiteFate::Anchored),
-            shadow_loads: out.counters.shadow_loads,
+    variants
+        .into_iter()
+        .map(|(label, profile)| {
+            let a = analyze(&prog, &profile);
+            let out = Tool::GiantSan
+                .builder()
+                .spec()
+                .run_planned(&prog, &a.plan, &inputs);
+            assert!(
+                out.result.reports.is_empty(),
+                "{label}: clean workload raised {:?}",
+                out.result.reports.first()
+            );
+            let counts = a.fate_counts();
+            let n = |f: SiteFate| counts.get(&f).copied().unwrap_or(0) as u64;
+            PassAblationRow {
+                label: label.to_string(),
+                promoted: n(SiteFate::Promoted),
+                cached: n(SiteFate::Cached),
+                merged_away: n(SiteFate::MergedAway),
+                per_access: n(SiteFate::Direct) + n(SiteFate::Anchored),
+                shadow_loads: out.counters.shadow_loads,
+            }
+        })
+        .collect()
+}
+
+impl Ablation {
+    /// Folds [`AblationEntry`]'s three records (one per section) into the
+    /// studies.
+    pub fn from_records(records: &[Record]) -> Ablation {
+        let rows = |name: &str| -> &[Json] {
+            let r = records
+                .iter()
+                .find(|r| r.label == name)
+                .unwrap_or_else(|| panic!("ablation record `{name}` missing"));
+            study::req_array(&r.payload, "rows")
+        };
+        Ablation {
+            reverse: rows("reverse")
+                .iter()
+                .map(|r| ReverseRow {
+                    label: study::req_str(r, "label").to_string(),
+                    units: study::req_f64(r, "units"),
+                    shadow_loads: study::req_u64(r, "shadow_loads"),
+                    catches_bypass: study::req(r, "catches_bypass")
+                        .as_bool()
+                        .expect("catches_bypass is a bool"),
+                })
+                .collect(),
+            quarantine: rows("quarantine")
+                .iter()
+                .map(|r| QuarantineRow {
+                    cap: study::req_u64(r, "cap"),
+                    detected: study::req_u64(r, "detected"),
+                    total: study::req_u64(r, "total"),
+                })
+                .collect(),
+            passes: rows("passes")
+                .iter()
+                .map(|r| PassAblationRow {
+                    label: study::req_str(r, "label").to_string(),
+                    promoted: study::req_u64(r, "promoted"),
+                    cached: study::req_u64(r, "cached"),
+                    merged_away: study::req_u64(r, "merged_away"),
+                    per_access: study::req_u64(r, "per_access"),
+                    shadow_loads: study::req_u64(r, "shadow_loads"),
+                })
+                .collect(),
         }
-    })
-}
-
-/// Renders all three studies.
-pub fn render(size: u64, rounds: u64) -> String {
-    render_with(&BatchRunner::default(), size, rounds)
-}
-
-/// [`render`] on an explicit runner.
-pub fn render_with(runner: &BatchRunner, size: u64, rounds: u64) -> String {
-    format!(
-        "{}{}{}",
-        reverse_block(runner, size, rounds),
-        quarantine_block(runner),
-        pass_block(runner)
-    )
-}
-
-/// The reverse-traversal section of the report.
-pub fn reverse_block(runner: &BatchRunner, size: u64, rounds: u64) -> String {
-    let mut out = String::from("-- §5.4 reverse-traversal mitigation alternatives --\n");
-    let mut t = TextTable::new(vec![
-        "configuration".into(),
-        "units".into(),
-        "shadow loads".into(),
-        "catches redzone-bypass underflow".into(),
-    ]);
-    for r in reverse_ablation_with(runner, size, rounds) {
-        t.row(vec![
-            r.label.to_string(),
-            format!("{:.0}", r.units),
-            r.shadow_loads.to_string(),
-            if r.catches_bypass { "yes" } else { "NO" }.to_string(),
-        ]);
     }
-    out.push_str(&t.render());
-    out.push_str(
-        "\nThe lower-bound cache removes the per-access underflow CI while keeping\n\
-         anchored accuracy; dropping the anchor is cheap but reopens the bypass.\n",
-    );
-    out
-}
 
-/// The quarantine-capacity section of the report (leading blank line).
-pub fn quarantine_block(runner: &BatchRunner) -> String {
-    let mut out = String::from("\n-- quarantine capacity vs use-after-free detection --\n");
-    let mut t = TextTable::new(vec![
-        "quarantine cap".into(),
-        "UAFs detected".into(),
-        "churn levels".into(),
-    ]);
-    for r in quarantine_ablation_with(runner) {
-        t.row(vec![
-            format!("{} KiB", r.cap >> 10),
-            r.detected.to_string(),
-            r.total.to_string(),
+    /// Renders all three studies.
+    pub fn render(&self) -> String {
+        let mut out = String::from("-- §5.4 reverse-traversal mitigation alternatives --\n");
+        let mut t = TextTable::new(vec![
+            "configuration".into(),
+            "units".into(),
+            "shadow loads".into(),
+            "catches redzone-bypass underflow".into(),
         ]);
-    }
-    out.push_str(&t.render());
-    out.push_str(
-        "\nDetection survives exactly as long as the quarantine outlives the churn\n\
-         between free and dangling use (§5.4, quarantine bypassing).\n",
-    );
-    out
-}
+        for r in &self.reverse {
+            t.row(vec![
+                r.label.clone(),
+                format!("{:.0}", r.units),
+                r.shadow_loads.to_string(),
+                if r.catches_bypass { "yes" } else { "NO" }.to_string(),
+            ]);
+        }
+        out.push_str(&t.render());
+        out.push_str(
+            "\nThe lower-bound cache removes the per-access underflow CI while keeping\n\
+             anchored accuracy; dropping the anchor is cheap but reopens the bypass.\n",
+        );
 
-/// The pass-subset section of the report (leading blank line).
-pub fn pass_block(runner: &BatchRunner) -> String {
-    let mut out =
-        String::from("\n-- planner pass subsets on Figure 8 (full GiantSan minus one pass) --\n");
-    let mut t = TextTable::new(vec![
-        "variant".into(),
-        "promoted".into(),
-        "cached".into(),
-        "merged away".into(),
-        "per-access".into(),
-        "shadow loads".into(),
-    ]);
-    for r in pass_ablation_with(runner) {
-        t.row(vec![
-            r.label.to_string(),
-            r.promoted.to_string(),
-            r.cached.to_string(),
-            r.merged_away.to_string(),
-            r.per_access.to_string(),
-            r.shadow_loads.to_string(),
+        out.push_str("\n-- quarantine capacity vs use-after-free detection --\n");
+        let mut t = TextTable::new(vec![
+            "quarantine cap".into(),
+            "UAFs detected".into(),
+            "churn levels".into(),
         ]);
+        for r in &self.quarantine {
+            t.row(vec![
+                format!("{} KiB", r.cap >> 10),
+                r.detected.to_string(),
+                r.total.to_string(),
+            ]);
+        }
+        out.push_str(&t.render());
+        out.push_str(
+            "\nDetection survives exactly as long as the quarantine outlives the churn\n\
+             between free and dangling use (§5.4, quarantine bypassing).\n",
+        );
+
+        out.push_str("\n-- planner pass subsets on Figure 8 (full GiantSan minus one pass) --\n");
+        let mut t = TextTable::new(vec![
+            "variant".into(),
+            "promoted".into(),
+            "cached".into(),
+            "merged away".into(),
+            "per-access".into(),
+            "shadow loads".into(),
+        ]);
+        for r in &self.passes {
+            t.row(vec![
+                r.label.clone(),
+                r.promoted.to_string(),
+                r.cached.to_string(),
+                r.merged_away.to_string(),
+                r.per_access.to_string(),
+                r.shadow_loads.to_string(),
+            ]);
+        }
+        out.push_str(&t.render());
+        out.push_str(
+            "\nEach dropped pass pushes its sites down the pipeline: no promote means\n\
+             the affine loop access falls through to the cache; no cache leaves it as\n\
+             a per-iteration anchored check and shadow traffic grows accordingly.\n",
+        );
+        out
     }
-    out.push_str(&t.render());
-    out.push_str(
-        "\nEach dropped pass pushes its sites down the pipeline: no promote means\n\
-         the affine loop access falls through to the cache; no cache leaves it as\n\
-         a per-iteration anchored check and shadow traffic grows accordingly.\n",
-    );
-    out
 }
 
-/// `repro ablation` as a [`Study`]: one cell per section. Each cell renders
-/// its whole (deterministic) section serially — the three studies are small;
-/// cross-section parallelism is what sharding buys.
+/// `repro ablation` as a [`Study`]: one cell per section, each computing
+/// its (small, deterministic) rows serially — cross-section parallelism is
+/// what sharding buys.
 #[derive(Debug, Clone, Copy)]
 pub struct AblationEntry;
 
@@ -335,27 +361,49 @@ impl Study for AblationEntry {
     }
 
     fn run_cell(&self, _opts: &StudyOpts, index: usize) -> Json {
-        let runner = BatchRunner::serial();
-        let (name, block) = match index {
-            0 => (
-                "reverse",
-                reverse_block(&runner, ABLATION_SIZE, ABLATION_ROUNDS),
-            ),
-            1 => ("quarantine", quarantine_block(&runner)),
-            2 => ("passes", pass_block(&runner)),
+        let rows: Vec<Json> = match index {
+            0 => reverse_rows(ABLATION_SIZE, ABLATION_ROUNDS)
+                .into_iter()
+                .map(|r| {
+                    Json::obj()
+                        .field("label", r.label)
+                        .field("units", r.units)
+                        .field("shadow_loads", r.shadow_loads)
+                        .field("catches_bypass", r.catches_bypass)
+                })
+                .collect(),
+            1 => quarantine_rows()
+                .into_iter()
+                .map(|r| {
+                    Json::obj()
+                        .field("cap", r.cap)
+                        .field("detected", r.detected)
+                        .field("total", r.total)
+                })
+                .collect(),
+            2 => pass_rows()
+                .into_iter()
+                .map(|r| {
+                    Json::obj()
+                        .field("label", r.label)
+                        .field("promoted", r.promoted)
+                        .field("cached", r.cached)
+                        .field("merged_away", r.merged_away)
+                        .field("per_access", r.per_access)
+                        .field("shadow_loads", r.shadow_loads)
+                })
+                .collect(),
             other => unreachable!("ablation has 3 cells, asked for {other}"),
         };
-        Json::obj().field("name", name).field("block", block)
+        Json::obj().field("rows", rows)
     }
 
     fn render(&self, _opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let mut report = String::from("== Supporting ablations (DESIGN.md §5) ==\n\n");
-        for r in records {
-            report.push_str(study::req_str(&r.payload, "block"));
-        }
-        report.push('\n');
         Ok(StudyOutput {
-            report,
+            report: format!(
+                "== Supporting ablations (DESIGN.md §5) ==\n\n{}\n",
+                Ablation::from_records(records).render()
+            ),
             ..StudyOutput::default()
         })
     }
@@ -365,14 +413,18 @@ impl Study for AblationEntry {
 mod tests {
     use super::*;
 
+    fn ablation() -> Ablation {
+        Ablation::from_records(&study::run_all(&AblationEntry, StudyOpts::default()))
+    }
+
     #[test]
     fn reverse_mitigation_is_cheapest_accurate_mode() {
-        let rows = reverse_ablation(4096, 1);
+        let rows = ablation().reverse;
         let by_label = |l: &str| rows.iter().find(|r| r.label.contains(l)).unwrap();
         let anchored = by_label("anchored underflow");
         let mitigated = by_label("lower-bound cache");
         let degraded = by_label("ASan-mode");
-        let asan = by_label("ASan");
+        let asan = rows.iter().find(|r| r.label == "ASan").unwrap();
         // Default anchored mode is slower than ASan on reverse (the paper's
         // 1.39x); both alternatives fix the cost.
         assert!(anchored.units > asan.units);
@@ -389,7 +441,7 @@ mod tests {
 
     #[test]
     fn pass_subsets_shift_fates_down_the_pipeline() {
-        let rows = pass_ablation();
+        let rows = ablation().passes;
         let by = |l: &str| rows.iter().find(|r| r.label == l).unwrap();
         let full = by("GiantSan (all passes)");
         assert!(full.promoted > 0 && full.cached > 0);
@@ -407,7 +459,7 @@ mod tests {
 
     #[test]
     fn quarantine_detection_is_monotone_in_capacity() {
-        let rows = quarantine_ablation();
+        let rows = ablation().quarantine;
         for w in rows.windows(2) {
             assert!(
                 w[1].detected >= w[0].detected,

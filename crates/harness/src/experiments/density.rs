@@ -10,7 +10,6 @@
 use giantsan_runtime::RuntimeConfig;
 use giantsan_workloads::spec_suite;
 
-use crate::batch::BatchRunner;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
@@ -53,30 +52,22 @@ pub struct DensityStudy {
     pub rows: Vec<DensityRow>,
 }
 
-/// Measures achieved protection density over the SPEC-like suite.
-pub fn density_study(scale: u64) -> DensityStudy {
-    density_study_with(&BatchRunner::default(), scale)
-}
-
-/// [`density_study`] on an explicit runner (one cell per workload).
-pub fn density_study_with(runner: &BatchRunner, scale: u64) -> DensityStudy {
-    let cfg = RuntimeConfig::default();
-    let suite = spec_suite(scale);
-    let rows = runner.map(&suite, |_, w| {
-        let gs = run_tool(Tool::GiantSan, &w.program, &w.inputs, &cfg);
-        let asan = run_tool(Tool::Asan, &w.program, &w.inputs, &cfg);
-        DensityRow {
-            id: w.id.clone(),
-            // native_work counts accesses and 8-byte memop units.
-            traffic_bytes: gs.result.native_work * 8,
-            giantsan_loads: gs.counters.shadow_loads,
-            asan_loads: asan.counters.shadow_loads,
-        }
-    });
-    DensityStudy { rows }
-}
-
 impl DensityStudy {
+    /// Folds [`DensityEntry`]'s records (one per benchmark, in cell order)
+    /// into the study.
+    pub fn from_records(records: &[Record]) -> DensityStudy {
+        let rows = records
+            .iter()
+            .map(|r| DensityRow {
+                id: study::req_str(&r.payload, "id").to_string(),
+                traffic_bytes: study::req_u64(&r.payload, "traffic_bytes"),
+                giantsan_loads: study::req_u64(&r.payload, "giantsan_loads"),
+                asan_loads: study::req_u64(&r.payload, "asan_loads"),
+            })
+            .collect();
+        DensityStudy { rows }
+    }
+
     /// Median metadata-traffic reduction across benchmarks.
     pub fn median_reduction(&self) -> f64 {
         let mut r: Vec<f64> = self.rows.iter().map(|x| x.reduction()).collect();
@@ -140,25 +131,17 @@ impl Study for DensityEntry {
         let asan = run_tool(Tool::Asan, &w.program, &w.inputs, &cfg);
         Json::obj()
             .field("id", w.id.as_str())
+            // native_work counts accesses and 8-byte memop units.
             .field("traffic_bytes", gs.result.native_work * 8)
             .field("giantsan_loads", gs.counters.shadow_loads)
             .field("asan_loads", asan.counters.shadow_loads)
     }
 
     fn render(&self, _opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let rows: Vec<DensityRow> = records
-            .iter()
-            .map(|r| DensityRow {
-                id: study::req_str(&r.payload, "id").to_string(),
-                traffic_bytes: study::req_u64(&r.payload, "traffic_bytes"),
-                giantsan_loads: study::req_u64(&r.payload, "giantsan_loads"),
-                asan_loads: study::req_u64(&r.payload, "asan_loads"),
-            })
-            .collect();
         Ok(StudyOutput {
             report: format!(
                 "== Supporting study: achieved protection density ==\n\n{}\n",
-                DensityStudy { rows }.render()
+                DensityStudy::from_records(records).render()
             ),
             ..StudyOutput::default()
         })
@@ -171,7 +154,7 @@ mod tests {
 
     #[test]
     fn density_exceeds_the_flat_cap() {
-        let d = density_study(1);
+        let d = DensityStudy::from_records(&study::run_all(&DensityEntry, StudyOpts::default()));
         assert_eq!(d.rows.len(), 24);
         for r in &d.rows {
             assert!(

@@ -18,7 +18,6 @@ use giantsan_runtime::{RecoveryPolicy, RuntimeConfig};
 use giantsan_telemetry::{fnv1a, Fnv1a};
 use giantsan_workloads::fuzz::InjectedBug;
 
-use crate::batch::BatchRunner;
 use crate::faults::{splitmix64, FaultKind, FaultPlan};
 use crate::json::Json;
 use crate::matrix::{Cell, CellWorkload};
@@ -240,41 +239,36 @@ pub fn fault_matrix(seeds: u64) -> Vec<FaultCell> {
     cells
 }
 
-/// Runs the campaign under `runner` with panic isolation.
-///
-/// A quarantined (panicking) cell is recorded as [`Verdict::Crashed`] with a
-/// synthetic outcome, so the study always covers the full matrix.
-pub fn fault_study_with(runner: &BatchRunner, campaign_seed: u64, seeds: u64) -> FaultStudy {
-    let cells = fault_matrix(seeds);
-    let batch = runner.try_map(&cells, |_, cell| cell.run(campaign_seed));
-    let harness_panics = batch.summary.quarantined();
-    let outcomes = batch
-        .results
-        .into_iter()
-        .zip(&cells)
-        .map(|(r, cell)| {
-            r.unwrap_or_else(|| FaultCellOutcome {
-                label: cell.label(),
-                verdict: Verdict::Crashed,
-                result_digest: 0,
-                errors_recovered: 0,
-                errors_suppressed: 0,
-            })
-        })
-        .collect();
-    FaultStudy {
-        seed: campaign_seed,
-        outcomes,
-        harness_panics,
-    }
-}
-
-/// Runs the campaign with the default matrix breadth (5 seeds ⇒ 1050 cells).
-pub fn fault_study(campaign_seed: u64) -> FaultStudy {
-    fault_study_with(&BatchRunner::auto(), campaign_seed, 5)
-}
-
 impl FaultStudy {
+    /// Folds [`FaultsEntry`]'s records (in matrix order) into the campaign
+    /// run at `seed`. A record the batch engine quarantined carries
+    /// `"panicked": true` and counts as a harness panic.
+    pub fn from_records(seed: u64, records: &[Record]) -> Result<FaultStudy, String> {
+        let mut harness_panics = 0usize;
+        let outcomes = records
+            .iter()
+            .map(|r| {
+                if let Some(true) = r.payload.get("panicked").and_then(Json::as_bool) {
+                    harness_panics += 1;
+                }
+                let verdict = study::req_str(&r.payload, "verdict");
+                Ok(FaultCellOutcome {
+                    label: r.label.clone(),
+                    verdict: Verdict::parse(verdict)
+                        .ok_or_else(|| format!("unknown verdict `{verdict}`"))?,
+                    result_digest: study::req_hex(&r.payload, "result_digest"),
+                    errors_recovered: study::req_u64(&r.payload, "errors_recovered"),
+                    errors_suppressed: study::req_u64(&r.payload, "errors_suppressed"),
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(FaultStudy {
+            seed,
+            outcomes,
+            harness_panics,
+        })
+    }
+
     /// FNV-1a digest over every cell's label, verdict, and result digest —
     /// the quantity CI compares against the committed golden.
     pub fn digest(&self) -> u64 {
@@ -386,9 +380,10 @@ impl FaultStudy {
 const FAULT_SEEDS: u64 = 5;
 
 /// `repro faults` as a [`Study`]: one cell per fault-matrix entry. The
-/// campaign seed is `--seed`; a panicking cell degrades to the same
-/// synthetic `crashed` outcome [`fault_study_with`] records, so sharded and
-/// monolithic digests agree even in the presence of harness panics.
+/// campaign seed is `--seed`; a panicking cell degrades to a synthetic
+/// `crashed` outcome, so the study always covers the full matrix and
+/// sharded and monolithic digests agree even in the presence of harness
+/// panics.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultsEntry;
 
@@ -426,29 +421,7 @@ impl Study for FaultsEntry {
     }
 
     fn render(&self, opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let mut harness_panics = 0usize;
-        let outcomes: Vec<FaultCellOutcome> = records
-            .iter()
-            .map(|r| {
-                if let Some(true) = r.payload.get("panicked").and_then(Json::as_bool) {
-                    harness_panics += 1;
-                }
-                let verdict = study::req_str(&r.payload, "verdict");
-                Ok(FaultCellOutcome {
-                    label: r.label.clone(),
-                    verdict: Verdict::parse(verdict)
-                        .ok_or_else(|| format!("unknown verdict `{verdict}`"))?,
-                    result_digest: study::req_hex(&r.payload, "result_digest"),
-                    errors_recovered: study::req_u64(&r.payload, "errors_recovered"),
-                    errors_suppressed: study::req_u64(&r.payload, "errors_suppressed"),
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        let s = FaultStudy {
-            seed: opts.seed,
-            outcomes,
-            harness_panics,
-        };
+        let s = FaultStudy::from_records(opts.seed, records)?;
         Ok(StudyOutput {
             report: format!(
                 "== Fault-injection campaign (recover mode, seed {:#x}) ==\n\n{}\n",
@@ -471,20 +444,30 @@ mod tests {
 
     #[test]
     fn matrix_covers_a_thousand_cells_at_default_breadth() {
-        assert!(fault_matrix(5).len() >= 1000);
+        assert!(fault_matrix(FAULT_SEEDS).len() >= 1000);
     }
 
     #[test]
-    fn json_export_carries_the_digested_residue() {
-        let s = fault_study_with(&BatchRunner::serial(), 7, 1);
+    fn campaign_is_panic_free_and_its_json_carries_the_digested_residue() {
+        let opts = StudyOpts {
+            seed: 7,
+            ..StudyOpts::default()
+        };
+        let s = FaultStudy::from_records(7, &study::run_all(&FaultsEntry, opts)).unwrap();
+        assert_eq!(s.harness_panics, 0);
         let j = s.to_json();
         assert!(j.starts_with("{\n  \"study\": \"faults\""));
         assert!(j.contains(&format!("\"digest\": \"{:#018x}\"", s.digest())));
         assert_eq!(j.matches("\"verdict\"").count(), s.outcomes.len());
         assert!(j.contains("\"harness_panics\": 0"));
-        // Thread-count invariant, like the digest itself.
-        assert_eq!(j, fault_study_with(&BatchRunner::new(4), 7, 1).to_json());
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+        // The campaign exercises every verdict bucket being possible; at
+        // minimum, buggy cells under most tools stay detected.
+        assert!(s.outcomes.iter().any(|o| o.verdict == Verdict::Detected));
+        assert!(
+            s.outcomes.iter().any(|o| o.verdict == Verdict::Crashed),
+            "OOM/step-budget cells abort"
+        );
     }
 
     #[test]
@@ -499,27 +482,5 @@ mod tests {
                 c.label()
             );
         }
-    }
-
-    #[test]
-    fn small_campaign_is_thread_invariant_and_panic_free() {
-        let serial = fault_study_with(&BatchRunner::serial(), 0xdead, 1);
-        let parallel = fault_study_with(&BatchRunner::new(4), 0xdead, 1);
-        assert_eq!(serial.digest(), parallel.digest());
-        assert_eq!(serial.harness_panics, 0);
-        assert_eq!(parallel.harness_panics, 0);
-        // The campaign exercises every verdict bucket being possible; at
-        // minimum, buggy cells under most tools stay detected.
-        assert!(serial
-            .outcomes
-            .iter()
-            .any(|o| o.verdict == Verdict::Detected));
-        assert!(
-            serial
-                .outcomes
-                .iter()
-                .any(|o| o.verdict == Verdict::Crashed),
-            "OOM/step-budget cells abort"
-        );
     }
 }

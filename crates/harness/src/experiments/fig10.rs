@@ -3,7 +3,6 @@
 use giantsan_runtime::RuntimeConfig;
 use giantsan_workloads::spec_suite;
 
-use crate::batch::BatchRunner;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
@@ -33,44 +32,28 @@ pub struct Fig10 {
     pub mean_optimised: f64,
 }
 
-/// Computes the breakdown by running every SPEC-like workload under full
-/// GiantSan and attributing each dynamic memory instruction to the check
-/// path that admitted it.
-pub fn fig10(scale: u64) -> Fig10 {
-    fig10_with(&BatchRunner::default(), scale)
-}
-
-/// [`fig10`] on an explicit runner (one cell per workload).
-pub fn fig10_with(runner: &BatchRunner, scale: u64) -> Fig10 {
-    let cfg = RuntimeConfig::default();
-    let suite = spec_suite(scale);
-    let rows = runner.map(&suite, |_, w| {
-        let out = run_tool(Tool::GiantSan, &w.program, &w.inputs, &cfg);
-        let c = &out.counters;
-        // Dynamic memory instructions: accesses plus memop segments (the
-        // same units ASan would have to check one by one).
-        let m = out.result.native_work.max(1) as f64;
-        let cached = (c.cache_hits + c.cache_updates) as f64;
-        let fast = c.fast_checks as f64;
-        let full = c.slow_checks as f64;
-        let eliminated = (m - cached - fast - full).max(0.0);
-        Fig10Row {
-            id: w.id.clone(),
-            full_check: full / m,
-            fast_only: fast / m,
-            cached: cached / m,
-            eliminated: eliminated / m,
-        }
-    });
-    let mean_optimised =
-        rows.iter().map(|r| r.cached + r.eliminated).sum::<f64>() / rows.len().max(1) as f64;
-    Fig10 {
-        rows,
-        mean_optimised,
-    }
-}
-
 impl Fig10 {
+    /// Folds [`Fig10Entry`]'s records (one per benchmark, in cell order)
+    /// into the figure's data.
+    pub fn from_records(records: &[Record]) -> Fig10 {
+        let rows: Vec<Fig10Row> = records
+            .iter()
+            .map(|r| Fig10Row {
+                id: study::req_str(&r.payload, "id").to_string(),
+                full_check: study::req_f64(&r.payload, "full_check"),
+                fast_only: study::req_f64(&r.payload, "fast_only"),
+                cached: study::req_f64(&r.payload, "cached"),
+                eliminated: study::req_f64(&r.payload, "eliminated"),
+            })
+            .collect();
+        let mean_optimised =
+            rows.iter().map(|r| r.cached + r.eliminated).sum::<f64>() / rows.len().max(1) as f64;
+        Fig10 {
+            rows,
+            mean_optimised,
+        }
+    }
+
     /// Renders the figure's data as a table plus a text bar chart.
     pub fn render(&self) -> String {
         let mut t = TextTable::new(vec![
@@ -121,7 +104,9 @@ fn render_bar(r: &Fig10Row, width: usize) -> String {
     bar
 }
 
-/// `repro fig10` as a [`Study`]: one cell per SPEC-like workload.
+/// `repro fig10` as a [`Study`]: one cell per SPEC-like workload, each run
+/// under full GiantSan with every dynamic memory instruction attributed to
+/// the check path that admitted it.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig10Entry;
 
@@ -143,6 +128,8 @@ impl Study for Fig10Entry {
         let w = &suite[index];
         let out = run_tool(Tool::GiantSan, &w.program, &w.inputs, &cfg);
         let c = &out.counters;
+        // Dynamic memory instructions: accesses plus memop segments (the
+        // same units ASan would have to check one by one).
         let m = out.result.native_work.max(1) as f64;
         let cached = (c.cache_hits + c.cache_updates) as f64;
         let fast = c.fast_checks as f64;
@@ -157,22 +144,7 @@ impl Study for Fig10Entry {
     }
 
     fn render(&self, _opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let rows: Vec<Fig10Row> = records
-            .iter()
-            .map(|r| Fig10Row {
-                id: study::req_str(&r.payload, "id").to_string(),
-                full_check: study::req_f64(&r.payload, "full_check"),
-                fast_only: study::req_f64(&r.payload, "fast_only"),
-                cached: study::req_f64(&r.payload, "cached"),
-                eliminated: study::req_f64(&r.payload, "eliminated"),
-            })
-            .collect();
-        let mean_optimised =
-            rows.iter().map(|r| r.cached + r.eliminated).sum::<f64>() / rows.len().max(1) as f64;
-        let f = Fig10 {
-            rows,
-            mean_optimised,
-        };
+        let f = Fig10::from_records(records);
         Ok(StudyOutput {
             report: format!(
                 "== Figure 10: checks per optimisation category (GiantSan) ==\n\n{}\n",
@@ -189,8 +161,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fractions_are_normalised() {
-        let f = fig10(1);
+    fn breakdown_matches_section_5_2() {
+        let f = Fig10::from_records(&study::run_all(&Fig10Entry, StudyOpts::default()));
         assert_eq!(f.rows.len(), 24);
         for r in &f.rows {
             let sum = r.full_check + r.fast_only + r.cached + r.eliminated;
@@ -200,35 +172,20 @@ mod tests {
                 r.id
             );
         }
-    }
-
-    #[test]
-    fn a_majority_of_checks_is_optimised() {
         // The paper reports 52.56% eliminated+cached on average.
-        let f = fig10(1);
         assert!(
             f.mean_optimised > 0.35,
             "only {:.1}% optimised",
             f.mean_optimised * 100.0
         );
-    }
-
-    #[test]
-    fn stencil_kernels_are_mostly_eliminated() {
         // lbm's checks live in bounded affine loops: like the paper's lbm,
         // the overwhelming majority should be eliminated or cached.
-        let f = fig10(1);
         let lbm = f.rows.iter().find(|r| r.id == "519.lbm_r").unwrap();
         assert!(
             lbm.eliminated + lbm.cached > 0.8,
             "lbm optimised fraction {:.2}",
             lbm.eliminated + lbm.cached
         );
-    }
-
-    #[test]
-    fn render_shows_bars() {
-        let f = fig10(1);
         let s = f.render();
         assert!(s.contains("Mean optimised"));
         assert!(s.contains('E') || s.contains('C'));

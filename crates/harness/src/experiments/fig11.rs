@@ -3,7 +3,6 @@
 use giantsan_runtime::RuntimeConfig;
 use giantsan_workloads::{figure11_sizes, traversal_program, Pattern};
 
-use crate::batch::BatchRunner;
 use crate::cost::CostModel;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
@@ -20,8 +19,6 @@ pub struct Fig11Point {
     pub size: u64,
     /// Modelled time units per tool, in [`SERIES`] order.
     pub units: Vec<f64>,
-    /// Wall-clock microseconds per tool.
-    pub wall_us: Vec<f64>,
 }
 
 /// One pattern's series.
@@ -40,53 +37,29 @@ pub struct Fig11 {
     pub series: Vec<Fig11Series>,
 }
 
-/// Runs the traversal study; `rounds` repeats each traversal to steady the
-/// wall-clock numbers (the paper repeats 100×).
-pub fn fig11(rounds: u64) -> Fig11 {
-    fig11_with(&BatchRunner::default(), rounds)
-}
-
-/// [`fig11`] on an explicit runner (one cell per (pattern, size) sample).
-pub fn fig11_with(runner: &BatchRunner, rounds: u64) -> Fig11 {
-    let model = CostModel::default();
-    let cfg = RuntimeConfig::default();
-    let sizes = figure11_sizes();
-    let cells: Vec<(Pattern, u64)> = Pattern::ALL
-        .iter()
-        .flat_map(|&p| sizes.iter().map(move |&s| (p, s)))
-        .collect();
-    let points = runner.map(&cells, |_, &(pattern, size)| {
-        let (prog, inputs) = traversal_program(pattern, size, rounds);
-        let mut units = Vec::new();
-        let mut wall_us = Vec::new();
-        for tool in SERIES {
-            let out = run_tool(tool, &prog, &inputs, &cfg);
-            assert!(
-                out.result.reports.is_empty(),
-                "{pattern:?}/{size}: {} raised reports",
-                tool.name()
-            );
-            units.push(model.native_units(&out) + model.extra_units(tool, &out.counters));
-            wall_us.push(out.wall.as_secs_f64() * 1e6);
-        }
-        Fig11Point {
-            size,
-            units,
-            wall_us,
-        }
-    });
-    let series = Pattern::ALL
-        .iter()
-        .enumerate()
-        .map(|(pi, &pattern)| Fig11Series {
-            pattern,
-            points: points[pi * sizes.len()..(pi + 1) * sizes.len()].to_vec(),
-        })
-        .collect();
-    Fig11 { series }
-}
-
 impl Fig11 {
+    /// Folds [`Fig11Entry`]'s records (pattern-major, in cell order) into
+    /// the figure's three series.
+    pub fn from_records(records: &[Record]) -> Fig11 {
+        let sizes = figure11_sizes();
+        let points: Vec<Fig11Point> = records
+            .iter()
+            .map(|r| Fig11Point {
+                size: study::req_u64(&r.payload, "size"),
+                units: study::req_f64s(&r.payload, "units"),
+            })
+            .collect();
+        let series = Pattern::ALL
+            .iter()
+            .enumerate()
+            .map(|(pi, &pattern)| Fig11Series {
+                pattern,
+                points: points[pi * sizes.len()..(pi + 1) * sizes.len()].to_vec(),
+            })
+            .collect();
+        Fig11 { series }
+    }
+
     /// Mean modelled GiantSan/ASan cost ratio for one pattern (the paper's
     /// 1.48× faster random, 1.07× faster forward, 1.39× slower reverse).
     pub fn speedup_vs_asan(&self, pattern: Pattern) -> f64 {
@@ -110,12 +83,10 @@ impl Fig11 {
             out.push_str(&format!("\n({}) traversal\n", s.pattern.name()));
             let mut headers = vec!["Buffer".to_string()];
             headers.extend(SERIES.iter().map(|t| format!("{} (units)", t.name())));
-            headers.extend(SERIES.iter().map(|t| format!("{} (us)", t.name())));
             let mut t = TextTable::new(headers);
             for p in &s.points {
                 let mut cells = vec![format!("{} KB", p.size / 1024)];
                 cells.extend(p.units.iter().map(|u| format!("{u:.0}")));
-                cells.extend(p.wall_us.iter().map(|u| format!("{u:.0}")));
                 t.row(cells);
             }
             out.push_str(&t.render());
@@ -153,44 +124,26 @@ impl Study for Fig11Entry {
         let pattern = Pattern::ALL[index / sizes.len()];
         let size = sizes[index % sizes.len()];
         let (prog, inputs) = traversal_program(pattern, size, opts.rounds);
-        let mut units = Vec::new();
-        let mut wall_us = Vec::new();
-        for tool in SERIES {
-            let out = run_tool(tool, &prog, &inputs, &cfg);
-            assert!(
-                out.result.reports.is_empty(),
-                "{pattern:?}/{size}: {} raised reports",
-                tool.name()
-            );
-            units.push(model.native_units(&out) + model.extra_units(tool, &out.counters));
-            wall_us.push(out.wall.as_secs_f64() * 1e6);
-        }
+        let units: Vec<f64> = SERIES
+            .iter()
+            .map(|&tool| {
+                let out = run_tool(tool, &prog, &inputs, &cfg);
+                assert!(
+                    out.result.reports.is_empty(),
+                    "{pattern:?}/{size}: {} raised reports",
+                    tool.name()
+                );
+                model.native_units(&out) + model.extra_units(tool, &out.counters)
+            })
+            .collect();
         Json::obj()
             .field("pattern", pattern.name())
             .field("size", size)
             .field("units", study::f64s(&units))
-            .field("wall_us", study::f64s(&wall_us))
     }
 
     fn render(&self, _opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let sizes = figure11_sizes();
-        let points: Vec<Fig11Point> = records
-            .iter()
-            .map(|r| Fig11Point {
-                size: study::req_u64(&r.payload, "size"),
-                units: study::req_f64s(&r.payload, "units"),
-                wall_us: study::req_f64s(&r.payload, "wall_us"),
-            })
-            .collect();
-        let series = Pattern::ALL
-            .iter()
-            .enumerate()
-            .map(|(pi, &pattern)| Fig11Series {
-                pattern,
-                points: points[pi * sizes.len()..(pi + 1) * sizes.len()].to_vec(),
-            })
-            .collect();
-        let f = Fig11 { series };
+        let f = Fig11::from_records(records);
         Ok(StudyOutput {
             report: format!(
                 "== Figure 11: traversal patterns ==\n(paper: GiantSan 1.48x faster random, \
@@ -214,7 +167,11 @@ mod tests {
         // cannot reproduce the random-vs-forward gap (it comes from cache
         // misses on ASan's shadow loads), but the signs must match: GiantSan
         // wins both cache-friendly patterns and loses the reverse one.
-        let f = fig11(1);
+        let opts = StudyOpts {
+            rounds: 1,
+            ..StudyOpts::default()
+        };
+        let f = Fig11::from_records(&study::run_all(&Fig11Entry, opts));
         let forward = f.speedup_vs_asan(Pattern::Forward);
         let random = f.speedup_vs_asan(Pattern::Random);
         let reverse = f.speedup_vs_asan(Pattern::Reverse);
@@ -224,11 +181,7 @@ mod tests {
             reverse < 1.0,
             "reverse must be GiantSan's weak spot: {reverse:.2}"
         );
-    }
-
-    #[test]
-    fn costs_grow_with_buffer_size() {
-        let f = fig11(1);
+        // Costs grow with buffer size.
         for s in &f.series {
             for w in s.points.windows(2) {
                 assert!(

@@ -10,7 +10,6 @@
 use giantsan_runtime::RuntimeConfig;
 use giantsan_workloads::spec_suite;
 
-use crate::batch::BatchRunner;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
@@ -39,51 +38,34 @@ pub struct MemoryStudy {
     pub mean_heap_ratio: Vec<f64>,
 }
 
-/// Runs the memory study at `scale`.
-pub fn memory_study(scale: u64) -> MemoryStudy {
-    memory_study_with(&BatchRunner::default(), scale)
-}
-
-/// [`memory_study`] on an explicit runner (one cell per workload; each cell
-/// holds its boxed sessions to inspect the worlds afterwards).
-pub fn memory_study_with(runner: &BatchRunner, scale: u64) -> MemoryStudy {
-    let cfg = RuntimeConfig::default();
-    let suite = spec_suite(scale);
-    let rows = runner.map(&suite, |_, w| {
-        let mut heap_high_water = Vec::new();
-        let mut quarantined = Vec::new();
-        for tool in COLUMNS {
-            let spec = tool.builder().config(cfg.clone()).spec();
-            let mut san = spec.session();
-            let plan = spec.plan(&w.program);
-            let exec = spec.exec_config();
-            let _ = giantsan_ir::run_dyn(&w.program, &w.inputs, san.as_mut(), &plan, &exec);
-            heap_high_water.push(san.world().heap().high_water());
-            quarantined.push(san.world().quarantined_bytes());
-        }
-        MemoryRow {
-            id: w.id.clone(),
-            heap_high_water,
-            quarantined,
-        }
-    });
-    let mean_heap_ratio = (0..COLUMNS.len())
-        .map(|i| {
-            let ratios: Vec<f64> = rows
-                .iter()
-                .filter(|r| r.heap_high_water[0] > 0)
-                .map(|r| r.heap_high_water[i] as f64 / r.heap_high_water[0] as f64)
-                .collect();
-            ratios.iter().sum::<f64>() / ratios.len().max(1) as f64
-        })
-        .collect();
-    MemoryStudy {
-        rows,
-        mean_heap_ratio,
-    }
-}
-
 impl MemoryStudy {
+    /// Folds [`MemoryEntry`]'s records (one per benchmark, in cell order)
+    /// into the study.
+    pub fn from_records(records: &[Record]) -> MemoryStudy {
+        let rows: Vec<MemoryRow> = records
+            .iter()
+            .map(|r| MemoryRow {
+                id: study::req_str(&r.payload, "id").to_string(),
+                heap_high_water: study::req_u64s(&r.payload, "heap_high_water"),
+                quarantined: study::req_u64s(&r.payload, "quarantined"),
+            })
+            .collect();
+        let mean_heap_ratio = (0..COLUMNS.len())
+            .map(|i| {
+                let ratios: Vec<f64> = rows
+                    .iter()
+                    .filter(|r| r.heap_high_water[0] > 0)
+                    .map(|r| r.heap_high_water[i] as f64 / r.heap_high_water[0] as f64)
+                    .collect();
+                ratios.iter().sum::<f64>() / ratios.len().max(1) as f64
+            })
+            .collect();
+        MemoryStudy {
+            rows,
+            mean_heap_ratio,
+        }
+    }
+
     /// Renders the study.
     pub fn render(&self) -> String {
         let mut headers = vec!["Programs".to_string()];
@@ -152,32 +134,10 @@ impl Study for MemoryEntry {
     }
 
     fn render(&self, _opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let rows: Vec<MemoryRow> = records
-            .iter()
-            .map(|r| MemoryRow {
-                id: study::req_str(&r.payload, "id").to_string(),
-                heap_high_water: study::req_u64s(&r.payload, "heap_high_water"),
-                quarantined: study::req_u64s(&r.payload, "quarantined"),
-            })
-            .collect();
-        let mean_heap_ratio = (0..COLUMNS.len())
-            .map(|i| {
-                let ratios: Vec<f64> = rows
-                    .iter()
-                    .filter(|r| r.heap_high_water[0] > 0)
-                    .map(|r| r.heap_high_water[i] as f64 / r.heap_high_water[0] as f64)
-                    .collect();
-                ratios.iter().sum::<f64>() / ratios.len().max(1) as f64
-            })
-            .collect();
-        let s = MemoryStudy {
-            rows,
-            mean_heap_ratio,
-        };
         Ok(StudyOutput {
             report: format!(
                 "== Supporting study: memory overhead ==\n\n{}\n",
-                s.render()
+                MemoryStudy::from_records(records).render()
             ),
             ..StudyOutput::default()
         })
@@ -189,8 +149,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sanitizers_use_more_heap_than_native() {
-        let m = memory_study(1);
+    fn sanitizers_use_more_heap_and_only_quarantining_tools_quarantine() {
+        let m = MemoryStudy::from_records(&study::run_all(&MemoryEntry, StudyOpts::default()));
         assert_eq!(m.rows.len(), 24);
         // Native ratio is exactly 1; every sanitizer pays something.
         assert!((m.mean_heap_ratio[0] - 1.0).abs() < 1e-9);
@@ -202,11 +162,6 @@ mod tests {
                 m.mean_heap_ratio[i]
             );
         }
-    }
-
-    #[test]
-    fn quarantine_only_exists_for_quarantining_tools() {
-        let m = memory_study(1);
         // LFP (last column) never quarantines.
         let lfp_q: u64 = m.rows.iter().map(|r| r.quarantined[3]).sum();
         assert_eq!(lfp_q, 0);

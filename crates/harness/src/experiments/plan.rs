@@ -11,7 +11,6 @@ use giantsan_analysis::{analyze, Analysis, SiteFate};
 use giantsan_ir::Program;
 use giantsan_workloads::{figure8_program, spec_workload};
 
-use crate::batch::BatchRunner;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
@@ -46,11 +45,32 @@ pub struct PlanCell {
     pub analysis: Analysis,
 }
 
-/// The study: one cell per (workload × tool).
+/// One cell of the study as its record carries it: the fate counts plus the
+/// pre-rendered text block, JSON subtree and CSV rows, so a merged campaign
+/// reassembles every export byte-identically.
+#[derive(Debug, Clone)]
+pub struct PlanRow {
+    /// Workload id.
+    pub workload: String,
+    /// Tool name.
+    pub tool: String,
+    /// Site counts in [`FATES`] order.
+    pub fates: Vec<u64>,
+    /// The cell's section of the text report.
+    pub block: String,
+    /// The cell's subtree of the JSON document.
+    pub json: Json,
+    /// The cell's rows of `plan_provenance.csv` (no header).
+    pub provenance: String,
+    /// The cell's rows of `plan_passes.csv` (no header).
+    pub passes: String,
+}
+
+/// The study: one row per (workload × tool).
 #[derive(Debug, Clone)]
 pub struct PlanStudy {
-    /// All cells, workload-major in [`WORKLOADS`] / [`Tool::ALL`] order.
-    pub cells: Vec<PlanCell>,
+    /// All rows, workload-major in [`WORKLOADS`] / [`Tool::ALL`] order.
+    pub rows: Vec<PlanRow>,
 }
 
 fn workload_program(id: &str, scale: u64) -> Program {
@@ -61,30 +81,6 @@ fn workload_program(id: &str, scale: u64) -> Program {
             .expect("known SPEC-model id")
             .program
     }
-}
-
-/// Runs the planner for every (workload × tool) cell.
-pub fn plan_study(scale: u64) -> PlanStudy {
-    plan_study_with(&BatchRunner::default(), scale)
-}
-
-/// [`plan_study`] on an explicit runner (one batch cell per pair).
-pub fn plan_study_with(runner: &BatchRunner, scale: u64) -> PlanStudy {
-    let mut jobs = Vec::new();
-    for workload in WORKLOADS {
-        for tool in Tool::ALL {
-            jobs.push((workload, tool));
-        }
-    }
-    let cells = runner.map(&jobs, |_, &(workload, tool)| {
-        let program = workload_program(workload, scale);
-        PlanCell {
-            workload,
-            tool,
-            analysis: analyze(&program, &tool.profile()),
-        }
-    });
-    PlanStudy { cells }
 }
 
 /// One cell's fate counts in [`FATES`] order.
@@ -107,8 +103,7 @@ fn cell_block(cell: &PlanCell) -> String {
     )
 }
 
-/// One cell's subtree of the JSON document (wall time excluded, so the
-/// subtree is deterministic and campaign-shardable).
+/// One cell's subtree of the JSON document.
 fn cell_json(cell: &PlanCell) -> Json {
     let sites: Vec<Json> = cell
         .analysis
@@ -147,49 +142,46 @@ fn cell_json(cell: &PlanCell) -> Json {
         .field("passes", passes)
 }
 
-/// The summary fate table over `(workload, tool, counts)` triples.
-fn fate_table(rows: &[(String, String, Vec<u64>)]) -> String {
-    let mut head = vec!["workload".to_string(), "tool".to_string()];
-    head.extend(FATES.iter().map(|f| format!("{f:?}")));
-    let mut t = TextTable::new(head);
-    for (workload, tool, counts) in rows {
-        let mut row = vec![workload.clone(), tool.clone()];
-        row.extend(counts.iter().map(|c| c.to_string()));
-        t.row(row);
-    }
-    t.render()
-}
-
 impl PlanStudy {
+    /// Folds [`PlanEntry`]'s records (in cell order) into the study.
+    pub fn from_records(records: &[Record]) -> PlanStudy {
+        let rows = records
+            .iter()
+            .map(|r| PlanRow {
+                workload: study::req_str(&r.payload, "workload").to_string(),
+                tool: study::req_str(&r.payload, "tool").to_string(),
+                fates: study::req_u64s(&r.payload, "fates"),
+                block: study::req_str(&r.payload, "block").to_string(),
+                json: study::req(&r.payload, "json").clone(),
+                provenance: study::req_str(&r.payload, "prov").to_string(),
+                passes: study::req_str(&r.payload, "passes").to_string(),
+            })
+            .collect();
+        PlanStudy { rows }
+    }
+
     /// Renders a fate-count summary across all cells, then per-cell pass
     /// statistics and the per-site provenance trace.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("-- site fates per (workload, tool) --\n");
-        let rows: Vec<(String, String, Vec<u64>)> = self
-            .cells
-            .iter()
-            .map(|c| {
-                (
-                    c.workload.to_string(),
-                    c.tool.name().to_string(),
-                    fate_counts_of(c),
-                )
-            })
-            .collect();
-        out.push_str(&fate_table(&rows));
-        for cell in &self.cells {
-            out.push_str(&cell_block(cell));
+        let mut head = vec!["workload".to_string(), "tool".to_string()];
+        head.extend(FATES.iter().map(|f| format!("{f:?}")));
+        let mut t = TextTable::new(head);
+        for row in &self.rows {
+            let mut cells = vec![row.workload.clone(), row.tool.clone()];
+            cells.extend(row.fates.iter().map(|c| c.to_string()));
+            t.row(cells);
+        }
+        let mut out = String::from("-- site fates per (workload, tool) --\n");
+        out.push_str(&t.render());
+        for row in &self.rows {
+            out.push_str(&row.block);
         }
         out
     }
 
     /// Machine-readable form of the study (`repro plan --format json`).
-    ///
-    /// Deterministic: per-pass wall time is deliberately excluded, so the
-    /// document is byte-identical run to run and thread-count invariant.
     pub fn to_json(&self) -> String {
-        let cells: Vec<Json> = self.cells.iter().map(cell_json).collect();
+        let cells: Vec<Json> = self.rows.iter().map(|r| r.json.clone()).collect();
         Json::obj()
             .field("study", "plan")
             .field("cells", cells)
@@ -197,9 +189,8 @@ impl PlanStudy {
     }
 }
 
-/// `repro plan` as a [`Study`]: one cell per (workload × tool), carrying the
-/// pre-rendered text block, JSON subtree, and CSV rows so a merged campaign
-/// reassembles every export byte-identically.
+/// `repro plan` as a [`Study`]: one cell per (workload × tool), whose
+/// payload carries a [`PlanRow`].
 #[derive(Debug, Clone, Copy)]
 pub struct PlanEntry;
 
@@ -235,44 +226,22 @@ impl Study for PlanEntry {
     }
 
     fn render(&self, _opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let mut report =
-            String::from("== Planner observability: per-pass statistics + site provenance ==\n\n");
-        report.push_str("-- site fates per (workload, tool) --\n");
-        let rows: Vec<(String, String, Vec<u64>)> = records
-            .iter()
-            .map(|r| {
-                (
-                    study::req_str(&r.payload, "workload").to_string(),
-                    study::req_str(&r.payload, "tool").to_string(),
-                    study::req_u64s(&r.payload, "fates"),
-                )
-            })
-            .collect();
-        report.push_str(&fate_table(&rows));
-        for r in records {
-            report.push_str(study::req_str(&r.payload, "block"));
-        }
-        report.push('\n');
-        let cells: Vec<Json> = records
-            .iter()
-            .map(|r| study::req(&r.payload, "json").clone())
-            .collect();
-        let json = Json::obj()
-            .field("study", "plan")
-            .field("cells", cells)
-            .render();
-        let mut prov = String::from(crate::csv::PLAN_PROVENANCE_HEADER);
-        let mut passes = String::from(crate::csv::PLAN_PASSES_HEADER);
-        for r in records {
-            prov.push_str(study::req_str(&r.payload, "prov"));
-            passes.push_str(study::req_str(&r.payload, "passes"));
-        }
+        let s = PlanStudy::from_records(records);
         Ok(StudyOutput {
-            report,
-            json: Some(json),
+            report: format!(
+                "== Planner observability: per-pass statistics + site provenance ==\n\n{}\n",
+                s.render()
+            ),
+            json: Some(s.to_json()),
             artifacts: vec![
-                ("plan_provenance.csv".to_string(), prov),
-                ("plan_passes.csv".to_string(), passes),
+                (
+                    "plan_provenance.csv".to_string(),
+                    crate::csv::plan_provenance_csv(&s),
+                ),
+                (
+                    "plan_passes.csv".to_string(),
+                    crate::csv::plan_passes_csv(&s),
+                ),
             ],
             ..StudyOutput::default()
         })
@@ -282,22 +251,35 @@ impl Study for PlanEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use giantsan_analysis::{PassId, SiteFate};
+    use giantsan_analysis::PassId;
+
+    fn plan_study() -> PlanStudy {
+        PlanStudy::from_records(&study::run_all(&PlanEntry, StudyOpts::default()))
+    }
+
+    /// The JSON subtree of one (workload, tool) row.
+    fn cell<'a>(s: &'a PlanStudy, workload: &str, tool: Tool) -> &'a Json {
+        &s.rows
+            .iter()
+            .find(|r| r.workload == workload && r.tool == tool.name())
+            .unwrap()
+            .json
+    }
 
     #[test]
     fn study_covers_the_full_matrix() {
-        let s = plan_study(1);
-        assert_eq!(s.cells.len(), WORKLOADS.len() * Tool::ALL.len());
+        let s = plan_study();
+        assert_eq!(s.rows.len(), WORKLOADS.len() * Tool::ALL.len());
         // Every decided site carries provenance.
-        for cell in &s.cells {
-            for (i, fate) in cell.analysis.fates.iter().enumerate() {
-                if cell.analysis.provenance[i].is_none() {
+        for row in &s.rows {
+            for site in study::req_array(&row.json, "sites") {
+                if site.get("pass").is_none() {
                     assert_eq!(
-                        *fate,
-                        SiteFate::Direct,
-                        "{} / {}: site {i} has a non-default fate but no provenance",
-                        cell.workload,
-                        cell.tool.name()
+                        study::req_str(site, "fate"),
+                        "Direct",
+                        "{} / {}: a non-default fate but no provenance",
+                        row.workload,
+                        row.tool
                     );
                 }
             }
@@ -306,53 +288,58 @@ mod tests {
 
     #[test]
     fn giantsan_pipeline_is_fully_enabled_and_attributed() {
-        let s = plan_study(1);
-        let cell = s
-            .cells
-            .iter()
-            .find(|c| c.workload == "figure8" && c.tool == Tool::GiantSan)
-            .unwrap();
-        assert!(cell.analysis.pass_stats.iter().all(|p| p.enabled));
-        let p0 = cell.analysis.provenance[0].as_ref().unwrap();
-        assert_eq!(p0.pass, PassId::Promote);
+        let s = plan_study();
+        let json = cell(&s, "figure8", Tool::GiantSan);
+        for pass in study::req_array(json, "passes") {
+            assert_eq!(pass.get("enabled").and_then(Json::as_bool), Some(true));
+        }
+        let site0 = &study::req_array(json, "sites")[0];
+        assert_eq!(study::req_str(site0, "pass"), PassId::Promote.name());
     }
 
     #[test]
     fn asan_disables_every_optional_pass() {
-        let s = plan_study(1);
-        let cell = s
-            .cells
-            .iter()
-            .find(|c| c.workload == "519.lbm_r" && c.tool == Tool::Asan)
-            .unwrap();
-        for p in &cell.analysis.pass_stats {
-            if !p.pass.is_structural() {
-                assert!(!p.enabled, "{:?} enabled for ASan", p.pass);
-                assert_eq!(p.transformed, 0);
+        let s = plan_study();
+        for pass in study::req_array(cell(&s, "519.lbm_r", Tool::Asan), "passes") {
+            let name = study::req_str(pass, "pass");
+            let id = PassId::PIPELINE
+                .into_iter()
+                .find(|p| p.name() == name)
+                .unwrap();
+            if !id.is_structural() {
+                assert_eq!(pass.get("enabled").and_then(Json::as_bool), Some(false));
+                assert_eq!(study::req_u64(pass, "transformed"), 0, "{name}");
             }
         }
     }
 
     #[test]
-    fn json_export_is_deterministic_and_complete() {
-        let s = plan_study(1);
+    fn exports_are_deterministic_and_complete() {
+        let s = plan_study();
         let j = s.to_json();
         assert!(j.starts_with("{\n  \"study\": \"plan\""));
-        assert_eq!(j.matches("\"workload\"").count(), s.cells.len());
+        assert_eq!(j.matches("\"workload\"").count(), s.rows.len());
         // One site object per fate, one pass object per pipeline stage.
-        let total_sites: usize = s.cells.iter().map(|c| c.analysis.fates.len()).sum();
+        let total_sites: usize = s
+            .rows
+            .iter()
+            .map(|r| study::req_array(&r.json, "sites").len())
+            .sum();
         assert_eq!(j.matches("\"fate\"").count(), total_sites);
-        assert_eq!(j.matches("\"enabled\"").count(), s.cells.len() * 9);
-        // Wall time is excluded, so the document is run-to-run identical.
-        assert!(!j.contains("wall"));
-        assert_eq!(j, plan_study(1).to_json());
+        assert_eq!(j.matches("\"enabled\"").count(), s.rows.len() * 9);
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+        // No wall time anywhere, so every export is run-to-run identical.
+        let again = plan_study();
+        assert_eq!(j, again.to_json());
+        assert_eq!(s.render(), again.render());
+        for export in [j, s.render(), crate::csv::plan_passes_csv(&s)] {
+            assert!(!export.contains("wall"), "{export}");
+        }
     }
 
     #[test]
     fn render_shows_tables_and_traces() {
-        let s = plan_study(1);
-        let r = s.render();
+        let r = plan_study().render();
         assert!(r.contains("site fates per (workload, tool)"));
         assert!(r.contains("== figure8 under GiantSan =="));
         assert!(r.contains("const-prop"));

@@ -3,12 +3,11 @@
 use giantsan_runtime::RuntimeConfig;
 use giantsan_workloads::spec_suite;
 
-use crate::batch::BatchRunner;
 use crate::cost::{geomean, CostModel};
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::{pct, TextTable};
-use crate::tool::{run_tool, RunOutcome, Tool};
+use crate::tool::{run_tool, Tool};
 
 /// Tool columns in the paper's order (plus the two ablations).
 pub const COLUMNS: [Tool; 6] = [
@@ -27,12 +26,8 @@ pub struct Table2Row {
     pub id: String,
     /// Native modelled time units.
     pub native_units: f64,
-    /// Native wall-clock microseconds.
-    pub native_wall_us: f64,
     /// Modelled ratio percentage per column tool.
     pub ratios: Vec<f64>,
-    /// Wall-clock ratio percentage per column tool.
-    pub wall_ratios: Vec<f64>,
 }
 
 /// The full reproduced table.
@@ -42,83 +37,26 @@ pub struct Table2 {
     pub rows: Vec<Table2Row>,
     /// Geometric means of the modelled ratios, per column.
     pub geomeans: Vec<f64>,
-    /// Geometric means of the wall-clock ratios, per column.
-    pub wall_geomeans: Vec<f64>,
-}
-
-/// Runs the performance study at `scale` (1 = quick, larger = steadier
-/// wall-clock numbers) on the default runner.
-pub fn table2(scale: u64) -> Table2 {
-    table2_with(&BatchRunner::default(), scale)
-}
-
-/// [`table2`] on an explicit runner.
-///
-/// The cell matrix is (workload × tool incl. native), fine-grained enough
-/// that one slow benchmark never serialises a whole row. The fold below
-/// consumes outcomes in cell order, so rows and geomeans are identical for
-/// every thread count (the wall-clock *columns* still vary run to run; the
-/// modelled columns and the CSV do not).
-pub fn table2_with(runner: &BatchRunner, scale: u64) -> Table2 {
-    let model = CostModel::default();
-    let cfg = RuntimeConfig::default();
-    let suite = spec_suite(scale);
-    let mut cells: Vec<(usize, Tool)> = Vec::new();
-    for wi in 0..suite.len() {
-        cells.push((wi, Tool::Native));
-        for tool in COLUMNS {
-            cells.push((wi, tool));
-        }
-    }
-    let outcomes = runner.map(&cells, |_, &(wi, tool)| {
-        let w = &suite[wi];
-        run_tool(tool, &w.program, &w.inputs, &cfg)
-    });
-
-    let mut rows = Vec::new();
-    let stride = 1 + COLUMNS.len();
-    for (wi, w) in suite.iter().enumerate() {
-        let native = &outcomes[wi * stride];
-        let mut ratios = Vec::new();
-        let mut wall_ratios = Vec::new();
-        for (ti, tool) in COLUMNS.iter().enumerate() {
-            let out = &outcomes[wi * stride + 1 + ti];
-            debug_assert!(
-                out.result.reports.is_empty(),
-                "{}: {} raised reports",
-                w.id,
-                tool.name()
-            );
-            ratios.push(model.ratio_percent(*tool, native, out));
-            wall_ratios.push(wall_ratio(native, out));
-        }
-        rows.push(Table2Row {
-            id: w.id.clone(),
-            native_units: model.native_units(native),
-            native_wall_us: native.wall.as_secs_f64() * 1e6,
-            ratios,
-            wall_ratios,
-        });
-    }
-    let geomeans = (0..COLUMNS.len())
-        .map(|i| geomean(&rows.iter().map(|r| r.ratios[i]).collect::<Vec<_>>()))
-        .collect();
-    let wall_geomeans = (0..COLUMNS.len())
-        .map(|i| geomean(&rows.iter().map(|r| r.wall_ratios[i]).collect::<Vec<_>>()))
-        .collect();
-    Table2 {
-        rows,
-        geomeans,
-        wall_geomeans,
-    }
-}
-
-fn wall_ratio(native: &RunOutcome, run: &RunOutcome) -> f64 {
-    let n = native.wall.as_secs_f64().max(1e-9);
-    100.0 * run.wall.as_secs_f64() / n
 }
 
 impl Table2 {
+    /// Folds [`Table2Entry`]'s records (one per benchmark, in cell order)
+    /// into the table.
+    pub fn from_records(records: &[Record]) -> Table2 {
+        let rows: Vec<Table2Row> = records
+            .iter()
+            .map(|r| Table2Row {
+                id: study::req_str(&r.payload, "id").to_string(),
+                native_units: study::req_f64(&r.payload, "native_units"),
+                ratios: study::req_f64s(&r.payload, "ratios"),
+            })
+            .collect();
+        let geomeans = (0..COLUMNS.len())
+            .map(|i| geomean(&rows.iter().map(|r| r.ratios[i]).collect::<Vec<_>>()))
+            .collect();
+        Table2 { rows, geomeans }
+    }
+
     /// Renders the table in the paper's layout (modelled ratios).
     pub fn render(&self) -> String {
         let mut headers = vec!["Programs".to_string(), "Native(u)".to_string()];
@@ -132,23 +70,6 @@ impl Table2 {
         t.separator();
         let mut cells = vec!["Geometric Means.".to_string(), String::new()];
         cells.extend(self.geomeans.iter().map(|v| pct(*v)));
-        t.row(cells);
-        t.render()
-    }
-
-    /// Renders the wall-clock variant of the table.
-    pub fn render_wall(&self) -> String {
-        let mut headers = vec!["Programs".to_string(), "Native(us)".to_string()];
-        headers.extend(COLUMNS.iter().map(|t| format!("{} wall", t.name())));
-        let mut t = TextTable::new(headers);
-        for r in &self.rows {
-            let mut cells = vec![r.id.clone(), format!("{:.0}", r.native_wall_us)];
-            cells.extend(r.wall_ratios.iter().map(|v| pct(*v)));
-            t.row(cells);
-        }
-        t.separator();
-        let mut cells = vec!["Geometric Means.".to_string(), String::new()];
-        cells.extend(self.wall_geomeans.iter().map(|v| pct(*v)));
         t.row(cells);
         t.render()
     }
@@ -177,63 +98,34 @@ impl Study for Table2Entry {
         let suite = spec_suite(opts.scale);
         let w = &suite[index];
         let native = run_tool(Tool::Native, &w.program, &w.inputs, &cfg);
-        let mut ratios = Vec::new();
-        let mut wall_ratios = Vec::new();
-        for tool in COLUMNS {
-            let out = run_tool(tool, &w.program, &w.inputs, &cfg);
-            debug_assert!(
-                out.result.reports.is_empty(),
-                "{}: {} raised reports",
-                w.id,
-                tool.name()
-            );
-            ratios.push(model.ratio_percent(tool, &native, &out));
-            wall_ratios.push(wall_ratio(&native, &out));
-        }
+        let ratios: Vec<f64> = COLUMNS
+            .iter()
+            .map(|&tool| {
+                let out = run_tool(tool, &w.program, &w.inputs, &cfg);
+                debug_assert!(
+                    out.result.reports.is_empty(),
+                    "{}: {} raised reports",
+                    w.id,
+                    tool.name()
+                );
+                model.ratio_percent(tool, &native, &out)
+            })
+            .collect();
         Json::obj()
             .field("id", w.id.as_str())
             .field("native_units", model.native_units(&native))
-            .field("native_wall_us", native.wall.as_secs_f64() * 1e6)
             .field("ratios", study::f64s(&ratios))
-            .field("wall_ratios", study::f64s(&wall_ratios))
     }
 
-    fn render(&self, opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let rows: Vec<Table2Row> = records
-            .iter()
-            .map(|r| Table2Row {
-                id: study::req_str(&r.payload, "id").to_string(),
-                native_units: study::req_f64(&r.payload, "native_units"),
-                native_wall_us: study::req_f64(&r.payload, "native_wall_us"),
-                ratios: study::req_f64s(&r.payload, "ratios"),
-                wall_ratios: study::req_f64s(&r.payload, "wall_ratios"),
-            })
-            .collect();
-        let geomeans = (0..COLUMNS.len())
-            .map(|i| geomean(&rows.iter().map(|r| r.ratios[i]).collect::<Vec<_>>()))
-            .collect();
-        let wall_geomeans = (0..COLUMNS.len())
-            .map(|i| geomean(&rows.iter().map(|r| r.wall_ratios[i]).collect::<Vec<_>>()))
-            .collect();
-        let t = Table2 {
-            rows,
-            geomeans,
-            wall_geomeans,
-        };
-        let mut report = format!(
-            "== Table 2: runtime overhead on the SPEC-like suite ==\n\
-             (paper geomeans: GiantSan 146.04%, ASan 212.58%, ASan-- 174.89%, LFP 161.76%,\n \
-             CacheOnly 175.63%, EliminationOnly 170.24%)\n\n{}\n",
-            t.render()
-        );
-        if opts.wall {
-            report.push_str(&format!(
-                "\n-- wall-clock variant --\n{}\n",
-                t.render_wall()
-            ));
-        }
+    fn render(&self, _opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
+        let t = Table2::from_records(records);
         Ok(StudyOutput {
-            report,
+            report: format!(
+                "== Table 2: runtime overhead on the SPEC-like suite ==\n\
+                 (paper geomeans: GiantSan 146.04%, ASan 212.58%, ASan-- 174.89%, LFP 161.76%,\n \
+                 CacheOnly 175.63%, EliminationOnly 170.24%)\n\n{}\n",
+                t.render()
+            ),
             artifacts: vec![("table2.csv".to_string(), crate::csv::table2_csv(&t))],
             ..StudyOutput::default()
         })
@@ -246,7 +138,7 @@ mod tests {
 
     #[test]
     fn shape_matches_the_paper() {
-        let t = table2(1);
+        let t = Table2::from_records(&study::run_all(&Table2Entry, StudyOpts::default()));
         assert_eq!(t.rows.len(), 24);
         let gm: std::collections::HashMap<&str, f64> = COLUMNS
             .iter()
@@ -264,23 +156,7 @@ mod tests {
         assert!(gm["EliminationOnly"] > gm["GiantSan"]);
         assert!(gm["CacheOnly"] < gm["ASan"]);
         assert!(gm["EliminationOnly"] < gm["ASan"]);
-    }
 
-    #[test]
-    fn modelled_columns_are_thread_count_invariant() {
-        let serial = table2_with(&BatchRunner::serial(), 1);
-        let parallel = table2_with(&BatchRunner::new(4), 1);
-        assert_eq!(
-            crate::csv::table2_csv(&serial),
-            crate::csv::table2_csv(&parallel),
-            "modelled CSV must not depend on the thread count"
-        );
-        assert_eq!(serial.geomeans, parallel.geomeans);
-    }
-
-    #[test]
-    fn render_contains_every_row() {
-        let t = table2(1);
         let s = t.render();
         assert!(s.contains("500.perlbench_r"));
         assert!(s.contains("657.xz_s"));

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use giantsan_ir::CheckPlan;
 use giantsan_runtime::RuntimeConfig;
-use giantsan_workloads::juliet::{juliet_suite_scaled, paper_totals, JulietSuite};
+use giantsan_workloads::juliet::{juliet_suite_scaled, paper_totals};
 
 use crate::batch::BatchRunner;
 use crate::json::Json;
@@ -38,74 +38,6 @@ pub struct Table3 {
     pub divisor: u32,
 }
 
-/// Runs the detection study. `divisor = 1` reproduces the full Table 3
-/// counts; larger values subsample each family.
-pub fn table3(divisor: u32) -> Table3 {
-    table3_with(&BatchRunner::default(), divisor)
-}
-
-/// [`table3`] on an explicit runner (one cell per Juliet case; each cell
-/// runs the buggy and safe twins under every column tool).
-pub fn table3_with(runner: &BatchRunner, divisor: u32) -> Table3 {
-    let suite = juliet_suite_scaled(divisor);
-    let cfg = RuntimeConfig::small();
-    // One plan per (template, tool): templates are shared across thousands
-    // of cases, and the map is shared read-only across workers.
-    let plans: Vec<HashMap<usize, CheckPlan>> = COLUMNS
-        .iter()
-        .map(|tool| {
-            suite
-                .templates
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (i, tool.plan(p)))
-                .collect()
-        })
-        .collect();
-
-    // Per-case verdicts: (detected, false positive) per column tool.
-    let verdicts = runner.map(&suite.cases, |_, case| {
-        COLUMNS
-            .iter()
-            .enumerate()
-            .map(|(t, tool)| {
-                let plan = &plans[t][&case.template];
-                let program = &suite.templates[case.template];
-                let buggy = run_planned(*tool, program, plan, &case.buggy_inputs, &cfg);
-                let safe = run_planned(*tool, program, plan, &case.safe_inputs, &cfg);
-                (buggy.detected(), safe.detected())
-            })
-            .collect::<Vec<_>>()
-    });
-
-    let mut rows: Vec<Table3Row> = paper_totals()
-        .iter()
-        .map(|&(cwe, _)| Table3Row {
-            cwe,
-            detected: vec![0; COLUMNS.len()],
-            false_positives: vec![0; COLUMNS.len()],
-            total: 0,
-        })
-        .collect();
-
-    for (case, verdict) in suite.cases.iter().zip(&verdicts) {
-        let row = rows
-            .iter_mut()
-            .find(|r| r.cwe == case.cwe)
-            .expect("unknown CWE family");
-        row.total += 1;
-        for (t, &(buggy, safe_fp)) in verdict.iter().enumerate() {
-            if buggy {
-                row.detected[t] += 1;
-            }
-            if safe_fp {
-                row.false_positives[t] += 1;
-            }
-        }
-    }
-    Table3 { rows, divisor }
-}
-
 /// Human-readable CWE titles (the paper's row labels).
 pub fn cwe_title(cwe: u32) -> &'static str {
     match cwe {
@@ -122,6 +54,39 @@ pub fn cwe_title(cwe: u32) -> &'static str {
 }
 
 impl Table3 {
+    /// Folds [`Table3Entry`]'s records (one per Juliet case) into per-CWE
+    /// rows. `divisor` is the `--div` the records were run at.
+    pub fn from_records(divisor: u32, records: &[Record]) -> Result<Table3, String> {
+        let mut rows: Vec<Table3Row> = paper_totals()
+            .iter()
+            .map(|&(cwe, _)| Table3Row {
+                cwe,
+                detected: vec![0; COLUMNS.len()],
+                false_positives: vec![0; COLUMNS.len()],
+                total: 0,
+            })
+            .collect();
+        for r in records {
+            let cwe = study::req_u64(&r.payload, "cwe") as u32;
+            let buggy = study::req_bools(&r.payload, "buggy");
+            let safe = study::req_bools(&r.payload, "safe");
+            let row = rows
+                .iter_mut()
+                .find(|row| row.cwe == cwe)
+                .ok_or_else(|| format!("unknown CWE family {cwe}"))?;
+            row.total += 1;
+            for (t, (&b, &s)) in buggy.iter().zip(&safe).enumerate() {
+                if b {
+                    row.detected[t] += 1;
+                }
+                if s {
+                    row.false_positives[t] += 1;
+                }
+            }
+        }
+        Ok(Table3 { rows, divisor })
+    }
+
     /// Renders the table in the paper's layout.
     pub fn render(&self) -> String {
         let mut headers = vec!["CWE ID & Type".to_string()];
@@ -164,22 +129,6 @@ impl Table3 {
     }
 }
 
-/// Access to the underlying suite for integration tests.
-pub fn suite(divisor: u32) -> JulietSuite {
-    juliet_suite_scaled(divisor)
-}
-
-/// The payload of one Juliet case: its CWE plus per-tool verdicts on the
-/// buggy and safe twins.
-fn case_payload(cwe: u32, verdicts: &[(bool, bool)]) -> Json {
-    let buggy: Vec<bool> = verdicts.iter().map(|v| v.0).collect();
-    let safe: Vec<bool> = verdicts.iter().map(|v| v.1).collect();
-    Json::obj()
-        .field("cwe", cwe)
-        .field("buggy", study::bools(&buggy))
-        .field("safe", study::bools(&safe))
-}
-
 /// `repro table3` as a [`Study`]: one cell per Juliet case.
 #[derive(Debug, Clone, Copy)]
 pub struct Table3Entry;
@@ -199,25 +148,13 @@ impl Study for Table3Entry {
     }
 
     fn run_cell(&self, opts: &StudyOpts, index: usize) -> Json {
-        let suite = juliet_suite_scaled(opts.div);
-        let cfg = RuntimeConfig::small();
-        let case = &suite.cases[index];
-        let program = &suite.templates[case.template];
-        let verdicts: Vec<(bool, bool)> = COLUMNS
-            .iter()
-            .map(|tool| {
-                let plan = tool.plan(program);
-                let buggy = run_planned(*tool, program, &plan, &case.buggy_inputs, &cfg);
-                let safe = run_planned(*tool, program, &plan, &case.safe_inputs, &cfg);
-                (buggy.detected(), safe.detected())
-            })
-            .collect();
-        case_payload(case.cwe, &verdicts)
+        self.run_range(opts, index..index + 1, &BatchRunner::serial())
+            .remove(0)
     }
 
-    /// Hoists the suite and the per-(template, tool) plan cache once per
-    /// range — templates are shared across thousands of cases — while
-    /// producing exactly the payloads [`Study::run_cell`] would.
+    /// The one verdict loop: plans each (template, tool) pair the range
+    /// uses once — templates are shared across thousands of cases — then
+    /// runs every case's buggy and safe twins under every column tool.
     fn run_range(
         &self,
         opts: &StudyOpts,
@@ -226,67 +163,36 @@ impl Study for Table3Entry {
     ) -> Vec<Json> {
         let suite = juliet_suite_scaled(opts.div);
         let cfg = RuntimeConfig::small();
-        let plans: Vec<HashMap<usize, CheckPlan>> = COLUMNS
-            .iter()
-            .map(|tool| {
-                suite
-                    .templates
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (i, tool.plan(p)))
-                    .collect()
-            })
-            .collect();
         let indices: Vec<usize> = range.collect();
+        let mut plans: HashMap<usize, Vec<CheckPlan>> = HashMap::new();
+        for &i in &indices {
+            let template = suite.cases[i].template;
+            plans.entry(template).or_insert_with(|| {
+                let program = &suite.templates[template];
+                COLUMNS.iter().map(|tool| tool.plan(program)).collect()
+            });
+        }
         runner.map(&indices, |_, &i| {
             let case = &suite.cases[i];
             let program = &suite.templates[case.template];
-            let verdicts: Vec<(bool, bool)> = COLUMNS
+            let (buggy, safe): (Vec<bool>, Vec<bool>) = COLUMNS
                 .iter()
-                .enumerate()
-                .map(|(t, tool)| {
-                    let plan = &plans[t][&case.template];
-                    let buggy = run_planned(*tool, program, plan, &case.buggy_inputs, &cfg);
-                    let safe = run_planned(*tool, program, plan, &case.safe_inputs, &cfg);
+                .zip(&plans[&case.template])
+                .map(|(&tool, plan)| {
+                    let buggy = run_planned(tool, program, plan, &case.buggy_inputs, &cfg);
+                    let safe = run_planned(tool, program, plan, &case.safe_inputs, &cfg);
                     (buggy.detected(), safe.detected())
                 })
-                .collect();
-            case_payload(case.cwe, &verdicts)
+                .unzip();
+            Json::obj()
+                .field("cwe", case.cwe)
+                .field("buggy", study::bools(&buggy))
+                .field("safe", study::bools(&safe))
         })
     }
 
     fn render(&self, opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let mut rows: Vec<Table3Row> = paper_totals()
-            .iter()
-            .map(|&(cwe, _)| Table3Row {
-                cwe,
-                detected: vec![0; COLUMNS.len()],
-                false_positives: vec![0; COLUMNS.len()],
-                total: 0,
-            })
-            .collect();
-        for r in records {
-            let cwe = study::req_u64(&r.payload, "cwe") as u32;
-            let buggy = study::req_bools(&r.payload, "buggy");
-            let safe = study::req_bools(&r.payload, "safe");
-            let row = rows
-                .iter_mut()
-                .find(|row| row.cwe == cwe)
-                .ok_or_else(|| format!("unknown CWE family {cwe}"))?;
-            row.total += 1;
-            for (t, (&b, &s)) in buggy.iter().zip(&safe).enumerate() {
-                if b {
-                    row.detected[t] += 1;
-                }
-                if s {
-                    row.false_positives[t] += 1;
-                }
-            }
-        }
-        let t = Table3 {
-            rows,
-            divisor: opts.div,
-        };
+        let t = Table3::from_records(opts.div, records)?;
         Ok(StudyOutput {
             report: format!("== Table 3: Juliet-like detection ==\n\n{}\n", t.render()),
             artifacts: vec![("table3.csv".to_string(), crate::csv::table3_csv(&t))],
@@ -299,9 +205,17 @@ impl Study for Table3Entry {
 mod tests {
     use super::*;
 
+    fn table(div: u32) -> Table3 {
+        let opts = StudyOpts {
+            div,
+            ..StudyOpts::default()
+        };
+        Table3::from_records(div, &study::run_all(&Table3Entry, opts)).unwrap()
+    }
+
     #[test]
     fn subsampled_table_has_paper_shape() {
-        let t = table3(30);
+        let t = table(30);
         // Column indexes.
         let (gs, asan, asanmm, lfp) = (0, 1, 2, 3);
         for r in &t.rows {
@@ -323,9 +237,20 @@ mod tests {
     }
 
     #[test]
+    fn run_cell_is_the_range_payload() {
+        let opts = StudyOpts {
+            div: 120,
+            ..StudyOpts::default()
+        };
+        let range = Table3Entry.run_range(&opts, 3..7, &BatchRunner::new(2));
+        for (offset, payload) in range.iter().enumerate() {
+            assert_eq!(&Table3Entry.run_cell(&opts, 3 + offset), payload);
+        }
+    }
+
+    #[test]
     fn render_includes_titles() {
-        let t = table3(120);
-        let s = t.render();
+        let s = table(120).render();
         assert!(s.contains("Use After Free"));
         assert!(s.contains("False positives"));
     }

@@ -3,7 +3,6 @@
 use giantsan_runtime::RuntimeConfig;
 use giantsan_workloads::cve_scenarios;
 
-use crate::batch::BatchRunner;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
@@ -30,30 +29,28 @@ pub struct Table4 {
     pub rows: Vec<Table4Row>,
 }
 
-/// Runs every CVE scenario under every tool.
-pub fn table4() -> Table4 {
-    table4_with(&BatchRunner::default())
-}
-
-/// [`table4`] on an explicit runner (one cell per CVE scenario).
-pub fn table4_with(runner: &BatchRunner) -> Table4 {
-    let cfg = RuntimeConfig::small();
-    let scenarios = cve_scenarios();
-    let rows = runner.map(&scenarios, |_, c| {
-        let detected = COLUMNS
-            .iter()
-            .map(|tool| run_tool(*tool, &c.program, &c.inputs, &cfg).detected())
-            .collect();
-        Table4Row {
-            project: c.project,
-            cve: c.cve,
-            detected,
-        }
-    });
-    Table4 { rows }
-}
-
 impl Table4 {
+    /// Folds [`Table4Entry`]'s records (one per CVE scenario, in cell
+    /// order) into the table.
+    pub fn from_records(records: &[Record]) -> Table4 {
+        // Rows carry `&'static str` labels: recover them from the scenario
+        // list (records arrive in scenario order) rather than the payload.
+        let scenarios = cve_scenarios();
+        let rows = records
+            .iter()
+            .map(|r| {
+                let c = &scenarios[r.index];
+                debug_assert_eq!(c.cve, study::req_str(&r.payload, "cve"));
+                Table4Row {
+                    project: c.project,
+                    cve: c.cve,
+                    detected: study::req_bools(&r.payload, "detected"),
+                }
+            })
+            .collect();
+        Table4 { rows }
+    }
+
     /// Renders the table with ✓/✗ marks like the paper.
     pub fn render(&self) -> String {
         let mut headers = vec!["Program".to_string(), "CVE ID".to_string()];
@@ -113,22 +110,7 @@ impl Study for Table4Entry {
     }
 
     fn render(&self, _opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        // Rows carry `&'static str` labels: recover them from the scenario
-        // list (records arrive in scenario order) rather than the payload.
-        let scenarios = cve_scenarios();
-        let rows: Vec<Table4Row> = records
-            .iter()
-            .map(|r| {
-                let c = &scenarios[r.index];
-                debug_assert_eq!(c.cve, study::req_str(&r.payload, "cve"));
-                Table4Row {
-                    project: c.project,
-                    cve: c.cve,
-                    detected: study::req_bools(&r.payload, "detected"),
-                }
-            })
-            .collect();
-        let t = Table4 { rows };
+        let t = Table4::from_records(records);
         Ok(StudyOutput {
             report: format!(
                 "== Table 4: Linux-Flaw-Project-like CVE detection ==\n\n{}\n",
@@ -146,7 +128,7 @@ mod tests {
 
     #[test]
     fn matches_paper_rows() {
-        let t = table4();
+        let t = Table4::from_records(&study::run_all(&Table4Entry, StudyOpts::default()));
         assert_eq!(t.rows.len(), 25);
         assert!(t.missed_by(Tool::GiantSan).is_empty());
         assert!(t.missed_by(Tool::Asan).is_empty());
@@ -155,11 +137,6 @@ mod tests {
             t.missed_by(Tool::Lfp),
             vec!["CVE-2017-12858", "CVE-2017-9165", "CVE-2017-14409"]
         );
-    }
-
-    #[test]
-    fn render_marks_misses() {
-        let t = table4();
         let s = t.render();
         assert!(s.contains("CVE-2017-12858"));
         assert!(s

@@ -1,5 +1,8 @@
 //! Table 5: redzone sensitivity on the Magma-like corpus.
 
+use std::collections::HashMap;
+
+use giantsan_ir::CheckPlan;
 use giantsan_runtime::RuntimeConfig;
 use giantsan_workloads::magma::{magma_cases, magma_templates, PROJECTS};
 
@@ -65,73 +68,36 @@ pub struct Table5 {
     pub divisor: u32,
 }
 
-/// Runs the redzone study. `divisor = 1` reproduces the paper's counts.
-pub fn table5(divisor: u32) -> Table5 {
-    table5_with(&BatchRunner::default(), divisor)
-}
-
-/// [`table5`] on an explicit runner (one cell per Magma case; each cell
-/// runs every redzone configuration).
-pub fn table5_with(runner: &BatchRunner, divisor: u32) -> Table5 {
-    let templates = magma_templates();
-    let cases = magma_cases(divisor);
-    // One spec and one plan set per configuration, shared across workers.
-    let specs: Vec<SessionSpec> = CONFIGS
-        .iter()
-        .map(|c| {
-            c.tool
-                .builder()
-                .config(RuntimeConfig::small())
-                .redzone(c.redzone)
-                .spec()
-        })
-        .collect();
-    let plans: Vec<Vec<giantsan_ir::CheckPlan>> = specs
-        .iter()
-        .map(|s| templates.iter().map(|p| s.plan(p)).collect())
-        .collect();
-
-    // Per-case verdicts per configuration.
-    let verdicts = runner.map(&cases, |_, case| {
-        specs
+impl Table5 {
+    /// Folds [`Table5Entry`]'s records (one per Magma case) into
+    /// per-project rows. `divisor` is the `--div` the records were run at.
+    pub fn from_records(divisor: u32, records: &[Record]) -> Result<Table5, String> {
+        let mut rows: Vec<Table5Row> = PROJECTS
             .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                spec.run_planned(
-                    &templates[case.template],
-                    &plans[i][case.template],
-                    &case.inputs,
-                )
-                .detected()
+            .map(|&(project, loc, ..)| Table5Row {
+                project,
+                loc,
+                detected: vec![0; CONFIGS.len()],
+                total: 0,
             })
-            .collect::<Vec<_>>()
-    });
-
-    let mut rows: Vec<Table5Row> = PROJECTS
-        .iter()
-        .map(|&(project, loc, ..)| Table5Row {
-            project,
-            loc,
-            detected: vec![0; CONFIGS.len()],
-            total: 0,
-        })
-        .collect();
-    for (case, verdict) in cases.iter().zip(&verdicts) {
-        let row = rows
-            .iter_mut()
-            .find(|r| r.project == case.project)
-            .expect("unknown project");
-        row.total += 1;
-        for (i, &detected) in verdict.iter().enumerate() {
-            if detected {
-                row.detected[i] += 1;
+            .collect();
+        for r in records {
+            let project = study::req_str(&r.payload, "project");
+            let detected = study::req_bools(&r.payload, "detected");
+            let row = rows
+                .iter_mut()
+                .find(|row| row.project == project)
+                .ok_or_else(|| format!("unknown project `{project}`"))?;
+            row.total += 1;
+            for (i, &d) in detected.iter().enumerate() {
+                if d {
+                    row.detected[i] += 1;
+                }
             }
         }
+        Ok(Table5 { rows, divisor })
     }
-    Table5 { rows, divisor }
-}
 
-impl Table5 {
     /// Renders the table in the paper's layout.
     pub fn render(&self) -> String {
         let mut headers = vec!["Project (LoC)".to_string()];
@@ -159,20 +125,6 @@ impl Table5 {
     }
 }
 
-/// Builds the five per-configuration session specs.
-fn config_specs() -> Vec<SessionSpec> {
-    CONFIGS
-        .iter()
-        .map(|c| {
-            c.tool
-                .builder()
-                .config(RuntimeConfig::small())
-                .redzone(c.redzone)
-                .spec()
-        })
-        .collect()
-}
-
 /// `repro table5` as a [`Study`]: one cell per Magma case.
 #[derive(Debug, Clone, Copy)]
 pub struct Table5Entry;
@@ -191,25 +143,12 @@ impl Study for Table5Entry {
     }
 
     fn run_cell(&self, opts: &StudyOpts, index: usize) -> Json {
-        let templates = magma_templates();
-        let cases = magma_cases(opts.div);
-        let case = &cases[index];
-        let detected: Vec<bool> = config_specs()
-            .iter()
-            .map(|spec| {
-                let plan = spec.plan(&templates[case.template]);
-                spec.run_planned(&templates[case.template], &plan, &case.inputs)
-                    .detected()
-            })
-            .collect();
-        Json::obj()
-            .field("project", case.project)
-            .field("detected", study::bools(&detected))
+        self.run_range(opts, index..index + 1, &BatchRunner::serial())
+            .remove(0)
     }
 
-    /// Hoists the templates and the per-configuration plan sets once per
-    /// range, like [`table5_with`], while producing [`Study::run_cell`]'s
-    /// payloads.
+    /// The one verdict loop: plans each (template, configuration) pair the
+    /// range uses once, then runs every case under every configuration.
     fn run_range(
         &self,
         opts: &StudyOpts,
@@ -218,24 +157,32 @@ impl Study for Table5Entry {
     ) -> Vec<Json> {
         let templates = magma_templates();
         let cases = magma_cases(opts.div);
-        let specs = config_specs();
-        let plans: Vec<Vec<giantsan_ir::CheckPlan>> = specs
+        let specs: Vec<SessionSpec> = CONFIGS
             .iter()
-            .map(|s| templates.iter().map(|p| s.plan(p)).collect())
+            .map(|c| {
+                c.tool
+                    .builder()
+                    .config(RuntimeConfig::small())
+                    .redzone(c.redzone)
+                    .spec()
+            })
             .collect();
         let indices: Vec<usize> = range.collect();
+        let mut plans: HashMap<usize, Vec<CheckPlan>> = HashMap::new();
+        for &i in &indices {
+            let template = cases[i].template;
+            plans
+                .entry(template)
+                .or_insert_with(|| specs.iter().map(|s| s.plan(&templates[template])).collect());
+        }
         runner.map(&indices, |_, &i| {
             let case = &cases[i];
             let detected: Vec<bool> = specs
                 .iter()
-                .enumerate()
-                .map(|(c, spec)| {
-                    spec.run_planned(
-                        &templates[case.template],
-                        &plans[c][case.template],
-                        &case.inputs,
-                    )
-                    .detected()
+                .zip(&plans[&case.template])
+                .map(|(spec, plan)| {
+                    spec.run_planned(&templates[case.template], plan, &case.inputs)
+                        .detected()
                 })
                 .collect();
             Json::obj()
@@ -245,33 +192,7 @@ impl Study for Table5Entry {
     }
 
     fn render(&self, opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let mut rows: Vec<Table5Row> = PROJECTS
-            .iter()
-            .map(|&(project, loc, ..)| Table5Row {
-                project,
-                loc,
-                detected: vec![0; CONFIGS.len()],
-                total: 0,
-            })
-            .collect();
-        for r in records {
-            let project = study::req_str(&r.payload, "project");
-            let detected = study::req_bools(&r.payload, "detected");
-            let row = rows
-                .iter_mut()
-                .find(|row| row.project == project)
-                .ok_or_else(|| format!("unknown project `{project}`"))?;
-            row.total += 1;
-            for (i, &d) in detected.iter().enumerate() {
-                if d {
-                    row.detected[i] += 1;
-                }
-            }
-        }
-        let t = Table5 {
-            rows,
-            divisor: opts.div,
-        };
+        let t = Table5::from_records(opts.div, records)?;
         Ok(StudyOutput {
             report: format!(
                 "== Table 5: Magma-like redzone study ==\n\n{}\n",
@@ -288,8 +209,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn php_shows_the_redzone_bypass_gap() {
-        let t = table5(40);
+    fn php_shows_the_redzone_bypass_gap_and_other_projects_tie() {
+        let opts = StudyOpts {
+            div: 40,
+            ..StudyOpts::default()
+        };
+        let t = Table5::from_records(40, &study::run_all(&Table5Entry, opts)).unwrap();
         let php = t.rows.iter().find(|r| r.project == "php").unwrap();
         let (mm16, mm512, a16, a512, gs) = (
             php.detected[0],
@@ -305,11 +230,7 @@ mod tests {
         assert!(a16 < a512, "rz=512 must beat rz=16 ({a16} vs {a512})");
         assert!(a512 < gs, "GiantSan must beat rz=512 ({a512} vs {gs})");
         assert!(gs < php.total, "non-memory POCs stay undetected");
-    }
-
-    #[test]
-    fn projects_without_bypass_cases_tie() {
-        let t = table5(40);
+        // Projects without bypass cases tie across every configuration.
         for r in t.rows.iter().filter(|r| r.project == "libpng") {
             let first = r.detected[0];
             assert!(r.detected.iter().all(|&d| d == first), "{:?}", r.detected);

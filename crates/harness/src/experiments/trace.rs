@@ -5,7 +5,7 @@
 //! [`analyze_recorded`] (per-pass events), every cell runs under a
 //! [`TraceRecorder`] (check / quasi-bound / allocator / containment events
 //! plus the sampling histograms), and the batch engine records its
-//! scheduling spans into a [`TraceSink`]. The study then exports all three
+//! scheduling spans into a [`TraceSink`](crate::batch::TraceSink). The study then exports all three
 //! formats the telemetry crate supports:
 //!
 //! * **JSON Lines** — the deterministic data-plane event stream, sorted by
@@ -15,25 +15,21 @@
 //! * **Prometheus text exposition** — final counters, log2 histograms, and
 //!   the per-site check-path mix.
 //!
-//! [`TraceStudy::hotspots`] ranks sites by slow-path share, which on the
+//! [`TraceData::hotspots`] ranks sites by slow-path share, which on the
 //! paper's Figure 8 example singles out the data-dependent `y[j]` store
 //! (history-cache refreshes) and the hoisted pre-header / loop-final region
 //! checks — exactly the sites the paper's optimisation story is about.
 
-use std::sync::Arc;
-
 use giantsan_analysis::{analyze, analyze_recorded};
 use giantsan_ir::{CheckPlan, Program};
 use giantsan_runtime::Counters;
-use giantsan_telemetry::export::{
-    events_jsonl, jsonl_digest, prometheus, text_digest, ChromeTrace,
-};
+use giantsan_telemetry::export::{events_jsonl, prometheus, text_digest, ChromeTrace};
 use giantsan_telemetry::{
-    site_label, Event, Histograms, Log2Hist, PathMix, SpanKind, SpanSet, TraceRecorder,
+    site_label, Histograms, Log2Hist, PathMix, SpanKind, SpanSet, TraceRecorder,
 };
 use giantsan_workloads::{figure8_program, spec_workload};
 
-use crate::batch::{BatchRunner, BatchTrace, TraceSink};
+use crate::batch::BatchTrace;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::{pct, TextTable};
@@ -60,33 +56,83 @@ pub struct TraceRun {
     pub counters: Counters,
 }
 
-/// Everything one `repro trace` invocation collected.
-#[derive(Debug, Clone)]
-pub struct TraceStudy {
-    /// Workload id (`figure8` or a SPEC row id).
-    pub workload: String,
-    /// The traced tool.
-    pub tool: Tool,
-    /// Shadow-kernel backend the cells executed under (e.g. `simd-avx2`).
-    ///
-    /// Presentation metadata only: the data-plane events and their digest
-    /// are kernel-invariant by the backend contract, so this appears in the
-    /// Prometheus exposition and schedule dumps but never in the JSONL.
-    pub kernel: &'static str,
-    /// Worker-pool size the cells were scheduled across.
-    pub threads: usize,
-    /// Merged data-plane event stream, sorted by `(cell, seq)`.
-    pub events: Vec<Event>,
+/// The data plane of one `repro trace` invocation, folded from
+/// [`TraceEntry`]'s records. Every field is invariant under thread count
+/// and shard partition.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceData {
+    /// The merged event stream as JSON Lines, sorted by `(cell, seq)`.
+    pub jsonl: String,
     /// Merged sampling histograms (all cells).
     pub hists: Histograms,
     /// Events past the per-cell recorder caps (sampled, not buffered).
     pub dropped: u64,
-    /// Summed sanitizer counters across cells.
+    /// Events recorded across all cells.
+    pub events: usize,
+    /// Summed sanitizer counters across the executed cells.
     pub counters: Counters,
     /// Per-cell run summaries, in cell order.
     pub runs: Vec<TraceRun>,
-    /// Presentation-plane scheduling spans (never digested).
-    pub schedule: BatchTrace,
+}
+
+impl TraceData {
+    /// Folds the records (all cells, in index order). Each payload carries
+    /// its cell's rendered JSONL slice, so concatenating them in index
+    /// order is the exact event stream.
+    pub fn from_records(records: &[Record]) -> TraceData {
+        let mut data = TraceData {
+            jsonl: String::new(),
+            hists: Histograms::default(),
+            dropped: 0,
+            events: 0,
+            counters: Counters::default(),
+            runs: Vec::new(),
+        };
+        for r in records {
+            data.jsonl.push_str(study::req_str(&r.payload, "jsonl"));
+            data.hists
+                .merge(&hists_from(study::req(&r.payload, "hists")));
+            data.dropped += study::req_u64(&r.payload, "dropped");
+            data.events += study::req_u64(&r.payload, "events") as usize;
+            if study::req_str(&r.payload, "kind") == "run" {
+                let counters = Counters::from_field_values(
+                    study::req_u64s(&r.payload, "counters")
+                        .try_into()
+                        .expect("counters payload carries every field"),
+                );
+                data.counters += &counters;
+                data.runs.push(TraceRun {
+                    cell: study::req_u64(&r.payload, "cell") as u32,
+                    result_digest: study::req_hex(&r.payload, "result_digest"),
+                    steps: study::req_u64(&r.payload, "steps"),
+                    reports: study::req_u64(&r.payload, "reports") as usize,
+                    events: study::req_u64(&r.payload, "events") as usize,
+                    counters,
+                });
+            }
+        }
+        data
+    }
+
+    /// FNV-1a digest of the JSONL bytes — the thread-invariant fingerprint
+    /// `trace_digest.txt` carries.
+    pub fn digest(&self) -> u64 {
+        text_digest(&self.jsonl)
+    }
+
+    /// The top `n` sites by slow-path share (ties broken by visit volume,
+    /// then site id). Sentinel sites render via [`site_label`].
+    pub fn hotspots(&self, n: usize) -> Vec<(u32, PathMix)> {
+        let mut v: Vec<(u32, PathMix)> = self.hists.sites.iter().map(|(s, m)| (*s, *m)).collect();
+        v.sort_by(|a, b| {
+            b.1.slow_share()
+                .total_cmp(&a.1.slow_share())
+                .then(b.1.total().cmp(&a.1.total()))
+                .then(a.0.cmp(&b.0))
+        });
+        v.truncate(n);
+        v
+    }
 }
 
 /// Builds the program under study. `figure8` is the paper's worked example;
@@ -110,207 +156,20 @@ fn cell_inputs(id: &str, scale: u64, cell: u32, base: &[i64]) -> Vec<i64> {
     }
 }
 
-/// Runs the study on a default (auto-sized) runner.
-pub fn trace_study(workload: &str, tool: Tool, scale: u64) -> Result<TraceStudy, String> {
-    trace_study_with(&BatchRunner::default(), workload, tool, scale)
-}
-
-/// [`trace_study`] on an explicit runner.
-///
-/// The data plane (events, histograms, digest) is invariant under the
-/// runner's thread count; only [`TraceStudy::schedule`] — the presentation
-/// plane — differs between serial and parallel runs.
-pub fn trace_study_with(
-    runner: &BatchRunner,
-    workload: &str,
-    tool: Tool,
-    scale: u64,
-) -> Result<TraceStudy, String> {
-    let (program, base_inputs) = workload_program(workload, scale).ok_or_else(|| {
-        format!("unknown workload `{workload}` (figure8 or a SPEC row id like 519.lbm_r)")
-    })?;
-    let spec = tool.builder().spec();
-
-    // Cell 0 of the data plane: the planner's per-pass events.
-    let mut plan_rec = TraceRecorder::for_cell(0);
-    let plan = match tool {
-        Tool::Native => CheckPlan::none(&program),
-        _ => analyze_recorded(&program, &spec.profile(), &mut plan_rec).plan,
-    };
-
-    // Presentation plane: a fresh sink snapshots this study's scheduling.
-    let sink = TraceSink::new();
-    let runner = runner.clone().with_sink(Arc::clone(&sink));
-
-    let cells: Vec<u32> = (1..=DEFAULT_CELLS).collect();
-    let results = runner.map(&cells, |_, &cell| {
-        let inputs = cell_inputs(workload, scale, cell, &base_inputs);
-        let mut rec = TraceRecorder::for_cell(cell);
-        let out = spec.run_planned_recorded(&program, &plan, &inputs, &mut rec);
-        (out, rec)
-    });
-
-    let (mut events, mut hists, mut dropped) = plan_rec.finish();
-    let mut counters = Counters::default();
-    let mut runs = Vec::new();
-    for (out, rec) in results {
-        let cell = rec.cell();
-        let (ev, h, d) = rec.finish();
-        runs.push(TraceRun {
-            cell,
-            result_digest: out.result.digest(),
-            steps: out.result.steps,
-            reports: out.result.reports.len(),
-            events: ev.len(),
-            counters: out.counters,
-        });
-        events.extend(ev);
-        hists.merge(&h);
-        dropped += d;
-        counters += &out.counters;
-    }
-    events.sort_by_key(|e| (e.cell, e.seq));
-
-    Ok(TraceStudy {
-        workload: workload.to_string(),
-        tool,
-        kernel: giantsan_shadow::kernel::active().name(),
-        threads: runner.threads(),
-        events,
-        hists,
-        dropped,
-        counters,
-        runs,
-        schedule: sink.take(),
-    })
-}
-
-impl TraceStudy {
-    /// The deterministic JSONL event stream.
-    pub fn events_jsonl(&self) -> String {
-        events_jsonl(&self.events)
-    }
-
-    /// FNV-1a digest of the JSONL bytes — the thread-invariant fingerprint
-    /// CI diffs serial vs parallel.
-    pub fn digest(&self) -> u64 {
-        jsonl_digest(&self.events)
-    }
-
-    /// The one-line digest artefact (`trace_digest.txt`).
-    pub fn digest_artifact(&self) -> String {
-        format!("{:#018x}\n", self.digest())
-    }
-
-    /// The Chrome `trace_event` JSON: the batch engine's scheduling spans
-    /// plus a final counter sample carrying the data-plane path totals.
-    pub fn chrome_trace(&self) -> String {
-        chrome_with(
-            &self.schedule,
-            &format!(
-                "repro trace: {} under {} [kernel={}]",
-                self.workload,
-                self.tool.name(),
-                self.kernel
-            ),
-            &self.hists,
-        )
-    }
-
-    /// The Prometheus text exposition: summed sanitizer counters, the four
-    /// log2 histograms, the per-site path mix, and the dropped-event count.
-    pub fn prometheus(&self) -> String {
-        let counters: Vec<(&str, u64)> = self.counters.fields().collect();
-        prometheus(self.kernel, &counters, &self.hists, self.dropped)
-    }
-
-    /// The top `n` sites by slow-path share (ties broken by visit volume,
-    /// then site id). Sentinel sites render via [`site_label`].
-    pub fn hotspots(&self, n: usize) -> Vec<(u32, PathMix)> {
-        hotspots_of(&self.hists, n)
-    }
-
-    /// The deterministic span chain for this invocation, seeded from the
-    /// campaign spec hash: the request → … → cell spine plus Pass/Check
-    /// leaf spans synthesized from the recorded event stream via
-    /// [`SpanSet::hotspots`]. Byte-identical to the `trace_spans.jsonl`
-    /// artifact the campaign path renders from shard payloads.
-    pub fn span_set(&self, seed: u64) -> SpanSet {
-        let (mut set, shard) =
-            span_spine(seed, &self.workload, self.tool, DEFAULT_CELLS as usize + 1);
-        for cell in 0..=DEFAULT_CELLS {
-            let label = if cell == 0 {
-                "plan".to_string()
-            } else {
-                format!("cell-{cell}")
-            };
-            let cell_span = set.child(shard, SpanKind::Cell, cell as u64, label);
-            let events: Vec<Event> = self
-                .events
-                .iter()
-                .filter(|e| e.cell == cell)
-                .cloned()
-                .collect();
-            set.hotspots(cell_span, &events);
-        }
-        set
-    }
-
-    /// Renders the study: run summaries plus the hot-spot table.
-    pub fn render(&self) -> String {
-        render_report(
-            &self.workload,
-            self.tool,
-            self.kernel,
-            self.threads,
-            &self.runs,
-            self.events.len(),
-            self.dropped,
-            self.digest(),
-            &self.hists,
-        )
-    }
-}
-
-/// [`TraceStudy::hotspots`] over bare histograms (the campaign path).
-pub fn hotspots_of(hists: &Histograms, n: usize) -> Vec<(u32, PathMix)> {
-    let mut v: Vec<(u32, PathMix)> = hists.sites.iter().map(|(s, m)| (*s, *m)).collect();
-    v.sort_by(|a, b| {
-        b.1.slow_share()
-            .total_cmp(&a.1.slow_share())
-            .then(b.1.total().cmp(&a.1.total()))
-            .then(a.0.cmp(&b.0))
-    });
-    v.truncate(n);
-    v
-}
-
-/// [`TraceStudy::render`] over bare parts — the campaign path, which
-/// reassembles the summary from shard payloads without a full `TraceStudy`.
-#[allow(clippy::too_many_arguments)]
-pub fn render_report(
-    workload: &str,
-    tool: Tool,
-    kernel: &str,
-    threads: usize,
-    runs: &[TraceRun],
-    events: usize,
-    dropped: u64,
-    digest: u64,
-    hists: &Histograms,
-) -> String {
+/// The report body: run summaries plus the hot-spot table.
+fn render_report(opts: &StudyOpts, kernel: &str, data: &TraceData) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{} under {} [kernel={}]: {} cells on {} worker(s), {} events ({} dropped), \
          digest {:#018x}\n\n",
-        workload,
-        tool.name(),
+        opts.workload,
+        opts.tool.name(),
         kernel,
-        runs.len(),
-        threads,
-        events,
-        dropped,
-        digest
+        data.runs.len(),
+        opts.threads,
+        data.events,
+        data.dropped,
+        data.digest()
     ));
 
     let mut t = TextTable::new(
@@ -318,7 +177,7 @@ pub fn render_report(
             .map(String::from)
             .to_vec(),
     );
-    for r in runs {
+    for r in &data.runs {
         t.row(vec![
             r.cell.to_string(),
             r.steps.to_string(),
@@ -337,7 +196,7 @@ pub fn render_report(
         .map(String::from)
         .to_vec(),
     );
-    for (site, mix) in hotspots_of(hists, 10) {
+    for (site, mix) in data.hotspots(10) {
         t.row(vec![
             site_label(site),
             mix.total().to_string(),
@@ -353,37 +212,6 @@ pub fn render_report(
     }
     out.push_str(&t.render());
     out
-}
-
-/// [`TraceStudy::chrome_trace`] over bare parts (the `--telemetry` writer and
-/// the campaign presentation path share this).
-pub fn chrome_with(schedule: &BatchTrace, process: &str, hists: &Histograms) -> String {
-    let mut t = ChromeTrace::new();
-    schedule.render_chrome(&mut t, 1, process);
-    let end = schedule
-        .batches
-        .iter()
-        .map(|b| b.start_us + b.dur_us)
-        .fold(0.0, f64::max);
-    let mut mix = PathMix::default();
-    for m in hists.sites.values() {
-        mix.merge(m);
-    }
-    let series: Vec<(&str, String)> = [
-        ("fast", mix.fast),
-        ("slow", mix.slow),
-        ("cache_hit", mix.cache_hits),
-        ("cache_update", mix.cache_updates),
-        ("underflow", mix.underflow),
-        ("arith", mix.arith),
-        ("skipped", mix.skipped),
-    ]
-    .into_iter()
-    .map(|(k, v)| (k, v.to_string()))
-    .collect();
-    let series_refs: Vec<(&str, &str)> = series.iter().map(|(k, v)| (*k, v.as_str())).collect();
-    t.counter(1, "check paths", end, &series_refs);
-    t.finish()
 }
 
 /// The request → admission → scheduler → job → shard spine every trace
@@ -410,15 +238,15 @@ fn span_spine(seed: u64, workload: &str, tool: Tool, cells: usize) -> (SpanSet, 
     (set, shard)
 }
 
-/// Rebuilds the span chain from campaign shard payloads: the spine from
-/// `span_spine`, one cell span per record, Pass leaves parsed back out of
-/// each record's rendered JSONL slice, and Check leaves recomputed from the
-/// record's sampling histograms (`slow + cache_update + underflow` is
-/// exactly the set [`CheckPathKind::is_slow_path`] charges, so the labels
-/// match [`SpanSet::hotspots`] byte for byte).
+/// Rebuilds the span chain from the records: the spine from `span_spine`,
+/// one cell span per record, Pass leaves parsed back out of each record's
+/// rendered JSONL slice, and Check leaves recomputed from the record's
+/// sampling histograms (`slow + cache_update + underflow` is exactly the
+/// set [`CheckPathKind::is_slow_path`] charges, so the labels match
+/// [`SpanSet::hotspots`] over the cell's events byte for byte).
 ///
 /// [`CheckPathKind::is_slow_path`]: giantsan_telemetry::CheckPathKind::is_slow_path
-pub fn trace_spans(seed: u64, workload: &str, tool: Tool, records: &[Record]) -> SpanSet {
+fn trace_spans(seed: u64, workload: &str, tool: Tool, records: &[Record]) -> SpanSet {
     let (mut set, shard) = span_spine(seed, workload, tool, records.len());
     for (index, r) in records.iter().enumerate() {
         let cell_span = set.child(shard, SpanKind::Cell, index as u64, r.label.clone());
@@ -527,7 +355,7 @@ fn mix_from(values: &[u64]) -> PathMix {
 
 /// Encodes a full [`Histograms`] set (the four log2 histograms plus the
 /// per-site path mixes).
-pub fn hists_json(h: &Histograms) -> Json {
+fn hists_json(h: &Histograms) -> Json {
     let sites: Vec<Json> = h
         .sites
         .iter()
@@ -546,7 +374,7 @@ pub fn hists_json(h: &Histograms) -> Json {
 }
 
 /// Inverse of [`hists_json`].
-pub fn hists_from(j: &Json) -> Histograms {
+fn hists_from(j: &Json) -> Histograms {
     let mut h = Histograms {
         region_sizes: log2_from(study::req(j, "region_sizes")),
         fold_depths: log2_from(study::req(j, "fold_depths")),
@@ -572,7 +400,7 @@ pub struct TraceEntry;
 
 impl TraceEntry {
     /// The deterministic plan every cell runs under (identical to the one
-    /// [`trace_study_with`] records: `analyze` and [`analyze_recorded`] run
+    /// the planning cell records: `analyze` and [`analyze_recorded`] run
     /// the same pipeline).
     fn plan_for(opts: &StudyOpts, program: &Program) -> CheckPlan {
         match opts.tool {
@@ -639,52 +467,14 @@ impl Study for TraceEntry {
 
     fn render(&self, opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
         let kernel = giantsan_shadow::kernel::active().name();
-        let mut jsonl = String::new();
-        let mut hists = Histograms::default();
-        let mut dropped = 0u64;
-        let mut events = 0usize;
-        let mut counters = Counters::default();
-        let mut runs = Vec::new();
-        for r in records {
-            jsonl.push_str(study::req_str(&r.payload, "jsonl"));
-            hists.merge(&hists_from(study::req(&r.payload, "hists")));
-            dropped += study::req_u64(&r.payload, "dropped");
-            events += study::req_u64(&r.payload, "events") as usize;
-            if study::req_str(&r.payload, "kind") == "run" {
-                let run_counters = Counters::from_field_values(
-                    study::req_u64s(&r.payload, "counters")
-                        .try_into()
-                        .expect("counters payload carries every field"),
-                );
-                counters += &run_counters;
-                runs.push(TraceRun {
-                    cell: study::req_u64(&r.payload, "cell") as u32,
-                    result_digest: study::req_hex(&r.payload, "result_digest"),
-                    steps: study::req_u64(&r.payload, "steps"),
-                    reports: study::req_u64(&r.payload, "reports") as usize,
-                    events: study::req_u64(&r.payload, "events") as usize,
-                    counters: run_counters,
-                });
-            }
-        }
-        let digest = text_digest(&jsonl);
+        let data = TraceData::from_records(records);
         let report = format!(
             "== End-to-end telemetry trace: {} under {} ==\n\n{}\n",
             opts.workload,
             opts.tool.name(),
-            render_report(
-                &opts.workload,
-                opts.tool,
-                kernel,
-                opts.threads,
-                &runs,
-                events,
-                dropped,
-                digest,
-                &hists,
-            )
+            render_report(opts, kernel, &data)
         );
-        let counter_fields: Vec<(&str, u64)> = counters.fields().collect();
+        let counter_fields: Vec<(&str, u64)> = data.counters.fields().collect();
         // The span seed is the campaign spec hash — the same fingerprint
         // sharding and resuming verify, and it already excludes `--threads`,
         // so the span digest is invariant across worker counts.
@@ -692,13 +482,14 @@ impl Study for TraceEntry {
             .map_err(|e| e.to_string())?
             .spec_hash();
         let spans = trace_spans(seed, &opts.workload, opts.tool, records);
+        let digest = data.digest();
         Ok(StudyOutput {
             report,
             main_artifacts: vec![
-                ("trace_events.jsonl".to_string(), jsonl),
+                ("trace_events.jsonl".to_string(), data.jsonl),
                 (
                     "trace_metrics.prom".to_string(),
-                    prometheus(kernel, &counter_fields, &hists, dropped),
+                    prometheus(kernel, &counter_fields, &data.hists, data.dropped),
                 ),
                 ("trace_digest.txt".to_string(), format!("{digest:#018x}\n")),
                 ("trace_spans.jsonl".to_string(), spans.to_jsonl()),
@@ -709,200 +500,232 @@ impl Study for TraceEntry {
             ],
             artifacts: vec![(
                 "trace_counters.csv".to_string(),
-                crate::csv::trace_counters_csv_runs(&runs),
+                crate::csv::trace_counters_csv(&data.runs),
             )],
             ..StudyOutput::default()
         })
     }
 
-    /// The Chrome trace needs the live scheduling spans — presentation
-    /// plane, never checkpointed.
+    /// The Chrome trace: the batch engine's live scheduling spans plus a
+    /// final counter sample carrying the data-plane path totals —
+    /// presentation plane, never checkpointed.
     fn presentation(
         &self,
         opts: &StudyOpts,
         records: &[Record],
         schedule: &BatchTrace,
     ) -> Vec<(String, String)> {
-        let mut hists = Histograms::default();
-        for r in records {
-            hists.merge(&hists_from(study::req(&r.payload, "hists")));
-        }
         let process = format!(
             "repro trace: {} under {} [kernel={}]",
             opts.workload,
             opts.tool.name(),
             giantsan_shadow::kernel::active().name()
         );
-        vec![(
-            "trace_chrome.json".to_string(),
-            chrome_with(schedule, &process, &hists),
-        )]
+        let mut t = ChromeTrace::new();
+        schedule.render_chrome(&mut t, 1, &process);
+        let end = schedule
+            .batches
+            .iter()
+            .map(|b| b.start_us + b.dur_us)
+            .fold(0.0, f64::max);
+        let mut mix = PathMix::default();
+        for m in TraceData::from_records(records).hists.sites.values() {
+            mix.merge(m);
+        }
+        let series: Vec<(&str, String)> = [
+            ("fast", mix.fast),
+            ("slow", mix.slow),
+            ("cache_hit", mix.cache_hits),
+            ("cache_update", mix.cache_updates),
+            ("underflow", mix.underflow),
+            ("arith", mix.arith),
+            ("skipped", mix.skipped),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k, v.to_string()))
+        .collect();
+        let series_refs: Vec<(&str, &str)> = series.iter().map(|(k, v)| (*k, v.as_str())).collect();
+        t.counter(1, "check paths", end, &series_refs);
+        vec![("trace_chrome.json".to_string(), t.finish())]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use giantsan_telemetry::{EventKind, PRE_CHECK_SITE};
+    use crate::batch::{BatchRunner, TraceSink};
+    use crate::campaign::Campaign;
+    use giantsan_telemetry::{Event, PRE_CHECK_SITE};
+
+    fn opts(workload: &str, tool: Tool) -> StudyOpts {
+        StudyOpts {
+            workload: workload.to_string(),
+            tool,
+            scale: 1,
+            ..StudyOpts::default()
+        }
+    }
+
+    /// One file of a rendered study, by name.
+    fn artifact<'a>(out: &'a StudyOutput, name: &str) -> &'a str {
+        out.main_artifacts
+            .iter()
+            .chain(&out.artifacts)
+            .find(|(n, _)| n == name)
+            .map(|(_, c)| c.as_str())
+            .unwrap_or_else(|| panic!("{name} not rendered"))
+    }
 
     #[test]
     fn figure8_trace_covers_every_layer() {
-        let s = trace_study("figure8", Tool::GiantSan, 1).unwrap();
-        assert_eq!(s.runs.len(), DEFAULT_CELLS as usize);
+        let data = TraceData::from_records(&study::run_all(
+            &TraceEntry,
+            opts("figure8", Tool::GiantSan),
+        ));
+        assert_eq!(data.runs.len(), DEFAULT_CELLS as usize);
         // Planner events (cell 0) are present alongside run events.
-        assert!(s
-            .events
+        let lines: Vec<&str> = data.jsonl.lines().collect();
+        assert_eq!(lines.len(), data.events);
+        assert!(lines
             .iter()
-            .any(|e| e.cell == 0 && matches!(e.kind, EventKind::Pass { .. })));
-        assert!(s
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Run { .. })));
-        assert!(s
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Alloc { .. })));
+            .any(|l| l.starts_with("{\"cell\":0,") && l.contains("\"ev\":\"pass\"")));
+        assert!(lines.iter().any(|l| l.contains("\"ev\":\"run\"")));
+        assert!(lines.iter().any(|l| l.contains("\"ev\":\"alloc\"")));
         // All three figure8 sites were observed.
         for site in [0u32, 1, 2] {
-            assert!(s.hists.site(site).is_some(), "site {site} missing");
+            assert!(data.hists.site(site).is_some(), "site {site} missing");
         }
-        assert_eq!(s.dropped, 0);
+        assert_eq!(data.dropped, 0);
     }
 
     #[test]
     fn figure8_hotspots_single_out_the_slow_path_sites() {
-        let s = trace_study("figure8", Tool::GiantSan, 1).unwrap();
+        let o = opts("figure8", Tool::GiantSan);
+        let records = study::run_all(&TraceEntry, o.clone());
+        let data = TraceData::from_records(&records);
         // The data-dependent y[j] store (site 1) refreshes its history
         // cache once per cell, then hits it for the rest of the loop.
-        let site1 = s.hists.site(1).expect("site 1 traced");
+        let site1 = data.hists.site(1).expect("site 1 traced");
         assert_eq!(site1.cache_updates, DEFAULT_CELLS as u64, "{site1:?}");
         assert!(site1.cache_hits > site1.cache_updates, "{site1:?}");
         // The hoisted pre-header region check runs once per cell and is the
         // only metadata work left for x[i]; site 0 itself is eliminated.
-        let pre = s.hists.site(PRE_CHECK_SITE).expect("pre-header traced");
+        let pre = data.hists.site(PRE_CHECK_SITE).expect("pre-header traced");
         assert_eq!(pre.total(), DEFAULT_CELLS as u64, "{pre:?}");
         assert_eq!(pre.fast + pre.slow, pre.total(), "{pre:?}");
-        let site0 = s.hists.site(0).expect("site 0 traced");
+        let site0 = data.hists.site(0).expect("site 0 traced");
         assert_eq!(site0.total(), site0.skipped, "{site0:?}");
         // Ranking: the once-per-cell region checks (memset guardian,
         // pre-header) carry the highest slow-path share, the cached y[j]
         // store follows, and the eliminated x[i] load ranks below them all.
-        let hot: Vec<u32> = s.hotspots(10).into_iter().map(|(site, _)| site).collect();
+        let hot: Vec<u32> = data
+            .hotspots(10)
+            .into_iter()
+            .map(|(site, _)| site)
+            .collect();
         let pos = |s: u32| hot.iter().position(|&x| x == s);
         assert!(pos(2) < pos(1), "{hot:?}");
         assert!(pos(PRE_CHECK_SITE) < pos(1), "{hot:?}");
         assert!(pos(1) < pos(0), "{hot:?}");
-        let rendered = s.render();
+        let rendered = TraceEntry.render(&o, &records).unwrap().report;
         assert!(rendered.contains("pre-header"), "{rendered}");
         assert!(rendered.contains("hot spots"));
     }
 
     #[test]
-    fn data_plane_is_thread_invariant() {
-        let serial =
-            trace_study_with(&BatchRunner::serial(), "figure8", Tool::GiantSan, 1).unwrap();
-        let parallel =
-            trace_study_with(&BatchRunner::new(4), "figure8", Tool::GiantSan, 1).unwrap();
-        assert_eq!(serial.events, parallel.events);
-        assert_eq!(serial.digest(), parallel.digest());
-        assert_eq!(serial.hists, parallel.hists);
-        assert_eq!(serial.counters, parallel.counters);
-        assert_eq!(serial.runs, parallel.runs);
-    }
-
-    #[test]
     fn exporters_render_all_three_formats() {
-        let s = trace_study("figure8", Tool::GiantSan, 1).unwrap();
-        let jsonl = s.events_jsonl();
+        let o = opts("figure8", Tool::GiantSan);
+        let sink = TraceSink::new();
+        let runner = BatchRunner::new(2).with_sink(std::sync::Arc::clone(&sink));
+        let records = Campaign::new(&TraceEntry, o.clone())
+            .unwrap()
+            .run_all(&runner);
+        let out = TraceEntry.render(&o, &records).unwrap();
+        let kernel = giantsan_shadow::kernel::active().name();
+
+        let jsonl = artifact(&out, "trace_events.jsonl");
         assert!(jsonl.lines().count() > 10);
         assert!(jsonl.starts_with("{\"cell\":0,\"seq\":0,"));
-        let chrome = s.chrome_trace();
+        let digest = artifact(&out, "trace_digest.txt");
+        assert_eq!(digest, format!("{:#018x}\n", text_digest(jsonl)));
+        let prom = artifact(&out, "trace_metrics.prom");
+        assert!(prom.contains(&format!("giantsan_kernel_info{{kernel=\"{kernel}\"}} 1")));
+        assert!(prom.contains("giantsan_shadow_loads_total"));
+        assert!(prom.contains("giantsan_site_checks_total"));
+
+        let presentation = TraceEntry.presentation(&o, &records, &sink.take());
+        let chrome = &presentation[0].1;
+        assert_eq!(presentation[0].0, "trace_chrome.json");
         assert!(chrome.starts_with("{\"traceEvents\":["));
         assert!(chrome.contains("\"ph\":\"X\""));
         assert!(chrome.contains("check paths"));
-        let prom = s.prometheus();
-        assert!(prom.contains(&format!(
-            "giantsan_kernel_info{{kernel=\"{}\"}} 1",
-            s.kernel
-        )));
-        assert!(prom.contains("giantsan_shadow_loads_total"));
-        assert!(prom.contains("giantsan_site_checks_total"));
-        assert!(chrome.contains(&format!("[kernel={}]", s.kernel)));
-        assert!(s.digest_artifact().starts_with("0x"));
+        assert!(chrome.contains(&format!("[kernel={kernel}]")));
+    }
+
+    /// One cell's event stream, recorded directly (the oracle the
+    /// payload-derived span chain must reproduce).
+    fn cell_events(o: &StudyOpts, cell: u32) -> Vec<Event> {
+        let (program, base_inputs) = workload_program(&o.workload, o.scale).unwrap();
+        let spec = o.tool.builder().spec();
+        let mut rec = TraceRecorder::for_cell(cell);
+        if cell == 0 {
+            analyze_recorded(&program, &spec.profile(), &mut rec);
+        } else {
+            let plan = TraceEntry::plan_for(o, &program);
+            let inputs = cell_inputs(&o.workload, o.scale, cell, &base_inputs);
+            spec.run_planned_recorded(&program, &plan, &inputs, &mut rec);
+        }
+        rec.finish().0
     }
 
     #[test]
-    fn span_artifacts_are_thread_invariant_and_match_the_study_path() {
-        use crate::campaign::Campaign;
-        let opts = StudyOpts {
-            workload: "figure8".to_string(),
-            tool: Tool::GiantSan,
-            scale: 1,
-            ..StudyOpts::default()
-        };
-        let campaign = Campaign::new(&TraceEntry, opts.clone()).unwrap();
+    fn span_artifact_matches_the_event_stream_and_is_causally_complete() {
+        let o = opts("figure8", Tool::GiantSan);
+        let campaign = Campaign::new(&TraceEntry, o.clone()).unwrap();
         let seed = campaign.spec_hash();
-        let serial = campaign.run_all(&BatchRunner::serial());
-        let two = Campaign::new(&TraceEntry, opts.clone())
-            .unwrap()
-            .run_all(&BatchRunner::new(2));
-        let parallel = Campaign::new(&TraceEntry, opts.clone())
-            .unwrap()
-            .run_all(&BatchRunner::new(4));
+        let records = campaign.run_all(&BatchRunner::serial());
+        let out = TraceEntry.render(&o, &records).unwrap();
+        let jsonl = artifact(&out, "trace_spans.jsonl");
+        let digest = artifact(&out, "trace_span_digest.txt");
+        assert!(digest.starts_with("0x") && digest.ends_with('\n'));
 
-        let artifact = |records: &[Record]| {
-            let out = TraceEntry.render(&opts, records).unwrap();
-            let jsonl = out
-                .main_artifacts
-                .iter()
-                .find(|(n, _)| n == "trace_spans.jsonl")
-                .map(|(_, c)| c.clone())
-                .expect("span artifact rendered");
-            let digest = out
-                .main_artifacts
-                .iter()
-                .find(|(n, _)| n == "trace_span_digest.txt")
-                .map(|(_, c)| c.clone())
-                .expect("span digest rendered");
-            (jsonl, digest)
-        };
-        let (jsonl_s, digest_s) = artifact(&serial);
-        let (jsonl_2, digest_2) = artifact(&two);
-        let (jsonl_p, digest_p) = artifact(&parallel);
-        assert_eq!(jsonl_s, jsonl_2, "span set is invariant at 2 workers");
-        assert_eq!(jsonl_s, jsonl_p, "span set is invariant at 4 workers");
-        assert_eq!(digest_s, digest_2);
-        assert_eq!(digest_s, digest_p);
-
-        // The payload-reconstructed chain equals the event-stream one.
-        let study = trace_study("figure8", Tool::GiantSan, 1).unwrap();
-        assert_eq!(study.span_set(seed).to_jsonl(), jsonl_s);
+        // The payload-reconstructed chain equals the one derived from the
+        // recorded event streams by `SpanSet::hotspots`.
+        let (mut from_events, shard) =
+            span_spine(seed, &o.workload, o.tool, DEFAULT_CELLS as usize + 1);
+        for (cell, r) in records.iter().enumerate() {
+            let cell_span = from_events.child(shard, SpanKind::Cell, cell as u64, r.label.clone());
+            from_events.hotspots(cell_span, &cell_events(&o, cell as u32));
+        }
+        assert_eq!(from_events.to_jsonl(), jsonl);
+        assert_eq!(format!("{:#018x}\n", from_events.digest()), digest);
 
         // The chain is causally complete: every span resolves to the
         // request root, and pass + slow-path leaves made it in.
-        let spans = trace_spans(seed, &opts.workload, opts.tool, &serial);
-        let root = spans.spans()[0].id;
-        assert_eq!(spans.find(root).unwrap().kind, SpanKind::Request);
-        for s in spans.spans() {
-            assert_eq!(*spans.ancestry(s.id).last().unwrap(), root, "{s:?}");
+        let root = from_events.spans()[0].id;
+        assert_eq!(from_events.find(root).unwrap().kind, SpanKind::Request);
+        for s in from_events.spans() {
+            assert_eq!(*from_events.ancestry(s.id).last().unwrap(), root, "{s:?}");
         }
-        assert!(spans.spans().iter().any(|s| s.kind == SpanKind::Pass));
-        assert!(spans.spans().iter().any(|s| s.kind == SpanKind::Check));
-        assert!(digest_s.starts_with("0x") && digest_s.ends_with('\n'));
+        assert!(from_events.spans().iter().any(|s| s.kind == SpanKind::Pass));
+        assert!(from_events
+            .spans()
+            .iter()
+            .any(|s| s.kind == SpanKind::Check));
     }
 
     #[test]
     fn spec_workloads_and_native_trace_too() {
-        let s = trace_study("519.lbm_r", Tool::Asan, 1).unwrap();
-        assert!(!s.events.is_empty());
-        let native = trace_study("figure8", Tool::Native, 1).unwrap();
+        let lbm =
+            TraceData::from_records(&study::run_all(&TraceEntry, opts("519.lbm_r", Tool::Asan)));
+        assert!(!lbm.jsonl.is_empty());
+        let native =
+            TraceData::from_records(&study::run_all(&TraceEntry, opts("figure8", Tool::Native)));
         // No planner events for Native (no pipeline runs), but run events
         // still flow; every check is planner-skipped.
-        assert!(native
-            .events
-            .iter()
-            .all(|e| !matches!(e.kind, EventKind::Pass { .. })));
+        assert!(!native.jsonl.contains("\"ev\":\"pass\""));
+        assert!(native.jsonl.contains("\"ev\":\"run\""));
         assert!(native.hists.sites.values().all(|m| m.total() == m.skipped));
-        assert!(trace_study("nope", Tool::GiantSan, 1).is_err());
+        assert!(Campaign::new(&TraceEntry, opts("nope", Tool::GiantSan)).is_err());
     }
 }

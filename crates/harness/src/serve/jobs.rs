@@ -29,7 +29,7 @@ pub const MAX_SHARDS: usize = 256;
 pub struct JobSpec {
     /// Registry name of the study to run.
     pub study: String,
-    /// The bound options (threads/wall come from the server, not clients).
+    /// The bound options (threads come from the server, not clients).
     pub opts: StudyOpts,
     /// How many checkpoint shards to split the matrix into.
     pub shards: usize,

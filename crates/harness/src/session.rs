@@ -22,8 +22,6 @@
 //! [`giantsan_ir::run`] at a concrete sanitizer type and the per-access
 //! check calls inline (PR 1's dispatch optimisation, preserved).
 
-use std::time::Instant;
-
 use giantsan_analysis::{analyze, ToolProfile};
 use giantsan_baselines::{Asan, AsanMinusMinus, Lfp};
 use giantsan_core::{GiantSan, GiantSanOptions};
@@ -247,11 +245,11 @@ impl SessionSpec {
             match faults {
                 Some(fp) => {
                     let mut san = FaultySanitizer::new(san, fp);
-                    timed_run(&mut san, program, plan, inputs, exec, rec)
+                    run_counted(&mut san, program, plan, inputs, exec, rec)
                 }
                 None => {
                     let mut san = san;
-                    timed_run(&mut san, program, plan, inputs, exec, rec)
+                    run_counted(&mut san, program, plan, inputs, exec, rec)
                 }
             }
         }
@@ -296,7 +294,7 @@ impl SessionSpec {
     }
 }
 
-fn timed_run<S: Sanitizer, R: Recorder>(
+fn run_counted<S: Sanitizer, R: Recorder>(
     san: &mut S,
     program: &Program,
     plan: &CheckPlan,
@@ -304,13 +302,10 @@ fn timed_run<S: Sanitizer, R: Recorder>(
     exec: &ExecConfig,
     rec: &mut R,
 ) -> RunOutcome {
-    let start = Instant::now();
     let result: ExecResult = run_with(program, inputs, san, plan, exec, rec);
-    let wall = start.elapsed();
     RunOutcome {
         result,
         counters: *san.counters(),
-        wall,
     }
 }
 

@@ -24,10 +24,10 @@ use crate::tool::Tool;
 
 /// The shared experiment parameters every `repro` subcommand accepts.
 ///
-/// Scheduling knobs (`threads`) and presentation knobs (`wall`) deliberately
-/// do **not** enter [`StudyOpts::params`]: two campaigns that differ only in
-/// those produce identical cell payloads, so they share a spec hash and can
-/// resume each other's checkpoints.
+/// The scheduling knob (`threads`) deliberately does **not** enter
+/// [`StudyOpts::params`]: two campaigns that differ only in it produce
+/// identical cell payloads, so they share a spec hash and can resume each
+/// other's checkpoints.
 #[derive(Debug, Clone)]
 pub struct StudyOpts {
     /// Workload scale factor (`--scale`).
@@ -44,9 +44,6 @@ pub struct StudyOpts {
     pub tool: Tool,
     /// Worker-pool size (`--threads`); excluded from the spec hash.
     pub threads: usize,
-    /// Render the wall-clock variant too (`--wall`); excluded from the spec
-    /// hash.
-    pub wall: bool,
 }
 
 impl Default for StudyOpts {
@@ -59,7 +56,6 @@ impl Default for StudyOpts {
             workload: "figure8".to_string(),
             tool: Tool::GiantSan,
             threads: BatchRunner::available_parallelism(),
-            wall: false,
         }
     }
 }
@@ -136,11 +132,14 @@ pub struct StudyOutput {
 
 /// An experiment: a named, shardable cell matrix plus a renderer.
 ///
+/// A study is the only computation behind its table or figure: the CLI,
+/// campaigns, the service and the tests all run it through
+/// [`Study::run_range`] and [`Study::render`].
+///
 /// Implementations must keep [`Study::run_cell`] a pure function of
-/// `(opts, index)` over the *modelled* fields of its payload — wall-clock
-/// values may vary run to run, but everything a study digests or exports as
-/// CSV (for the thread-invariance CI jobs) must be deterministic, so any
-/// partition of the cell range merges back into the monolithic result.
+/// `(opts, index)`: its whole payload is deterministic (no wall-clock
+/// fields), so any partition of the cell range and any worker count merge
+/// back into the monolithic records, byte for byte.
 pub trait Study: Send + Sync {
     /// The study's registry/CLI name.
     fn name(&self) -> &'static str;
@@ -358,6 +357,15 @@ pub fn req_bools(payload: &Json, key: &str) -> Vec<bool> {
         .collect()
 }
 
+/// Runs every cell of `study` at `opts` on the default runner: the
+/// monolithic path `repro <study>` takes. Unit tests read records here.
+#[cfg(test)]
+pub(crate) fn run_all(study: &dyn Study, opts: StudyOpts) -> Vec<Record> {
+    crate::campaign::Campaign::new(study, opts)
+        .expect("valid study opts")
+        .run_all(&BatchRunner::default())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,9 +387,8 @@ mod tests {
             .map(|(k, v)| (k.to_string(), v))
             .collect();
         let back = StudyOpts::from_params(&pairs).unwrap();
-        // threads/wall are not part of params: normalise before comparing.
+        // threads is not part of params: normalise before comparing.
         opts.threads = back.threads;
-        opts.wall = back.wall;
         assert_eq!(format!("{opts:?}"), format!("{back:?}"));
         assert!(StudyOpts::from_params(&[("nope".into(), "1".into())]).is_err());
     }

@@ -7,8 +7,6 @@
 //! free functions here ([`run_planned`], [`run_tool`]) are the historical
 //! entry points, kept as thin wrappers over the spec API.
 
-use std::time::Duration;
-
 use giantsan_analysis::ToolProfile;
 use giantsan_ir::{CheckPlan, ExecResult, Program};
 use giantsan_runtime::{Counters, RuntimeConfig, Sanitizer};
@@ -97,8 +95,6 @@ pub struct RunOutcome {
     pub result: ExecResult,
     /// Sanitizer counters (shadow loads, check paths, poisoning).
     pub counters: Counters,
-    /// Wall-clock time of the run.
-    pub wall: Duration,
 }
 
 impl RunOutcome {

@@ -43,6 +43,8 @@ fn usage_errors_exit_two() {
     assert_eq!(code(&repro(&["not-a-study"])), 2);
     // A known study with a malformed flag.
     assert_eq!(code(&repro(&["echo", "--scale"])), 2);
+    // `--wall` is not a flag: wallbench measures wall-clock time.
+    assert_eq!(code(&repro(&["table2", "--wall"])), 2);
     // --shard without --out-dir is an invalid combination.
     assert_eq!(code(&repro(&["echo", "--shard", "0/2"])), 2);
     // merge without a directory operand.

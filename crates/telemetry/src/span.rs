@@ -18,7 +18,7 @@
 //! ```
 //!
 //! The root of a chain is seeded with the campaign spec hash (which already
-//! excludes `--threads` and `--wall`), so span ids are stable across
+//! excludes `--threads`), so span ids are stable across
 //! resumes, restarts, and worker counts. Leaf spans below the cell level
 //! are synthesized from the [`Recorder`](crate::Recorder) event stream via
 //! [`SpanSet::hotspots`]: under the [`NoopRecorder`](crate::NoopRecorder)

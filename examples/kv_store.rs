@@ -92,8 +92,8 @@ fn main() {
 
     println!("\nexecution (4000 ops over a 512-slot table):");
     println!(
-        "{:<10} {:>13} {:>11} {:>9} {:>9} {:>10}",
-        "tool", "shadow loads", "cache hits", "fast", "slow", "wall (us)"
+        "{:<10} {:>13} {:>11} {:>9} {:>9}",
+        "tool", "shadow loads", "cache hits", "fast", "slow"
     );
     for tool in [
         Tool::Native,
@@ -111,13 +111,12 @@ fn main() {
         );
         let c = &out.counters;
         println!(
-            "{:<10} {:>13} {:>11} {:>9} {:>9} {:>10.0}",
+            "{:<10} {:>13} {:>11} {:>9} {:>9}",
             tool.name(),
             c.shadow_loads,
             c.cache_hits,
             c.fast_checks,
-            c.slow_checks,
-            out.wall.as_secs_f64() * 1e6
+            c.slow_checks
         );
     }
     println!(

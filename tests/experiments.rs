@@ -1,13 +1,28 @@
 //! Smoke tests over the experiment reproducers: each table/figure builds and
-//! exhibits the paper's qualitative claims at reduced scale.
+//! exhibits the paper's qualitative claims at reduced scale. Records come
+//! from the same `Campaign` path `repro <study>` runs.
 
 use giantsan::harness::experiments::{fig10, fig11, table2, table3, table4, table5};
-use giantsan::harness::Tool;
+use giantsan::harness::{BatchRunner, Campaign, Record, Study, StudyOpts, Tool};
 use giantsan::workloads::Pattern;
+
+/// Every record of `study` at `opts`, run monolithically.
+fn records(study: &dyn Study, opts: StudyOpts) -> Vec<Record> {
+    Campaign::new(study, opts)
+        .unwrap()
+        .run_all(&BatchRunner::default())
+}
+
+fn opts() -> StudyOpts {
+    StudyOpts {
+        scale: 1,
+        ..StudyOpts::default()
+    }
+}
 
 #[test]
 fn table2_reproduces_the_headline_ordering() {
-    let t = table2::table2(1);
+    let t = table2::Table2::from_records(&records(&table2::Table2Entry, opts()));
     let col = |tool: Tool| {
         table2::COLUMNS
             .iter()
@@ -41,7 +56,7 @@ fn table2_reproduces_the_headline_ordering() {
 
 #[test]
 fn fig10_majority_of_checks_optimised() {
-    let f = fig10::fig10(1);
+    let f = fig10::Fig10::from_records(&records(&fig10::Fig10Entry, opts()));
     assert!(f.mean_optimised > 0.35 && f.mean_optimised < 0.95);
     // mcf/namd/lbm class kernels: roughly 80%+ optimised (paper §5.2 says
     // "more than 80% of the checks ... are eliminated or cached" there).
@@ -57,7 +72,12 @@ fn fig10_majority_of_checks_optimised() {
 
 #[test]
 fn table3_rows_match_paper_at_full_family_shape() {
-    let t = table3::table3(25);
+    let div = 25;
+    let t = table3::Table3::from_records(
+        div,
+        &records(&table3::Table3Entry, StudyOpts { div, ..opts() }),
+    )
+    .unwrap();
     let lfp = 3usize;
     for r in &t.rows {
         // Location-based tools tie on every row.
@@ -76,7 +96,7 @@ fn table3_rows_match_paper_at_full_family_shape() {
 
 #[test]
 fn table4_exact_match() {
-    let t = table4::table4();
+    let t = table4::Table4::from_records(&records(&table4::Table4Entry, opts()));
     assert!(t.missed_by(Tool::GiantSan).is_empty());
     assert!(t.missed_by(Tool::Asan).is_empty());
     assert_eq!(
@@ -87,7 +107,12 @@ fn table4_exact_match() {
 
 #[test]
 fn table5_php_gaps() {
-    let t = table5::table5(25);
+    let div = 25;
+    let t = table5::Table5::from_records(
+        div,
+        &records(&table5::Table5Entry, StudyOpts { div, ..opts() }),
+    )
+    .unwrap();
     let php = t.rows.iter().find(|r| r.project == "php").unwrap();
     // Columns: ASan--16, ASan--512, ASan16, ASan512, GiantSan16.
     assert!(php.detected[2] < php.detected[3]);
@@ -100,7 +125,13 @@ fn table5_php_gaps() {
 
 #[test]
 fn fig11_signs() {
-    let f = fig11::fig11(1);
+    let f = fig11::Fig11::from_records(&records(
+        &fig11::Fig11Entry,
+        StudyOpts {
+            rounds: 1,
+            ..opts()
+        },
+    ));
     assert!(f.speedup_vs_asan(Pattern::Forward) > 1.0);
     assert!(f.speedup_vs_asan(Pattern::Random) > 1.0);
     assert!(f.speedup_vs_asan(Pattern::Reverse) < 1.0);

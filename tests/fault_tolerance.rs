@@ -5,13 +5,23 @@
 
 use proptest::prelude::*;
 
-use giantsan::harness::experiments::fault_study::{
-    fault_matrix, fault_study_with, FaultStudy, Verdict,
-};
-use giantsan::harness::{BatchRunner, FaultKind, FaultPlan, Tool};
+use giantsan::harness::experiments::fault_study::{fault_matrix, FaultStudy, FaultsEntry, Verdict};
+use giantsan::harness::{BatchRunner, Campaign, FaultKind, FaultPlan, StudyOpts, Tool};
 use giantsan::ir::Termination;
 use giantsan::runtime::{RecoveryPolicy, RuntimeConfig};
 use giantsan::workloads::fuzz::InjectedBug;
+
+/// The `repro faults` campaign at `seed` on `threads` workers.
+fn fault_study(threads: usize, seed: u64) -> FaultStudy {
+    let opts = StudyOpts {
+        seed,
+        ..StudyOpts::default()
+    };
+    let records = Campaign::new(&FaultsEntry, opts)
+        .unwrap()
+        .run_all(&BatchRunner::new(threads));
+    FaultStudy::from_records(seed, &records).unwrap()
+}
 
 fn recover_config() -> RuntimeConfig {
     RuntimeConfig::small()
@@ -27,7 +37,7 @@ fn recover_config() -> RuntimeConfig {
 fn fault_campaign_digest_is_thread_invariant() {
     let studies: Vec<FaultStudy> = [1usize, 2, 8]
         .iter()
-        .map(|&t| fault_study_with(&BatchRunner::new(t), 0x9aa2_c0de, 1))
+        .map(|&t| fault_study(t, 0x9aa2_c0de))
         .collect();
     for s in &studies {
         assert_eq!(s.harness_panics, 0, "no cell may panic the harness");
@@ -142,7 +152,7 @@ proptest! {
 #[test]
 fn verdicts_partition_the_matrix() {
     for campaign_seed in [0u64, 3, 11] {
-        let s = fault_study_with(&BatchRunner::new(4), campaign_seed, 1);
+        let s = fault_study(4, campaign_seed);
         assert_eq!(s.harness_panics, 0);
         for o in &s.outcomes {
             if o.label.contains("fuzz-safe") {

@@ -9,9 +9,8 @@
 //! The same document must come out of every run under a full
 //! `TraceRecorder` (tracing never perturbs execution) and under every shadow
 //! kernel backend (the backends are interchangeable). The traced path is
-//! pinned too: the Figure-8 GiantSan trace study (the data plane
-//! `repro trace --workload figure8 --tool giantsan` digests) must reproduce
-//! `tests/golden/trace_digest.txt`.
+//! pinned too: the `trace_digest.txt` that `repro trace --workload figure8
+//! --tool giantsan` writes must reproduce `tests/golden/trace_digest.txt`.
 //!
 //! To regenerate after an *intentional* behaviour change (requires
 //! justification in review): `GOLDEN_REGEN=1 cargo test --test golden_runs`.
@@ -22,8 +21,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
-use giantsan::harness::experiments::trace::trace_study;
-use giantsan::harness::{RunOutcome, SessionSpec, Tool};
+use giantsan::harness::experiments::trace::TraceEntry;
+use giantsan::harness::{BatchRunner, Campaign, RunOutcome, SessionSpec, Study, StudyOpts, Tool};
 use giantsan::ir::{CheckPlan, Program};
 use giantsan::runtime::{RecoveryPolicy, RuntimeConfig};
 use giantsan::shadow::kernel::{self, Backend};
@@ -145,11 +144,24 @@ fn runs_match_golden_digests_under_every_kernel_backend() {
 #[test]
 fn figure8_trace_matches_golden_digest() {
     let _backend = active_backend();
-    let study = trace_study("figure8", Tool::GiantSan, 1).unwrap();
+    let opts = StudyOpts {
+        workload: "figure8".to_string(),
+        tool: Tool::GiantSan,
+        scale: 1,
+        ..StudyOpts::default()
+    };
+    let records = Campaign::new(&TraceEntry, opts.clone())
+        .unwrap()
+        .run_all(&BatchRunner::default());
+    let out = TraceEntry.render(&opts, &records).unwrap();
+    let (_, got) = out
+        .main_artifacts
+        .iter()
+        .find(|(name, _)| name == "trace_digest.txt")
+        .expect("repro trace writes trace_digest.txt");
     let want = std::fs::read_to_string(golden("trace_digest.txt")).unwrap();
     assert_eq!(
-        study.digest_artifact(),
-        want,
+        *got, want,
         "traced Figure-8 GiantSan run drifted from tests/golden/trace_digest.txt"
     );
 }
