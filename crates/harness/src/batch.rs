@@ -13,13 +13,17 @@
 //! differential test `tests/determinism.rs` and the CI smoke job enforce
 //! this end-to-end on the experiment CSVs.
 //!
-//! Fault tolerance: each cell runs inside `catch_unwind`, so a panicking
-//! cell is *isolated* — it is retried up to [`BatchRunner::MAX_ATTEMPTS`]
-//! times with a bounded deterministic backoff, then quarantined as a
-//! [`CellFailure`] while every other cell completes normally.
+//! Fault tolerance: each cell runs once, inside `catch_unwind`, so a
+//! panicking cell is *isolated* — it is quarantined as a [`CellFailure`]
+//! while every other cell completes normally. Cells are pure functions of
+//! their inputs, so running a panicked cell again would only panic again.
 //! [`BatchRunner::try_map`] reports partial results plus a
 //! [`FailureSummary`]; [`BatchRunner::map`] keeps the infallible signature
 //! by panicking with the summary *after* the whole matrix has drained.
+//!
+//! Observation: an attached [`FlightRecorder`] (see
+//! [`BatchRunner::with_flight`]) is the one record of scheduling — which
+//! worker ran which cell when, and which shard each cell belonged to.
 //!
 //! # Example
 //!
@@ -32,12 +36,12 @@
 
 use std::fmt;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
-use giantsan_telemetry::export::ChromeTrace;
 use giantsan_telemetry::{span_id, FlightEventKind, FlightRecorder, SpanKind};
 
 /// Flight-recorder attachment (see [`BatchRunner::with_flight`]): the shared
@@ -58,168 +62,15 @@ impl FlightPlan {
     }
 }
 
-/// One executed cell as seen by the scheduler: where it ran, how long, and
-/// how many attempts it took.
-///
-/// Spans are **presentation-plane** records (see the telemetry crate's
-/// thread-invariance rule): they carry wall-clock and worker identity and
-/// exist only to be rendered as a Chrome trace. Nothing here is ever
-/// digested.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellSpan {
-    /// Ordinal of the batch (`map`/`try_map` call) this cell belonged to.
-    pub batch: u32,
-    /// Cell index within the batch.
-    pub index: usize,
-    /// Worker that executed the cell (0 on the serial path).
-    pub worker: usize,
-    /// Attempts the cell took (1 = first try succeeded).
-    pub attempts: u32,
-    /// Microseconds since the sink's origin at which the cell was claimed.
-    pub start_us: f64,
-    /// Wall-clock duration of the cell in microseconds (all attempts).
-    pub dur_us: f64,
-}
-
-/// One whole batch (`map`/`try_map` call).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchSpan {
-    /// Batch ordinal (shared with the member [`CellSpan`]s).
-    pub batch: u32,
-    /// Number of cells in the batch.
-    pub cells: usize,
-    /// Worker-pool size used for the batch.
-    pub threads: usize,
-    /// Microseconds since the sink's origin at which the batch started.
-    pub start_us: f64,
-    /// Wall-clock duration of the whole batch in microseconds.
-    pub dur_us: f64,
-}
-
-/// Everything a [`TraceSink`] collected: batch spans plus cell spans.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchTrace {
-    /// One span per `map`/`try_map` call, in call order.
-    pub batches: Vec<BatchSpan>,
-    /// One span per executed cell (quarantined cells included).
-    pub cells: Vec<CellSpan>,
-}
-
-impl BatchTrace {
-    /// Renders the scheduling trace into `trace` as Chrome `trace_event`
-    /// slices: one process (`pid`), one named track per worker, one slice
-    /// per cell (annotated with batch, index, and attempts), and one slice
-    /// per batch on a dedicated "scheduler" track.
-    pub fn render_chrome(&self, trace: &mut ChromeTrace, pid: u32, process: &str) {
-        trace.process_name(pid, process);
-        trace.thread_name(pid, 0, "scheduler");
-        let workers: std::collections::BTreeSet<usize> =
-            self.cells.iter().map(|c| c.worker).collect();
-        for w in &workers {
-            trace.thread_name(pid, *w as u32 + 1, &format!("worker {w}"));
-        }
-        for b in &self.batches {
-            trace.complete(
-                pid,
-                0,
-                &format!("batch {}", b.batch),
-                "batch",
-                b.start_us,
-                b.dur_us,
-                &[
-                    ("cells", &b.cells.to_string()),
-                    ("threads", &b.threads.to_string()),
-                ],
-            );
-        }
-        for c in &self.cells {
-            trace.complete(
-                pid,
-                c.worker as u32 + 1,
-                &format!("cell {}", c.index),
-                "cell",
-                c.start_us,
-                c.dur_us,
-                &[
-                    ("batch", &c.batch.to_string()),
-                    ("attempts", &c.attempts.to_string()),
-                ],
-            );
-        }
-    }
-}
-
-/// Shared collector for batch-scheduling spans.
-///
-/// Attach one to a [`BatchRunner`] with [`BatchRunner::with_sink`]; every
-/// subsequent `map`/`try_map` call records per-cell and per-batch wall-clock
-/// spans into it. The sink is internally synchronised — workers append
-/// concurrently — and the collected [`BatchTrace`] is drained with
-/// [`TraceSink::take`].
-#[derive(Debug)]
-pub struct TraceSink {
-    origin: Instant,
-    next_batch: AtomicU32,
-    trace: Mutex<BatchTrace>,
-}
-
-impl TraceSink {
-    /// A fresh sink; its origin (timestamp zero) is the moment of creation.
-    pub fn new() -> Arc<Self> {
-        Arc::new(TraceSink {
-            origin: Instant::now(),
-            next_batch: AtomicU32::new(0),
-            trace: Mutex::new(BatchTrace::default()),
-        })
-    }
-
-    /// Microseconds elapsed since the sink was created.
-    fn now_us(&self) -> f64 {
-        self.origin.elapsed().as_secs_f64() * 1e6
-    }
-
-    fn claim_batch(&self) -> u32 {
-        self.next_batch.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn push_cell(&self, span: CellSpan) {
-        self.trace
-            .lock()
-            .expect("trace sink poisoned")
-            .cells
-            .push(span);
-    }
-
-    fn push_batch(&self, span: BatchSpan) {
-        self.trace
-            .lock()
-            .expect("trace sink poisoned")
-            .batches
-            .push(span);
-    }
-
-    /// Drains everything collected so far, sorted by start time.
-    pub fn take(&self) -> BatchTrace {
-        let mut t = std::mem::take(&mut *self.trace.lock().expect("trace sink poisoned"));
-        t.cells.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-        t.batches.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-        t
-    }
-}
-
-/// One cell that kept failing after every retry and was quarantined.
+/// One cell that panicked and was quarantined.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
     /// Index of the failed cell in the input matrix.
     pub index: usize,
-    /// How many times the cell was attempted before quarantine.
-    pub attempts: u32,
-    /// The panic message of the final attempt.
+    /// The panic message.
     pub message: String,
     /// `true` when the cell was cancelled by the per-cell watchdog (see
-    /// [`BatchRunner::with_cell_deadline`]) rather than crashing. Timed-out
-    /// cells are never retried: re-running a runaway cell would only burn
-    /// another full deadline.
+    /// [`BatchRunner::with_cell_deadline`]) rather than crashing.
     pub timed_out: bool,
 }
 
@@ -228,26 +79,19 @@ impl fmt::Display for CellFailure {
         if self.timed_out {
             return write!(f, "cell {} exceeded its deadline", self.index);
         }
-        write!(
-            f,
-            "cell {} failed after {} attempts: {}",
-            self.index, self.attempts, self.message
-        )
+        write!(f, "cell {} panicked: {}", self.index, self.message)
     }
 }
 
-/// Aggregate failure/retry record of one [`BatchRunner::try_map`] call.
+/// Failure record of one [`BatchRunner::try_map`] call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FailureSummary {
-    /// Permanently failed (quarantined) cells, sorted by cell index.
+    /// Quarantined cells, sorted by cell index.
     pub failures: Vec<CellFailure>,
-    /// Total retry attempts across all cells (a cell that succeeded on its
-    /// second attempt contributes 1).
-    pub retries: u64,
 }
 
 impl FailureSummary {
-    /// `true` when every cell eventually succeeded.
+    /// `true` when every cell succeeded.
     pub fn is_clean(&self) -> bool {
         self.failures.is_empty()
     }
@@ -256,23 +100,17 @@ impl FailureSummary {
     pub fn quarantined(&self) -> usize {
         self.failures.len()
     }
-
-    /// Number of quarantined cells that were watchdog timeouts.
-    pub fn timed_out(&self) -> usize {
-        self.failures.iter().filter(|f| f.timed_out).count()
-    }
 }
 
 impl fmt::Display for FailureSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_clean() {
-            return write!(f, "all cells succeeded ({} retries)", self.retries);
+            return f.write_str("all cells succeeded");
         }
         write!(
             f,
-            "{} cell(s) quarantined, {} retries; first: {}",
+            "{} cell(s) quarantined; first: {}",
             self.failures.len(),
-            self.retries,
             self.failures[0]
         )
     }
@@ -283,7 +121,7 @@ impl fmt::Display for FailureSummary {
 pub struct BatchOutcome<R> {
     /// Per-cell results in item order; `None` marks a quarantined cell.
     pub results: Vec<Option<R>>,
-    /// What failed, what was retried.
+    /// What failed.
     pub summary: FailureSummary,
 }
 
@@ -291,22 +129,21 @@ pub struct BatchOutcome<R> {
 ///
 /// The pool is scoped: threads are spawned per map call and joined before it
 /// returns, so borrowed cell data needs no `'static` lifetime. Panicking
-/// cells do **not** tear down the pool: each cell runs inside
-/// `catch_unwind`, is retried with bounded deterministic backoff, and is
-/// quarantined into a [`FailureSummary`] if it keeps failing, while the
-/// remaining cells complete and merge normally.
+/// cells do **not** tear down the pool: each cell runs once inside
+/// `catch_unwind` and a panicking one is quarantined into a
+/// [`FailureSummary`], while the remaining cells complete and merge
+/// normally.
 #[derive(Debug, Clone)]
 pub struct BatchRunner {
     threads: usize,
-    sink: Option<Arc<TraceSink>>,
     cell_deadline: Option<Duration>,
     flight: Option<FlightPlan>,
 }
 
 impl PartialEq for BatchRunner {
     /// Two runners are equal when they schedule identically (same worker
-    /// count); an attached trace sink or flight recorder observes
-    /// scheduling without changing it, so neither participates in equality.
+    /// count); an attached flight recorder observes scheduling without
+    /// changing it, so it does not participate in equality.
     fn eq(&self, other: &Self) -> bool {
         self.threads == other.threads
     }
@@ -315,14 +152,10 @@ impl PartialEq for BatchRunner {
 impl Eq for BatchRunner {}
 
 impl BatchRunner {
-    /// Attempts per cell before it is quarantined (1 initial + 2 retries).
-    pub const MAX_ATTEMPTS: u32 = 3;
-
     /// A runner with exactly `threads` workers (clamped to ≥ 1).
     pub fn new(threads: usize) -> Self {
         BatchRunner {
             threads: threads.max(1),
-            sink: None,
             cell_deadline: None,
             flight: None,
         }
@@ -332,8 +165,8 @@ impl BatchRunner {
     /// clock. A cell that overruns is cancelled at its next cooperative poll
     /// point (`giantsan_ir::watchdog::poll` — the interpreter polls every
     /// [`giantsan_ir::watchdog::POLL_INTERVAL`] steps) and quarantined as a
-    /// timed-out [`CellFailure`] **without retry**, so a runaway cell costs
-    /// one deadline, not `MAX_ATTEMPTS` of them, and never wedges the pool.
+    /// timed-out [`CellFailure`], so a runaway cell costs one deadline and
+    /// never wedges the pool.
     ///
     /// Cancellation is cooperative: a cell that never reaches a poll point
     /// (a tight loop outside the interpreter) is not interruptible. Service
@@ -345,33 +178,14 @@ impl BatchRunner {
         self
     }
 
-    /// The armed per-cell deadline, if any.
-    pub fn cell_deadline(&self) -> Option<Duration> {
-        self.cell_deadline
-    }
-
-    /// Attaches a [`TraceSink`]: every subsequent `map`/`try_map` call
-    /// records per-cell and per-batch scheduling spans into it. Tracing is
-    /// observation-only — results and their ordering are unchanged.
-    #[must_use]
-    pub fn with_sink(mut self, sink: Arc<TraceSink>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// The attached trace sink, if any.
-    pub fn sink(&self) -> Option<&Arc<TraceSink>> {
-        self.sink.as_ref()
-    }
-
-    /// Attaches a crash [`FlightRecorder`]: every subsequent `map`/`try_map`
-    /// call records cell lifecycle events (start, end, retry, timeout,
-    /// quarantine) into the bounded ring, attributed to the causal span
+    /// Attaches a [`FlightRecorder`]: every subsequent `map`/`try_map` call
+    /// records cell lifecycle events (start, end, timeout, quarantine) into
+    /// the bounded rings, attributed to the causal span
     /// `span_id(parent_span, SpanKind::Cell, index_base + i)`. `index_base`
     /// is the global index of the batch's first cell, so shard-relative
-    /// batches record campaign-global cell indices. Recording is lock-free
-    /// and allocation-free; like the trace sink it is observation-only and
-    /// never changes results.
+    /// batches record campaign-global cell indices (see
+    /// [`BatchRunner::in_shard`]). Recording is lock-free and
+    /// allocation-free; it is observation-only and never changes results.
     #[must_use]
     pub fn with_flight(
         mut self,
@@ -385,6 +199,33 @@ impl BatchRunner {
             index_base,
         });
         self
+    }
+
+    /// Runs `body` as shard `shard` of a campaign, covering the global
+    /// cells `range`. With a flight recorder attached, a `ShardStart` /
+    /// `ShardEnd` pair brackets `body` on ring 0 under the span
+    /// `span_id(parent_span, SpanKind::Shard, shard)`, and `body` gets a
+    /// runner whose cells hang under that span with global indices from
+    /// `range.start`. Without one, `body` gets this runner unchanged.
+    pub fn in_shard<R>(
+        &self,
+        shard: usize,
+        range: Range<usize>,
+        body: impl FnOnce(&BatchRunner) -> R,
+    ) -> R {
+        let Some(plan) = &self.flight else {
+            return body(self);
+        };
+        let fr = &plan.recorder;
+        let span = span_id(plan.parent_span, SpanKind::Shard, shard as u64);
+        let (shard, cells) = (shard as u64, range.len() as u64);
+        fr.record(0, FlightEventKind::ShardStart, span, shard, cells);
+        let runner =
+            self.clone()
+                .with_flight(Arc::clone(fr), span, plan.index_base + range.start as u64);
+        let out = body(&runner);
+        fr.record(0, FlightEventKind::ShardEnd, span, shard, cells);
+        out
     }
 
     /// A single-threaded runner: cells run inline, in order.
@@ -418,10 +259,9 @@ impl BatchRunner {
     ///
     /// # Panics
     ///
-    /// If any cell fails permanently (panics on every attempt), this panics
-    /// with the [`FailureSummary`] — but only after every other cell has
-    /// completed. Callers that want the partial results instead use
-    /// [`BatchRunner::try_map`].
+    /// If any cell panics, this panics with the [`FailureSummary`] — but
+    /// only after every other cell has completed. Callers that want the
+    /// partial results instead use [`BatchRunner::try_map`].
     pub fn map<T, R, F>(&self, items: &[T], job: F) -> Vec<R>
     where
         T: Sync,
@@ -440,13 +280,12 @@ impl BatchRunner {
     }
 
     /// Fault-isolated variant of [`BatchRunner::map`]: never panics because
-    /// of a failing cell. Each cell is attempted up to
-    /// [`BatchRunner::MAX_ATTEMPTS`] times; a cell that keeps panicking is
+    /// of a failing cell. Each cell runs once; a cell that panics is
     /// quarantined (its slot is `None`) and recorded in the summary, while
     /// all other cells run to completion.
     ///
     /// The summary is deterministic for a deterministic `job`: failures are
-    /// sorted by cell index and retry totals are scheduling-independent.
+    /// sorted by cell index.
     pub fn try_map<T, R, F>(&self, items: &[T], job: F) -> BatchOutcome<R>
     where
         T: Sync,
@@ -454,12 +293,9 @@ impl BatchRunner {
         F: Fn(usize, &T) -> R + Sync,
     {
         let n = items.len();
-        let sink = self.sink.as_deref();
-        let batch = sink.map(|s| (s.claim_batch(), s.now_us()));
         let deadline = self.cell_deadline;
         let flight = self.flight.as_ref();
-        let run_cell = |i: usize, worker: usize, item: &T| -> (u32, Result<R, CellFailure>) {
-            let start_us = sink.map(|s| s.now_us());
+        let run_cell = |i: usize, worker: usize, item: &T| -> Result<R, CellFailure> {
             // (recorder, cell span id, global cell index) when a flight
             // recorder is attached; the span links the ring dump back to
             // the causal chain in `spans.jsonl`.
@@ -467,81 +303,43 @@ impl BatchRunner {
                 let (span, cell) = f.cell_span(i);
                 (&*f.recorder, span, cell)
             });
-            let flight_mark = |kind: FlightEventKind, b: u64| {
+            let flight_mark = |kind: FlightEventKind| {
                 if let Some((fr, span, cell)) = black_box {
-                    fr.record(worker, kind, span, cell, b);
+                    fr.record(worker, kind, span, cell, 0);
                 }
             };
-            let mut attempts = 0u32;
-            let out = loop {
-                attempts += 1;
-                flight_mark(FlightEventKind::CellStart, attempts as u64);
-                let attempt = || {
-                    // Arm the watchdog for this attempt only; the guard
-                    // disarms on every exit path, timeout panic included.
-                    let _watch = deadline.map(giantsan_ir::watchdog::arm);
-                    job(i, item)
-                };
-                match std::panic::catch_unwind(AssertUnwindSafe(attempt)) {
-                    Ok(r) => {
-                        flight_mark(FlightEventKind::CellEnd, attempts as u64);
-                        break (attempts, Ok(r));
-                    }
-                    Err(payload) if giantsan_ir::watchdog::is_timeout_payload(payload.as_ref()) => {
-                        // A timed-out cell is quarantined immediately:
-                        // retrying a runaway cell cannot succeed, it only
-                        // stalls the worker for another full deadline.
-                        flight_mark(FlightEventKind::Timeout, attempts as u64);
-                        flight_mark(FlightEventKind::Quarantine, attempts as u64);
-                        break (
-                            attempts,
-                            Err(CellFailure {
-                                index: i,
-                                attempts,
-                                message: giantsan_ir::watchdog::TIMEOUT_PAYLOAD.to_string(),
-                                timed_out: true,
-                            }),
-                        );
-                    }
-                    Err(payload) if attempts >= Self::MAX_ATTEMPTS => {
-                        flight_mark(FlightEventKind::Quarantine, attempts as u64);
-                        break (
-                            attempts,
-                            Err(CellFailure {
-                                index: i,
-                                attempts,
-                                message: panic_message(payload.as_ref()),
-                                timed_out: false,
-                            }),
-                        );
-                    }
-                    Err(_) => {
-                        flight_mark(FlightEventKind::Retry, attempts as u64);
-                        backoff(attempts);
-                    }
-                }
+            flight_mark(FlightEventKind::CellStart);
+            let cell = || {
+                // The guard disarms the watchdog on every exit path, the
+                // timeout panic included.
+                let _watch = deadline.map(giantsan_ir::watchdog::arm);
+                job(i, item)
             };
-            if let (Some(s), Some(start_us), Some((batch, _))) = (sink, start_us, batch) {
-                s.push_cell(CellSpan {
-                    batch,
-                    index: i,
-                    worker,
-                    attempts: out.0,
-                    start_us,
-                    dur_us: s.now_us() - start_us,
-                });
+            match std::panic::catch_unwind(AssertUnwindSafe(cell)) {
+                Ok(r) => {
+                    flight_mark(FlightEventKind::CellEnd);
+                    Ok(r)
+                }
+                Err(payload) => {
+                    let timed_out = giantsan_ir::watchdog::is_timeout_payload(payload.as_ref());
+                    if timed_out {
+                        flight_mark(FlightEventKind::Timeout);
+                    }
+                    flight_mark(FlightEventKind::Quarantine);
+                    Err(CellFailure {
+                        index: i,
+                        message: panic_message(payload.as_ref()),
+                        timed_out,
+                    })
+                }
             }
-            out
         };
 
         let cells: Vec<CellRecord<R>> = if self.threads == 1 || n <= 1 {
             items
                 .iter()
                 .enumerate()
-                .map(|(i, t)| {
-                    let (attempts, r) = run_cell(i, 0, t);
-                    (i, attempts, r)
-                })
+                .map(|(i, t)| (i, run_cell(i, 0, t)))
                 .collect()
         } else {
             let cursor = AtomicUsize::new(0);
@@ -557,8 +355,7 @@ impl BatchRunner {
                                 // Work stealing: claim the next cell.
                                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                                 let Some(item) = items.get(i) else { break };
-                                let (attempts, r) = run_cell(i, w, item);
-                                local.push((i, attempts, r));
+                                local.push((i, run_cell(i, w, item)));
                             }
                             local
                         })
@@ -576,39 +373,29 @@ impl BatchRunner {
             shards.into_iter().flatten().collect()
         };
 
-        if let (Some(s), Some((batch, start_us))) = (sink, batch) {
-            s.push_batch(BatchSpan {
-                batch,
-                cells: n,
-                threads: self.threads,
-                start_us,
-                dur_us: s.now_us() - start_us,
-            });
-        }
-
         // Deterministic merge: place every result at its cell index, so the
         // output order owes nothing to scheduling.
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut summary = FailureSummary::default();
-        let mut failed: Vec<CellFailure> = Vec::new();
-        for (i, attempts, r) in cells {
-            summary.retries += (attempts - 1) as u64;
+        let mut failures: Vec<CellFailure> = Vec::new();
+        for (i, r) in cells {
             match r {
                 Ok(v) => {
                     debug_assert!(results[i].is_none(), "cell {i} executed twice");
                     results[i] = Some(v);
                 }
-                Err(fail) => failed.push(fail),
+                Err(fail) => failures.push(fail),
             }
         }
-        failed.sort_by_key(|f| f.index);
-        summary.failures = failed;
-        BatchOutcome { results, summary }
+        failures.sort_by_key(|f| f.index);
+        BatchOutcome {
+            results,
+            summary: FailureSummary { failures },
+        }
     }
 }
 
-/// One executed cell: its index, attempt count, and result.
-type CellRecord<R> = (usize, u32, Result<R, CellFailure>);
+/// One executed cell: its index and result.
+type CellRecord<R> = (usize, Result<R, CellFailure>);
 
 /// Renders a caught panic payload (the `&str`/`String` cases panics almost
 /// always carry).
@@ -619,16 +406,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Bounded deterministic backoff between attempts: a fixed spin that grows
-/// with the attempt number. No clocks, no randomness — retry schedules are
-/// identical run to run.
-fn backoff(attempt: u32) {
-    let spins = 1u64 << (6 + attempt.min(8));
-    for _ in 0..spins {
-        std::hint::spin_loop();
     }
 }
 
@@ -685,21 +462,21 @@ mod tests {
     fn panicking_cell_is_quarantined_not_fatal() {
         for threads in [1, 2, 8] {
             let items: Vec<u64> = (0..8).collect();
+            let runs = AtomicUsize::new(0);
             let outcome = BatchRunner::new(threads).try_map(&items, |i, x| {
                 if i == 3 {
+                    runs.fetch_add(1, Ordering::Relaxed);
                     panic!("cell 3 panicked");
                 }
                 x * 2
             });
+            // The panicking cell ran exactly once.
+            assert_eq!(runs.load(Ordering::Relaxed), 1, "{threads} threads");
             assert_eq!(outcome.summary.quarantined(), 1, "{threads} threads");
             let fail = &outcome.summary.failures[0];
             assert_eq!(fail.index, 3);
-            assert_eq!(fail.attempts, BatchRunner::MAX_ATTEMPTS);
+            assert!(!fail.timed_out);
             assert!(fail.message.contains("cell 3 panicked"));
-            assert_eq!(
-                outcome.summary.retries,
-                (BatchRunner::MAX_ATTEMPTS - 1) as u64
-            );
             // Every other cell still completed and merged in order.
             assert!(outcome.results[3].is_none());
             for (i, r) in outcome.results.iter().enumerate() {
@@ -713,32 +490,14 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_are_retried_to_success() {
-        use std::sync::atomic::AtomicU32;
-        let items: Vec<u64> = (0..4).collect();
-        let first_tries: Vec<AtomicU32> = items.iter().map(|_| AtomicU32::new(0)).collect();
-        let outcome = BatchRunner::new(2).try_map(&items, |i, x| {
-            // Cell 1 fails on its first attempt only (a transient fault).
-            if i == 1 && first_tries[i].fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("transient");
-            }
-            *x + 10
-        });
-        assert!(outcome.summary.is_clean());
-        assert_eq!(outcome.summary.retries, 1);
-        let got: Vec<u64> = outcome.results.into_iter().map(Option::unwrap).collect();
-        assert_eq!(got, vec![10, 11, 12, 13]);
-    }
-
-    #[test]
-    fn timed_out_cells_are_quarantined_without_retry() {
+    fn timed_out_cells_are_quarantined() {
         let items: Vec<u64> = (0..6).collect();
-        let attempts = AtomicUsize::new(0);
+        let runs = AtomicUsize::new(0);
         let outcome = BatchRunner::new(2)
             .with_cell_deadline(Duration::from_millis(20))
             .try_map(&items, |i, x| {
                 if i == 2 {
-                    attempts.fetch_add(1, Ordering::Relaxed);
+                    runs.fetch_add(1, Ordering::Relaxed);
                     // Unbounded cooperative loop: spins until the watchdog
                     // cancels it at a poll point.
                     loop {
@@ -749,13 +508,11 @@ mod tests {
                 x * 3
             });
         assert_eq!(outcome.summary.quarantined(), 1);
-        assert_eq!(outcome.summary.timed_out(), 1);
         let fail = &outcome.summary.failures[0];
         assert!(fail.timed_out);
         assert_eq!(fail.index, 2);
-        // One attempt only: timeouts are not retried.
-        assert_eq!(fail.attempts, 1);
-        assert_eq!(attempts.load(Ordering::Relaxed), 1);
+        assert_eq!(fail.message, giantsan_ir::watchdog::TIMEOUT_PAYLOAD);
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
         assert!(fail.to_string().contains("deadline"));
         for (i, r) in outcome.results.iter().enumerate() {
             if i != 2 {
@@ -800,17 +557,46 @@ mod tests {
             .unwrap();
         assert_eq!(q.a, 101);
         assert_eq!(q.span, span_id(parent, SpanKind::Cell, 101));
-        let retries = snap
-            .iter()
-            .filter(|e| e.kind == FlightEventKind::Retry)
-            .count();
-        assert_eq!(retries, (BatchRunner::MAX_ATTEMPTS - 1) as usize);
         let starts = snap
             .iter()
             .filter(|e| e.kind == FlightEventKind::CellStart)
             .count();
-        // 3 clean cells + MAX_ATTEMPTS attempts on the failing one.
-        assert_eq!(starts, 3 + BatchRunner::MAX_ATTEMPTS as usize);
+        // One start per cell, the failing one included.
+        assert_eq!(starts, 4);
+        assert_eq!(fr.recorded(), 8);
+    }
+
+    #[test]
+    fn shards_bracket_their_cells_under_the_shard_span() {
+        let fr = Arc::new(FlightRecorder::new(2, 64));
+        let items: Vec<u64> = (0..3).collect();
+        let parent = 0x5111;
+        let runner = BatchRunner::new(2).with_flight(Arc::clone(&fr), parent, 0);
+        let out = runner.in_shard(1, 10..13, |r| r.map(&items, |_, x| x + 1));
+        assert_eq!(out, vec![1, 2, 3]);
+        let snap = fr.snapshot();
+        let shard = span_id(parent, SpanKind::Shard, 1);
+        let kinds: Vec<FlightEventKind> = snap
+            .iter()
+            .filter(|e| e.span == shard)
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(
+            kinds,
+            [FlightEventKind::ShardStart, FlightEventKind::ShardEnd]
+        );
+        // Cells carry global indices under the shard's span.
+        let mut cells: Vec<u64> = snap
+            .iter()
+            .filter(|e| e.kind == FlightEventKind::CellEnd)
+            .inspect(|e| assert_eq!(e.span, span_id(shard, SpanKind::Cell, e.a)))
+            .map(|e| e.a)
+            .collect();
+        cells.sort_unstable();
+        assert_eq!(cells, [10, 11, 12]);
+        // No recorder: the body runs on the runner as is.
+        let plain = BatchRunner::new(2).in_shard(0, 0..3, |r| r.map(&items, |_, x| *x));
+        assert_eq!(plain, items);
     }
 
     #[test]

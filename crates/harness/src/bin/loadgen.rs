@@ -4,7 +4,8 @@
 //! loadgen hammer --addr HOST:PORT [--sessions N] [--clients N] [--scale N]
 //!                [--rounds N] [--seed S] [--shards N] [--deadline-ms N]
 //!                [--no-wait] [--format json]
-//!     Submit N sessions from C concurrent clients with retry/backoff/jitter,
+//!     Submit N sessions from C concurrent clients (a shed or failed submit
+//!     is sent again after a jittered, growing delay),
 //!     wait for every accepted job to finish, and report throughput,
 //!     submit-latency p50/p99, and shed counts.
 //!
@@ -171,9 +172,9 @@ fn parse_hammer(args: &[String]) -> Result<HammerOpts, String> {
     Ok(o)
 }
 
-/// Decorrelated-jitter backoff: at least the server's `Retry-After` when
+/// Decorrelated-jitter delay before sending a submit again: at least the server's `Retry-After` when
 /// given, otherwise an exponentially growing, jittered delay.
-fn backoff(attempt: u32, retry_after_s: Option<u64>, rng: &mut u64) -> Duration {
+fn retry_delay(attempt: u32, retry_after_s: Option<u64>, rng: &mut u64) -> Duration {
     if let Some(s) = retry_after_s {
         // Honour the server's hint, plus up to 250ms of jitter so a shed
         // burst does not come back as a synchronized burst.
@@ -242,12 +243,12 @@ fn hammer(o: &HammerOpts) -> Result<Json, String> {
                                 }
                                 let retry_after =
                                     headers.get("retry-after").and_then(|v| v.parse().ok());
-                                std::thread::sleep(backoff(attempt, retry_after, &mut rng));
+                                std::thread::sleep(retry_delay(attempt, retry_after, &mut rng));
                                 attempt += 1;
                             }
                             Ok((status, _, _)) if (500..600).contains(&status) => {
                                 tally.errors_5xx.fetch_add(1, Ordering::Relaxed);
-                                std::thread::sleep(backoff(attempt, None, &mut rng));
+                                std::thread::sleep(retry_delay(attempt, None, &mut rng));
                                 attempt += 1;
                             }
                             Ok((_, _, _)) => {
@@ -258,7 +259,7 @@ fn hammer(o: &HammerOpts) -> Result<Json, String> {
                             }
                             Err(_) => {
                                 tally.transport_errors.fetch_add(1, Ordering::Relaxed);
-                                std::thread::sleep(backoff(attempt, None, &mut rng));
+                                std::thread::sleep(retry_delay(attempt, None, &mut rng));
                                 attempt += 1;
                             }
                         }

@@ -66,18 +66,22 @@
 //! thread-invariant digest in `trace_digest.txt`), `trace_chrome.json`
 //! (Perfetto-loadable), `trace_metrics.prom` — plus a hot-spot table ranking
 //! sites by slow-path share. Independently, `--telemetry PATH` on *any*
-//! subcommand writes the batch engine's scheduling spans for that whole
-//! invocation as a Chrome trace to PATH.
+//! subcommand writes the scheduling record of the whole invocation as a
+//! Chrome trace to PATH: every campaign it ran has its own flight recorder,
+//! rendered as one process per study with a slice per shard range on the
+//! scheduler track and a slice per cell on the worker tracks.
 
 use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use giantsan_harness::campaign::{self, Campaign, CampaignError, ShardSpec};
 use giantsan_harness::cli::{self, CliOpts};
 use giantsan_harness::study::records_json;
-use giantsan_harness::{serve, BatchTrace, Study, StudyOutput, StudyRegistry, TraceSink};
+use giantsan_harness::{serve, Study, StudyOutput, StudyRegistry};
 use giantsan_telemetry::export::ChromeTrace;
+use giantsan_telemetry::FlightRecorder;
 
 /// Exit codes, pinned by `tests/exit_codes.rs`:
 ///
@@ -119,6 +123,10 @@ fn classify(e: CampaignError) -> CliError {
     }
 }
 
+/// One campaign's scheduling record: the study it ran and the flight
+/// recorder its cells ran under.
+type Schedule = (&'static str, Arc<FlightRecorder>);
+
 /// The studies `repro all` runs, in output order.
 const ALL: [&str; 10] = [
     "table2", "fig10", "table3", "table4", "table5", "fig11", "ablation", "plan", "memory",
@@ -158,7 +166,7 @@ fn emit(
     out_dir: Option<&Path>,
     records: &[giantsan_harness::Record],
     out: &StudyOutput,
-    schedule: &BatchTrace,
+    schedule: &FlightRecorder,
 ) {
     if opts.json {
         match &out.json {
@@ -184,9 +192,10 @@ fn emit(
 
 /// Runs one study monolithically (no campaign directory involvement beyond
 /// artifact writes).
-fn run_plain(study: &dyn Study, opts: &CliOpts, schedule_of: &TakeOnce) -> Result<(), CliError> {
+fn run_plain(study: &dyn Study, opts: &CliOpts) -> Result<Schedule, CliError> {
     let campaign = Campaign::new(study, opts.study.clone()).map_err(classify)?;
-    let records = campaign.run_all(&opts.runner());
+    let (runner, flight) = opts.runner(&campaign, 1);
+    let records = campaign.run_all(&runner);
     let out = study
         .render(&opts.study, &records)
         .map_err(CliError::Runtime)?;
@@ -196,23 +205,22 @@ fn run_plain(study: &dyn Study, opts: &CliOpts, schedule_of: &TakeOnce) -> Resul
         opts.out_dir.as_deref(),
         &records,
         &out,
-        schedule_of.get(),
+        &flight,
     );
-    Ok(())
+    Ok((study.name(), flight))
 }
 
 /// Runs one shard of a campaign into `--out-dir` and stops — rendering
 /// happens at `--resume` / `repro merge` time.
-fn run_shard(study: &dyn Study, opts: &CliOpts, shard: ShardSpec) -> Result<(), CliError> {
+fn run_shard(study: &dyn Study, opts: &CliOpts, shard: ShardSpec) -> Result<Schedule, CliError> {
     let dir = opts
         .out_dir
         .as_deref()
         .expect("validated by cli::parse_opts");
     let campaign = Campaign::new(study, opts.study.clone()).map_err(classify)?;
     let range = campaign::shard_range(campaign.labels().len(), shard.index, shard.count);
-    let ran = campaign
-        .run_shard(dir, shard, &opts.runner())
-        .map_err(classify)?;
+    let (runner, flight) = opts.runner(&campaign, 1);
+    let ran = campaign.run_shard(dir, shard, &runner).map_err(classify)?;
     if ran {
         println!(
             "campaign `{}` at {}: committed shard {}/{} (cells {}..{})",
@@ -237,18 +245,15 @@ fn run_shard(study: &dyn Study, opts: &CliOpts, shard: ShardSpec) -> Result<(), 
         dir.display(),
         shard.count
     );
-    Ok(())
+    Ok((study.name(), flight))
 }
 
 /// Finishes the campaign at `--resume DIR` and renders the full report.
-fn run_resume(
-    study: &dyn Study,
-    opts: &CliOpts,
-    dir: &Path,
-    schedule_of: &TakeOnce,
-) -> Result<(), CliError> {
+fn run_resume(study: &dyn Study, opts: &CliOpts, dir: &Path) -> Result<Schedule, CliError> {
     let campaign = Campaign::new(study, opts.study.clone()).map_err(classify)?;
-    let (records, stats) = campaign.resume(dir, &opts.runner()).map_err(classify)?;
+    let shards = campaign::read_header(dir).map_err(classify)?.shards;
+    let (runner, flight) = opts.runner(&campaign, shards);
+    let (records, stats) = campaign.resume(dir, &runner).map_err(classify)?;
     eprintln!(
         "(resume: reused {} shard(s) {:?}, ran {} {:?})",
         stats.reused.len(),
@@ -262,15 +267,8 @@ fn run_resume(
     // Artifacts default into the campaign directory so a resumed run leaves
     // its digests next to its shards.
     let out_dir = opts.out_dir.as_deref().unwrap_or(dir);
-    emit(
-        study,
-        opts,
-        Some(out_dir),
-        &records,
-        &out,
-        schedule_of.get(),
-    );
-    Ok(())
+    emit(study, opts, Some(out_dir), &records, &out, &flight);
+    Ok((study.name(), flight))
 }
 
 /// `repro merge DIR`: recombine a completed campaign without running cells.
@@ -292,7 +290,8 @@ fn run_merge(registry: &StudyRegistry, args: &[String]) -> Result<(), CliError> 
         .render(&merged_opts.study, &records)
         .map_err(CliError::Runtime)?;
     let out_dir = merged_opts.out_dir.clone().unwrap_or_else(|| dir.clone());
-    let schedule = BatchTrace::default();
+    // Merging runs no cells, so there is no scheduling to present.
+    let schedule = FlightRecorder::new(1, 1);
     emit(
         study,
         &merged_opts,
@@ -302,19 +301,6 @@ fn run_merge(registry: &StudyRegistry, args: &[String]) -> Result<(), CliError> 
         &schedule,
     );
     Ok(())
-}
-
-/// Lazily takes the invocation-wide scheduling trace exactly once, so the
-/// study presentation pass and the `--telemetry` writer see the same spans.
-struct TakeOnce {
-    sink: std::sync::Arc<TraceSink>,
-    taken: std::cell::OnceCell<BatchTrace>,
-}
-
-impl TakeOnce {
-    fn get(&self) -> &BatchTrace {
-        self.taken.get_or_init(|| self.sink.take())
-    }
 }
 
 fn main() -> ExitCode {
@@ -353,36 +339,30 @@ fn main() -> ExitCode {
         };
     }
 
-    let mut opts = match cli::parse_opts(&args[1..]) {
+    let opts = match cli::parse_opts(&args[1..]) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    // One scheduling sink for the whole invocation: the trace study's Chrome
-    // export and the `--telemetry` writer both read it.
-    if opts.sink.is_none() {
-        opts.sink = Some(TraceSink::new());
-    }
-    let schedule_of = TakeOnce {
-        sink: std::sync::Arc::clone(opts.sink.as_ref().expect("just set")),
-        taken: std::cell::OnceCell::new(),
-    };
 
-    let result = if cmd == "all" {
+    let result: Result<Vec<Schedule>, CliError> = if cmd == "all" {
         if opts.shard.is_some() || opts.resume.is_some() {
             Err(CliError::Usage(
                 "--shard/--resume apply to a single study, not `all`".to_string(),
             ))
         } else {
-            ALL.iter().enumerate().try_for_each(|(i, name)| {
-                if i > 0 {
-                    println!();
-                }
-                let study = registry.get(name).expect("ALL lists registered studies");
-                run_plain(study, &opts, &schedule_of)
-            })
+            ALL.iter()
+                .enumerate()
+                .map(|(i, name)| {
+                    if i > 0 {
+                        println!();
+                    }
+                    let study = registry.get(name).expect("ALL lists registered studies");
+                    run_plain(study, &opts)
+                })
+                .collect()
         }
     } else {
         match registry.get(cmd) {
@@ -390,26 +370,30 @@ fn main() -> ExitCode {
                 eprintln!("unknown experiment: {cmd}");
                 return ExitCode::from(2);
             }
-            Some(study) => match (opts.shard, opts.resume.clone()) {
+            Some(study) => match (opts.shard, opts.resume.as_deref()) {
                 (Some(shard), _) => run_shard(study, &opts, shard),
-                (None, Some(dir)) => run_resume(study, &opts, &dir, &schedule_of),
-                (None, None) => run_plain(study, &opts, &schedule_of),
-            },
+                (None, Some(dir)) => run_resume(study, &opts, dir),
+                (None, None) => run_plain(study, &opts),
+            }
+            .map(|schedule| vec![schedule]),
         }
     };
-    if let Err(e) = result {
-        eprintln!("error: {}", e.message());
-        return e.exit_code();
-    }
+    let schedules = match result {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error: {}", e.message());
+            return e.exit_code();
+        }
+    };
 
-    // `--telemetry PATH`: dump the whole invocation's batch-scheduling spans
-    // as a Chrome trace.
+    // `--telemetry PATH`: every campaign's flight recorder as one Chrome
+    // process, in run order.
     if let Some(path) = &opts.telemetry {
         let mut chrome = ChromeTrace::new();
         let kernel = giantsan_shadow::kernel::active().name();
-        schedule_of
-            .get()
-            .render_chrome(&mut chrome, 1, &format!("repro {cmd} [kernel={kernel}]"));
+        for (pid, (name, flight)) in (1..).zip(&schedules) {
+            flight.render_chrome(&mut chrome, pid, &format!("repro {name} [kernel={kernel}]"));
+        }
         match std::fs::write(path, chrome.finish()) {
             Ok(()) => println!("(wrote {})", path.display()),
             Err(e) => {

@@ -219,10 +219,16 @@ impl<'a> Campaign<'a> {
     /// monolithic path plain `repro <study>` takes. Sharded and resumed runs
     /// must merge to exactly these records.
     pub fn run_all(&self, runner: &BatchRunner) -> Vec<Record> {
-        let payloads = self
-            .study
-            .run_range(&self.opts, 0..self.labels.len(), runner);
-        self.records_from(0, payloads)
+        self.run_range(0, 0..self.labels.len(), runner)
+    }
+
+    /// Runs the cells `range` as shard `shard` (bracketed in the runner's
+    /// flight recorder, see [`BatchRunner::in_shard`]).
+    fn run_range(&self, shard: usize, range: Range<usize>, runner: &BatchRunner) -> Vec<Record> {
+        let payloads = runner.in_shard(shard, range.clone(), |r| {
+            self.study.run_range(&self.opts, range.clone(), r)
+        });
+        self.records_from(range.start, payloads)
     }
 
     fn records_from(&self, start: usize, payloads: Vec<Json>) -> Vec<Record> {
@@ -325,8 +331,7 @@ impl<'a> Campaign<'a> {
             return Ok(false);
         }
         let range = shard_range(self.labels.len(), shard.index, shard.count);
-        let payloads = self.study.run_range(&self.opts, range.clone(), runner);
-        let records = self.records_from(range.start, payloads);
+        let records = self.run_range(shard.index, range.clone(), runner);
         let mut blob = String::new();
         for r in &records {
             blob.push_str(&record_line(r));

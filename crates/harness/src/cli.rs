@@ -8,15 +8,19 @@
 //! subcommand. Flag validation happens here so every subcommand reports the
 //! same actionable errors.
 //!
+//! Every campaign `repro` runs gets a fresh [`FlightRecorder`] (see
+//! [`CliOpts::runner`]): the one record of its scheduling, which
+//! `--telemetry` and the trace study's Chrome export render.
+//!
 //! `--out` is kept as an alias of `--out-dir` for existing scripts and CI.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use giantsan_telemetry::fnv1a;
+use giantsan_telemetry::{fnv1a, FlightRecorder};
 
-use crate::batch::{BatchRunner, TraceSink};
-use crate::campaign::ShardSpec;
+use crate::batch::BatchRunner;
+use crate::campaign::{Campaign, ShardSpec};
 use crate::study::StudyOpts;
 use crate::tool::Tool;
 
@@ -31,16 +35,14 @@ pub struct CliOpts {
     /// `--out-dir DIR` (alias `--out DIR`): where CSVs, digests, and — for
     /// sharded runs — the campaign checkpoint land.
     pub out_dir: Option<PathBuf>,
-    /// `--telemetry PATH`: write the whole invocation's batch-scheduling
-    /// spans as a Chrome trace to PATH.
+    /// `--telemetry PATH`: write the whole invocation's scheduling record
+    /// (every campaign's flight recorder) as a Chrome trace to PATH.
     pub telemetry: Option<PathBuf>,
     /// `--shard i/n`: run only the i-th of n shards into the campaign at
     /// `--out-dir`.
     pub shard: Option<ShardSpec>,
     /// `--resume DIR`: finish the campaign checkpointed at DIR.
     pub resume: Option<PathBuf>,
-    /// The scheduling sink created when `--telemetry` was given.
-    pub sink: Option<Arc<TraceSink>>,
 }
 
 /// Parses a campaign seed: hex with an `0x` prefix, plain decimal, or —
@@ -83,7 +85,6 @@ pub fn parse_opts(args: &[String]) -> Result<CliOpts, String> {
         telemetry: None,
         shard: None,
         resume: None,
-        sink: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -130,7 +131,6 @@ pub fn parse_opts(args: &[String]) -> Result<CliOpts, String> {
             }
             "--telemetry" => {
                 opts.telemetry = Some(it.next().ok_or("--telemetry needs a path")?.into());
-                opts.sink = Some(TraceSink::new());
             }
             "--format" => match it.next().ok_or("--format needs text|json")?.as_str() {
                 "json" => opts.json = true,
@@ -174,14 +174,26 @@ pub fn parse_opts(args: &[String]) -> Result<CliOpts, String> {
 }
 
 impl CliOpts {
-    /// Builds the batch runner for this invocation, attaching the
-    /// `--telemetry` sink when one was requested.
-    pub fn runner(&self) -> BatchRunner {
-        let runner = BatchRunner::new(self.study.threads);
-        match &self.sink {
-            Some(sink) => runner.with_sink(Arc::clone(sink)),
-            None => runner,
-        }
+    /// Builds the batch runner for `campaign` with a fresh flight recorder
+    /// attached under the campaign's spec hash, returned alongside it.
+    ///
+    /// Every cell records two events (start, then end or quarantine — the
+    /// CLI arms no watchdog) and each of the `ranges` shard ranges run two
+    /// more, so rings of `2 * (cells + ranges)` slots overwrite nothing even
+    /// if one worker runs every cell.
+    pub fn runner(
+        &self,
+        campaign: &Campaign<'_>,
+        ranges: usize,
+    ) -> (BatchRunner, Arc<FlightRecorder>) {
+        let capacity = 2 * (campaign.labels().len() + ranges);
+        let flight = Arc::new(FlightRecorder::new(self.study.threads, capacity));
+        let runner = BatchRunner::new(self.study.threads).with_flight(
+            Arc::clone(&flight),
+            campaign.spec_hash(),
+            0,
+        );
+        (runner, flight)
     }
 }
 
@@ -242,6 +254,23 @@ mod tests {
         // repro reports no wall-clock time; wallbench measures it.
         let e = parse(&["--wall"]).unwrap_err();
         assert_eq!(e, "unknown option --wall");
+    }
+
+    #[test]
+    fn the_runner_records_every_cell_without_overwriting() {
+        use crate::experiments::table4::Table4Entry;
+        for threads in ["1", "2", "8"] {
+            let opts = parse(&["--threads", threads]).unwrap();
+            let campaign = Campaign::new(&Table4Entry, opts.study.clone()).unwrap();
+            let (runner, flight) = opts.runner(&campaign, 1);
+            let records = campaign.run_all(&runner);
+            assert_eq!(flight.overwritten(), 0, "{threads} threads");
+            // Start and end per cell, plus the one shard pair.
+            assert_eq!(flight.recorded() as usize, 2 * (records.len() + 1));
+            let chrome = flight.to_chrome("repro table4");
+            assert_eq!(chrome.matches("\"cat\":\"cell\"").count(), records.len());
+            assert_eq!(chrome.matches("\"cat\":\"shard\"").count(), 1);
+        }
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //! identical at any `--threads N`. CI locks the digest against a committed
 //! golden (`tests/golden/faults_digest.txt`).
 
+use giantsan_ir::Program;
 use giantsan_runtime::{RecoveryPolicy, RuntimeConfig};
 use giantsan_telemetry::{fnv1a, Fnv1a};
-use giantsan_workloads::fuzz::InjectedBug;
+use giantsan_workloads::fuzz::{buggy_program, safe_program, InjectedBug};
 
 use crate::faults::{splitmix64, FaultKind, FaultPlan};
 use crate::json::Json;
-use crate::matrix::{Cell, CellWorkload};
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
 use crate::tool::Tool;
@@ -33,6 +33,27 @@ pub const FAULT_AXES: [&str; 5] = [
     "quarantine-exhaustion",
     "step-budget",
 ];
+
+/// The workload axis of the campaign: the fuzz corpus's safe shape or one
+/// injected-bug geometry; the cell's seed picks the program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellWorkload {
+    /// A generated safe program.
+    FuzzSafe,
+    /// A generated program with one injected bug of the given geometry.
+    FuzzBuggy(InjectedBug),
+}
+
+impl CellWorkload {
+    /// Materialises the program and inputs for `seed` (deterministic).
+    pub fn materialize(self, seed: u64) -> (Program, Vec<i64>) {
+        let fp = match self {
+            CellWorkload::FuzzSafe => safe_program(seed),
+            CellWorkload::FuzzBuggy(bug) => buggy_program(seed, bug),
+        };
+        (fp.program, fp.inputs)
+    }
+}
 
 /// One cell of the fault campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,10 +71,9 @@ pub struct FaultCell {
 impl FaultCell {
     /// Stable, human-readable cell id.
     pub fn label(&self) -> String {
-        let w = match &self.workload {
+        let w = match self.workload {
             CellWorkload::FuzzSafe => "fuzz-safe".to_string(),
             CellWorkload::FuzzBuggy(bug) => format!("fuzz-{}", bug.name()),
-            other => format!("{other:?}"),
         };
         format!(
             "{}/{w}/{}/r{}",
@@ -113,13 +133,7 @@ impl FaultCell {
             .to_builder()
             .recovery(RecoveryPolicy::recover())
             .build();
-        let cell = Cell {
-            tool: self.tool,
-            workload: self.workload.clone(),
-            size: 0,
-            seed: self.seed,
-        };
-        let (program, inputs) = cell.materialize();
+        let (program, inputs) = self.workload.materialize(self.seed);
         let out = self
             .tool
             .builder()
@@ -228,7 +242,7 @@ pub fn fault_matrix(seeds: u64) -> Vec<FaultCell> {
                 for seed in 0..seeds {
                     cells.push(FaultCell {
                         tool,
-                        workload: workload.clone(),
+                        workload,
                         fault_axis,
                         seed,
                     });

@@ -5,7 +5,7 @@
 //! [`analyze_recorded`] (per-pass events), every cell runs under a
 //! [`TraceRecorder`] (check / quasi-bound / allocator / containment events
 //! plus the sampling histograms), and the batch engine records its
-//! scheduling spans into a [`TraceSink`](crate::batch::TraceSink). The study then exports all three
+//! scheduling into a [`FlightRecorder`]. The study then exports all three
 //! formats the telemetry crate supports:
 //!
 //! * **JSON Lines** — the deterministic data-plane event stream, sorted by
@@ -25,11 +25,10 @@ use giantsan_ir::{CheckPlan, Program};
 use giantsan_runtime::Counters;
 use giantsan_telemetry::export::{events_jsonl, prometheus, text_digest, ChromeTrace};
 use giantsan_telemetry::{
-    site_label, Histograms, Log2Hist, PathMix, SpanKind, SpanSet, TraceRecorder,
+    site_label, FlightRecorder, Histograms, Log2Hist, PathMix, SpanKind, SpanSet, TraceRecorder,
 };
 use giantsan_workloads::{figure8_program, spec_workload};
 
-use crate::batch::BatchTrace;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::{pct, TextTable};
@@ -506,14 +505,14 @@ impl Study for TraceEntry {
         })
     }
 
-    /// The Chrome trace: the batch engine's live scheduling spans plus a
+    /// The Chrome trace: the flight recorder's shard and cell slices plus a
     /// final counter sample carrying the data-plane path totals —
     /// presentation plane, never checkpointed.
     fn presentation(
         &self,
         opts: &StudyOpts,
         records: &[Record],
-        schedule: &BatchTrace,
+        schedule: &FlightRecorder,
     ) -> Vec<(String, String)> {
         let process = format!(
             "repro trace: {} under {} [kernel={}]",
@@ -524,10 +523,11 @@ impl Study for TraceEntry {
         let mut t = ChromeTrace::new();
         schedule.render_chrome(&mut t, 1, &process);
         let end = schedule
-            .batches
+            .snapshot()
             .iter()
-            .map(|b| b.start_us + b.dur_us)
-            .fold(0.0, f64::max);
+            .map(|e| e.ts_us)
+            .max()
+            .unwrap_or(0) as f64;
         let mut mix = PathMix::default();
         for m in TraceData::from_records(records).hists.sites.values() {
             mix.merge(m);
@@ -553,7 +553,7 @@ impl Study for TraceEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchRunner, TraceSink};
+    use crate::batch::BatchRunner;
     use crate::campaign::Campaign;
     use giantsan_telemetry::{Event, PRE_CHECK_SITE};
 
@@ -635,8 +635,8 @@ mod tests {
     #[test]
     fn exporters_render_all_three_formats() {
         let o = opts("figure8", Tool::GiantSan);
-        let sink = TraceSink::new();
-        let runner = BatchRunner::new(2).with_sink(std::sync::Arc::clone(&sink));
+        let flight = std::sync::Arc::new(FlightRecorder::new(2, 64));
+        let runner = BatchRunner::new(2).with_flight(std::sync::Arc::clone(&flight), 0, 0);
         let records = Campaign::new(&TraceEntry, o.clone())
             .unwrap()
             .run_all(&runner);
@@ -653,11 +653,12 @@ mod tests {
         assert!(prom.contains("giantsan_shadow_loads_total"));
         assert!(prom.contains("giantsan_site_checks_total"));
 
-        let presentation = TraceEntry.presentation(&o, &records, &sink.take());
+        let presentation = TraceEntry.presentation(&o, &records, &flight);
         let chrome = &presentation[0].1;
         assert_eq!(presentation[0].0, "trace_chrome.json");
         assert!(chrome.starts_with("{\"traceEvents\":["));
-        assert!(chrome.contains("\"ph\":\"X\""));
+        assert_eq!(chrome.matches("\"cat\":\"cell\"").count(), records.len());
+        assert_eq!(chrome.matches("\"cat\":\"shard\"").count(), 1);
         assert!(chrome.contains("check paths"));
         assert!(chrome.contains(&format!("[kernel={kernel}]")));
     }

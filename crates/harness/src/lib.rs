@@ -42,17 +42,13 @@ pub mod csv;
 pub mod experiments;
 pub mod faults;
 pub mod json;
-pub mod matrix;
 pub mod serve;
 pub mod session;
 pub mod study;
 mod table;
 mod tool;
 
-pub use batch::{
-    BatchOutcome, BatchRunner, BatchSpan, BatchTrace, CellFailure, CellSpan, FailureSummary,
-    TraceSink,
-};
+pub use batch::{BatchOutcome, BatchRunner, CellFailure, FailureSummary};
 pub use campaign::{Campaign, CampaignError, ResumeStats, ShardSpec};
 pub use cli::CliOpts;
 pub use cost::{geomean, CostModel};

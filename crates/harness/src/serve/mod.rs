@@ -194,7 +194,7 @@ impl Server {
         for job in shared.jobs.recover(&shared.studies) {
             shared.metrics.jobs_resumed.fetch_add(1, Ordering::Relaxed);
             if shared.queue.push(Arc::clone(&job)).is_err() {
-                // Stays `queued` on disk; the next restart retries it.
+                // Stays `queued` on disk; the next restart runs it again.
                 eprintln!(
                     "repro serve: queue full during recovery; {} deferred to next restart",
                     job.id

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use giantsan_telemetry::{span_id, FlightEventKind, FlightRecorder, SpanKind, SpanSet};
+use giantsan_telemetry::{FlightEventKind, FlightRecorder, SpanKind, SpanSet};
 
 use crate::batch::BatchRunner;
 use crate::campaign::{records_digest, shard_range, Campaign, ShardSpec};
@@ -235,8 +235,12 @@ pub fn run_job(shared: &SchedulerShared, job: &Arc<JobEntry>) {
     shared
         .flight
         .record(0, FlightEventKind::JobStart, spans.job, job_seq, 0);
+    // Cell and shard lifecycle events land in the flight recorder under
+    // spans the batch engine derives exactly as `job_spans` did, so dumps
+    // resolve against spans.jsonl.
     let runner = BatchRunner::new(shared.config.threads_per_job)
-        .with_cell_deadline(shared.config.cell_deadline);
+        .with_cell_deadline(shared.config.cell_deadline)
+        .with_flight(Arc::clone(&shared.flight), spans.job, 0);
     let deadline = job
         .spec
         .deadline
@@ -277,23 +281,8 @@ pub fn run_job(shared: &SchedulerShared, job: &Arc<JobEntry>) {
             index: shard,
             count: shards,
         };
-        let range = shard_range(cells, shard, shards);
-        let shard_span = span_id(spans.job, SpanKind::Shard, shard as u64);
-        shared.flight.record(
-            0,
-            FlightEventKind::ShardStart,
-            shard_span,
-            shard as u64,
-            range.len() as u64,
-        );
-        // Each shard gets a flight-armed runner: cell lifecycle events land
-        // in the ring attributed to spans the batch engine derives exactly
-        // as `job_spans` did, so dumps resolve against spans.jsonl.
-        let shard_runner =
-            runner
-                .clone()
-                .with_flight(Arc::clone(&shared.flight), shard_span, range.start as u64);
-        match campaign.run_shard(&dir, spec, &shard_runner) {
+        let len = shard_range(cells, shard, shards).len();
+        match campaign.run_shard(&dir, spec, &runner) {
             Ok(ran) => {
                 if ran {
                     shared
@@ -301,14 +290,6 @@ pub fn run_job(shared: &SchedulerShared, job: &Arc<JobEntry>) {
                         .shards_committed
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                shared.flight.record(
-                    0,
-                    FlightEventKind::ShardEnd,
-                    shard_span,
-                    shard as u64,
-                    range.len() as u64,
-                );
-                let len = range.len();
                 shared
                     .metrics
                     .cells_run
@@ -523,7 +504,9 @@ mod tests {
         assert!(flight.lines().next().unwrap().contains("\"flight\":\"v1\""));
         assert!(flight.contains("\"ev\":\"timeout\""));
         assert!(flight.contains("\"ev\":\"quarantine\""));
-        assert!(job.dir.join("flight_chrome.json").exists());
+        // The dump carries the shard's slice on the scheduler track.
+        let chrome = std::fs::read_to_string(job.dir.join("flight_chrome.json")).unwrap();
+        assert_eq!(chrome.matches("\"cat\":\"shard\"").count(), 1);
         // Every cell event's span resolves in spans.jsonl and chains back
         // to a request root — what a post-mortem needs.
         let spans_text = std::fs::read_to_string(job.dir.join("spans.jsonl")).unwrap();

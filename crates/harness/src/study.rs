@@ -18,7 +18,9 @@
 
 use std::ops::Range;
 
-use crate::batch::{BatchRunner, BatchTrace};
+use giantsan_telemetry::FlightRecorder;
+
+use crate::batch::BatchRunner;
 use crate::json::Json;
 use crate::tool::Tool;
 
@@ -186,13 +188,14 @@ pub trait Study: Send + Sync {
         None
     }
 
-    /// Presentation-plane artifacts that need the live scheduling trace
-    /// (wall-clock spans; never digested, never part of a checkpoint).
+    /// Presentation-plane artifacts that need the run's scheduling record:
+    /// the flight recorder the cells ran under (wall-clock and worker
+    /// identity; never digested, never part of a checkpoint).
     fn presentation(
         &self,
         _opts: &StudyOpts,
         _records: &[Record],
-        _schedule: &BatchTrace,
+        _schedule: &FlightRecorder,
     ) -> Vec<(String, String)> {
         Vec::new()
     }

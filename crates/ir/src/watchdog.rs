@@ -8,9 +8,8 @@
 //! counter being the canonical one — periodically call [`poll`]. When the
 //! deadline has passed, `poll` panics with the distinguished
 //! [`TIMEOUT_PAYLOAD`]; the batch engine's `catch_unwind` recognises that
-//! payload and converts the cell into a `Timeout` verdict **without
-//! retrying** (re-running a runaway cell would just burn another deadline),
-//! so the worker moves on and the pool never wedges.
+//! payload and quarantines the cell as timed out, so the worker moves on
+//! and the pool never wedges.
 //!
 //! The deadline is thread-local: arming it on one worker never affects
 //! another, and a cell that finishes in time leaves nothing armed (the

@@ -26,14 +26,15 @@
 //!
 //! # Dispatch
 //!
-//! The active backend is resolved **once**, on first use: the
-//! `GIANTSAN_KERNEL` environment variable (`scalar`, `swar`, or `simd`,
-//! case-insensitive) wins if set to a valid name; otherwise a `OnceLock`'d
-//! CPUID probe picks the widest `simd` variant the host supports (AVX2 →
-//! SSE2 → portable fallback, which reuses the SWAR loops). The resolved
-//! [`Kernels`] is a table of plain function pointers — no trait objects —
-//! so every hot-path call is one predictable indirect call, and the
-//! functions behind it are monomorphic and fully optimised.
+//! The active table is the `simd` backend, resolved **once**, on first use,
+//! by a `OnceLock`'d CPUID probe that picks the widest variant the host
+//! supports (AVX2 → SSE2 → portable fallback, which reuses the SWAR loops).
+//! There is no user override: `scalar` is the reference the others are
+//! tested against, `swar` the portable path, and [`select`] hands out any
+//! table explicitly for tests and benchmarks. A [`Kernels`] is a table of
+//! plain function pointers — no trait objects — so every hot-path call is
+//! one predictable indirect call, and the functions behind it are
+//! monomorphic and fully optimised.
 //!
 //! # The digest-invariance contract
 //!
@@ -42,10 +43,9 @@
 //! same bytes from the writers. Counters never observe the scan width
 //! (semantic loads are counted by the checkers, not the kernels), so
 //! interpreter digests, golden plans, and campaign digests are identical
-//! under every backend — CI runs the tier-1 suite and diffs the figure8 and
-//! fault-campaign digests under all three to enforce it.
+//! under every backend. The differential tests compare every [`select`]
+//! table against `scalar` to enforce it.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 use crate::codes;
@@ -72,27 +72,15 @@ pub enum Backend {
 impl Backend {
     /// Every backend, in reference-to-widest order.
     pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Swar, Backend::Simd];
-
-    /// The `GIANTSAN_KERNEL` spelling of this backend.
-    pub fn label(self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::Swar => "swar",
-            Backend::Simd => "simd",
-        }
-    }
-
-    /// Parses a `GIANTSAN_KERNEL` value, case-insensitively.
-    pub fn parse(s: &str) -> Option<Backend> {
-        Backend::ALL
-            .into_iter()
-            .find(|b| b.label().eq_ignore_ascii_case(s.trim()))
-    }
 }
 
 impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+        f.write_str(match self {
+            Backend::Scalar => "scalar",
+            Backend::Swar => "swar",
+            Backend::Simd => "simd",
+        })
     }
 }
 
@@ -181,8 +169,8 @@ static SWAR: Kernels = Kernels {
 };
 
 /// Fallback `simd` table for hosts with no supported vector extension: the
-/// SWAR loops under the `simd` identity, so `GIANTSAN_KERNEL=simd` is valid
-/// (and honest) everywhere.
+/// SWAR loops under the `simd` identity, so the `simd` backend exists (and
+/// names itself honestly) everywhere.
 static SIMD_PORTABLE: Kernels = Kernels {
     name: "simd-portable",
     backend: Backend::Simd,
@@ -223,44 +211,12 @@ pub fn select(backend: Backend) -> &'static Kernels {
     }
 }
 
-/// Backend index held by [`ACTIVE`]; `UNRESOLVED` forces the one-time probe.
-const UNRESOLVED: u8 = u8::MAX;
-static ACTIVE: AtomicU8 = AtomicU8::new(UNRESOLVED);
-
-/// The process-wide active kernel table.
-///
-/// First call resolves the backend (env override, then CPUID probe — see
-/// the module docs) and caches it; subsequent calls are one relaxed atomic
-/// load plus a table lookup.
+/// The process-wide active kernel table: the CPUID-resolved `simd`
+/// backend (see the module docs). The first call runs the probe; later
+/// calls are one atomic load.
 #[inline]
 pub fn active() -> &'static Kernels {
-    match ACTIVE.load(Ordering::Relaxed) {
-        0 => &SCALAR,
-        1 => &SWAR,
-        2 => simd_resolved(),
-        _ => resolve_active(),
-    }
-}
-
-#[cold]
-fn resolve_active() -> &'static Kernels {
-    let backend = std::env::var("GIANTSAN_KERNEL")
-        .ok()
-        .as_deref()
-        .and_then(Backend::parse)
-        .unwrap_or(Backend::Simd);
-    ACTIVE.store(backend as u8, Ordering::Relaxed);
-    select(backend)
-}
-
-/// Forces the process-wide backend, overriding the env/CPUID resolution.
-///
-/// A testing hook: the digest-invariance contract makes switching benign
-/// (all backends return identical answers), but production code should let
-/// the startup resolution stand. Takes effect for every subsequent
-/// [`active`] call in the process.
-pub fn force(backend: Backend) {
-    ACTIVE.store(backend as u8, Ordering::Relaxed);
+    simd_resolved()
 }
 
 /// Decomposes the §4.1 folding pattern for `q` full segments into its
@@ -294,18 +250,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_parse_roundtrips() {
-        for b in Backend::ALL {
-            assert_eq!(Backend::parse(b.label()), Some(b));
-            assert_eq!(Backend::parse(&b.label().to_uppercase()), Some(b));
-            assert_eq!(format!("{b}"), b.label());
-        }
-        assert_eq!(Backend::parse(" swar "), Some(Backend::Swar));
-        assert_eq!(Backend::parse("avx2"), None);
-        assert_eq!(Backend::parse(""), None);
-    }
-
-    #[test]
     fn select_returns_the_requested_backend() {
         for b in Backend::ALL {
             let k = select(b);
@@ -317,18 +261,8 @@ mod tests {
     }
 
     #[test]
-    fn active_is_stable_and_forceable() {
-        let first = active().name();
-        assert_eq!(active().name(), first, "resolution must be sticky");
-        // force() is process-global; restore the resolved default so other
-        // tests in this binary observe the startup selection. All backends
-        // return identical answers, so the window is benign regardless.
-        let restore = active().backend();
-        for b in Backend::ALL {
-            force(b);
-            assert_eq!(active().backend(), b);
-        }
-        force(restore);
+    fn active_is_the_resolved_simd_table() {
+        assert!(std::ptr::eq(active(), select(Backend::Simd)));
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! * raw slices of arbitrary bytes, with lengths straddling every step
 //!   width (1/8/16/32) and thresholds on both sides of 128 — the range
 //!   where the SWAR `has_byte_gt` identity needs its byte-loop fallback;
-//! * [`ShadowMemory`] ranges reaching past the mapped shadow, where the
-//!   fill-byte tail semantics must survive whichever backend is active
-//!   (mirroring `first_ge_handles_thresholds_above_128` in spirit);
+//! * [`ShadowMemory`] ranges reaching past the mapped shadow, where every
+//!   backend's answer on the mapped bytes, stitched to the fill-byte tail,
+//!   must match the byte-wise ground truth (mirroring
+//!   `first_ge_handles_thresholds_above_128` in spirit);
 //! * the bulk writers (`fill`, `write_folded_run`), byte-compared across
 //!   backends.
 
@@ -104,9 +105,10 @@ proptest! {
         }
     }
 
-    /// ShadowMemory-level scans agree across *forced* process-wide backends
-    /// on ranges running past the mapped shadow: the fill-byte tail is
-    /// stitched on above the kernels, and no backend may disturb it.
+    /// ShadowMemory-level scans on ranges running past the mapped shadow:
+    /// the fill-byte tail is stitched on above the kernels, so every
+    /// backend's answer on the mapped bytes plus the tail — and the active
+    /// table's own `ShadowMemory` answer — must match the ground truth.
     #[test]
     fn fill_tails_survive_every_backend(
         segments in 1u64..64,
@@ -124,26 +126,34 @@ proptest! {
         }
         let hi = lo + len;
 
-        let restore = kernel::active().backend();
-        let mut answers = Vec::new();
-        for backend in Backend::ALL {
-            kernel::force(backend);
-            answers.push((
-                s.first_ne(lo, hi, probe),
-                s.first_ge(lo, hi, probe),
-                s.all_eq(lo, hi, probe),
-            ));
-        }
-        kernel::force(restore);
         // Reference on get(): the fill-tail ground truth.
         let expect = (
             (lo..hi).find(|&i| s.get(i) != probe),
             (lo..hi).find(|&i| s.get(i) >= probe),
             (lo..hi).all(|i| s.get(i) == probe),
         );
-        for (backend, got) in Backend::ALL.iter().zip(&answers) {
+        let active = (
+            s.first_ne(lo, hi, probe),
+            s.first_ge(lo, hi, probe),
+            s.all_eq(lo, hi, probe),
+        );
+        prop_assert_eq!(active, expect, "active lo={} hi={} probe={:#x}", lo, hi, probe);
+        let mapped = s.view(lo, hi).mapped();
+        let tail = lo + mapped.len() as u64..hi;
+        for backend in Backend::ALL {
+            let k = kernel::select(backend);
+            let at = |i: usize| lo + i as u64;
+            let got = (
+                k.first_ne(mapped, probe)
+                    .map(at)
+                    .or_else(|| tail.clone().find(|&i| s.get(i) != probe)),
+                k.first_ge(mapped, probe)
+                    .map(at)
+                    .or_else(|| tail.clone().find(|&i| s.get(i) >= probe)),
+                k.all_eq(mapped, probe) && tail.clone().all(|i| s.get(i) == probe),
+            );
             prop_assert_eq!(
-                got, &expect,
+                got, expect,
                 "{} lo={} hi={} probe={:#x}", backend, lo, hi, probe
             );
         }

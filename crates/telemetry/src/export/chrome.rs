@@ -22,7 +22,7 @@ use super::json_escape;
 /// let mut t = ChromeTrace::new();
 /// t.process_name(1, "batch");
 /// t.thread_name(1, 1, "worker 0");
-/// t.complete(1, 1, "cell 0", "cell", 0.0, 150.0, &[("attempts", "1")]);
+/// t.complete(1, 1, "cell 0", "cell", 0.0, 150.0, &[("span", "0x1")]);
 /// t.instant(1, 1, "report", 75.0);
 /// t.counter(1, "checks", 100.0, &[("fast", "90"), ("slow", "10")]);
 /// let json = t.finish();

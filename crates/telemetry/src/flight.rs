@@ -29,15 +29,13 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
 /// What a flight event marks. Encoded as one byte in the ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightEventKind {
-    /// A batch cell attempt started (`a` = cell index, `b` = attempt).
+    /// A batch cell started (`a` = cell index).
     CellStart,
-    /// A batch cell finished cleanly (`a` = cell index, `b` = attempt).
+    /// A batch cell finished cleanly (`a` = cell index).
     CellEnd,
-    /// A cell attempt panicked and will be retried (`a` = cell, `b` = attempt).
-    Retry,
     /// The watchdog fired: the cell exceeded its deadline (`a` = cell).
     Timeout,
-    /// A cell was quarantined — retries exhausted or timed out (`a` = cell).
+    /// A cell was quarantined — it panicked or timed out (`a` = cell).
     Quarantine,
     /// A shard started (`a` = shard index, `b` = cell count).
     ShardStart,
@@ -57,7 +55,6 @@ impl FlightEventKind {
         match self {
             FlightEventKind::CellStart => "cell_start",
             FlightEventKind::CellEnd => "cell_end",
-            FlightEventKind::Retry => "retry",
             FlightEventKind::Timeout => "timeout",
             FlightEventKind::Quarantine => "quarantine",
             FlightEventKind::ShardStart => "shard_start",
@@ -72,14 +69,13 @@ impl FlightEventKind {
         match self {
             FlightEventKind::CellStart => 0,
             FlightEventKind::CellEnd => 1,
-            FlightEventKind::Retry => 2,
-            FlightEventKind::Timeout => 3,
-            FlightEventKind::Quarantine => 4,
-            FlightEventKind::ShardStart => 5,
-            FlightEventKind::ShardEnd => 6,
-            FlightEventKind::JobStart => 7,
-            FlightEventKind::JobEnd => 8,
-            FlightEventKind::Mark => 9,
+            FlightEventKind::Timeout => 2,
+            FlightEventKind::Quarantine => 3,
+            FlightEventKind::ShardStart => 4,
+            FlightEventKind::ShardEnd => 5,
+            FlightEventKind::JobStart => 6,
+            FlightEventKind::JobEnd => 7,
+            FlightEventKind::Mark => 8,
         }
     }
 
@@ -87,13 +83,12 @@ impl FlightEventKind {
         match code {
             0 => FlightEventKind::CellStart,
             1 => FlightEventKind::CellEnd,
-            2 => FlightEventKind::Retry,
-            3 => FlightEventKind::Timeout,
-            4 => FlightEventKind::Quarantine,
-            5 => FlightEventKind::ShardStart,
-            6 => FlightEventKind::ShardEnd,
-            7 => FlightEventKind::JobStart,
-            8 => FlightEventKind::JobEnd,
+            2 => FlightEventKind::Timeout,
+            3 => FlightEventKind::Quarantine,
+            4 => FlightEventKind::ShardStart,
+            5 => FlightEventKind::ShardEnd,
+            6 => FlightEventKind::JobStart,
+            7 => FlightEventKind::JobEnd,
             _ => FlightEventKind::Mark,
         }
     }
@@ -269,51 +264,78 @@ impl FlightRecorder {
         out
     }
 
-    /// Renders the retained events as a Chrome `trace_event` file (one
-    /// track per worker, instants for point events), loadable in Perfetto.
+    /// Renders the retained events as a self-contained Chrome `trace_event`
+    /// file (process 1, see [`Self::render_chrome`]), loadable in Perfetto.
     pub fn to_chrome(&self, process: &str) -> String {
         let mut t = ChromeTrace::new();
-        t.process_name(1, process);
+        self.render_chrome(&mut t, 1, process);
+        t.finish()
+    }
+
+    /// Renders the retained events into `t` as process `pid`: a
+    /// `scheduler` track (tid 0) with one slice per shard, one track per
+    /// worker ring (tid `w + 1`) with one slice per cell, and an instant for
+    /// every other event. Several recorders can share one trace under
+    /// distinct pids.
+    pub fn render_chrome(&self, t: &mut ChromeTrace, pid: u32, process: &str) {
+        t.process_name(pid, process);
+        t.thread_name(pid, 0, "scheduler");
         for w in 0..self.workers() {
-            t.thread_name(1, w as u32 + 1, &format!("worker {w}"));
+            t.thread_name(pid, w as u32 + 1, &format!("worker {w}"));
         }
-        let events = self.snapshot();
-        // Pair CellStart/CellEnd on the same worker into slices; everything
-        // else renders as an instant.
-        let mut open: Vec<(u32, u64, u64, u64)> = Vec::new(); // (worker, cell, span, ts)
-        for e in &events {
+        // Starts awaiting their end. Cells pair on their worker's ring as
+        // (worker, cell, span, ts); shards pair by span as (shard, span, ts).
+        let mut cells: Vec<(u32, u64, u64, u64)> = Vec::new();
+        let mut shards: Vec<(u64, u64, u64)> = Vec::new();
+        for e in self.snapshot() {
             match e.kind {
-                FlightEventKind::CellStart => {
-                    open.push((e.worker, e.a, e.span, e.ts_us));
-                }
+                FlightEventKind::CellStart => cells.push((e.worker, e.a, e.span, e.ts_us)),
+                FlightEventKind::ShardStart => shards.push((e.a, e.span, e.ts_us)),
                 FlightEventKind::CellEnd => {
-                    if let Some(pos) = open
+                    if let Some(pos) = cells
                         .iter()
                         .rposition(|&(w, cell, _, _)| w == e.worker && cell == e.a)
                     {
-                        let (w, cell, span, start) = open.remove(pos);
+                        let (w, cell, span, start) = cells.remove(pos);
                         t.complete(
-                            1,
+                            pid,
                             w + 1,
                             &format!("cell {cell}"),
                             "cell",
                             start as f64,
-                            (e.ts_us.saturating_sub(start)) as f64,
+                            e.ts_us.saturating_sub(start) as f64,
                             &[("span", &format!("{span:#018x}"))],
                         );
                     }
                 }
-                kind => {
-                    t.instant(1, e.worker + 1, kind.name(), e.ts_us as f64);
+                FlightEventKind::ShardEnd => {
+                    if let Some(pos) = shards.iter().rposition(|&(_, span, _)| span == e.span) {
+                        let (shard, span, start) = shards.remove(pos);
+                        t.complete(
+                            pid,
+                            0,
+                            &format!("shard {shard}"),
+                            "shard",
+                            start as f64,
+                            e.ts_us.saturating_sub(start) as f64,
+                            &[
+                                ("cells", &e.b.to_string()),
+                                ("span", &format!("{span:#018x}")),
+                            ],
+                        );
+                    }
                 }
+                kind => t.instant(pid, e.worker + 1, kind.name(), e.ts_us as f64),
             }
         }
-        // Unclosed cells (the wedged ones — the reason dumps exist) render
+        // Unclosed slices (the wedged ones — the reason dumps exist) render
         // as instants so they are visible rather than silently dropped.
-        for (w, cell, _, ts) in open {
-            t.instant(1, w + 1, &format!("cell {cell} (unfinished)"), ts as f64);
+        for (w, cell, _, ts) in cells {
+            t.instant(pid, w + 1, &format!("cell {cell} (unfinished)"), ts as f64);
         }
-        t.finish()
+        for (shard, _, ts) in shards {
+            t.instant(pid, 0, &format!("shard {shard} (unfinished)"), ts as f64);
+        }
     }
 }
 
@@ -355,16 +377,24 @@ mod tests {
     #[test]
     fn chrome_dump_pairs_cells_and_keeps_wedged_ones_visible() {
         let fr = FlightRecorder::new(1, 16);
-        fr.record(0, FlightEventKind::CellStart, 1, 5, 1);
-        fr.record(0, FlightEventKind::CellEnd, 1, 5, 1);
-        fr.record(0, FlightEventKind::CellStart, 2, 6, 1);
+        fr.record(0, FlightEventKind::ShardStart, 9, 0, 2);
+        fr.record(0, FlightEventKind::CellStart, 1, 5, 0);
+        fr.record(0, FlightEventKind::CellEnd, 1, 5, 0);
+        fr.record(0, FlightEventKind::CellStart, 2, 6, 0);
         fr.record(0, FlightEventKind::Timeout, 2, 6, 0);
+        fr.record(0, FlightEventKind::ShardStart, 10, 1, 4);
         let json = fr.to_chrome("flight");
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"cell 5\""));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("timeout"));
         assert!(json.contains("cell 6 (unfinished)"));
+        assert!(json.contains("shard 1 (unfinished)"));
+        fr.record(0, FlightEventKind::ShardEnd, 9, 0, 2);
+        let json = fr.to_chrome("flight");
+        assert_eq!(json.matches("\"cat\":\"shard\"").count(), 1);
+        assert!(json.contains("\"name\":\"shard 0\""));
+        assert!(json.contains("\"name\":\"scheduler\""));
     }
 
     #[test]

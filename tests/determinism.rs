@@ -5,12 +5,11 @@
 //! tests run every registered study (through the same `Campaign` path
 //! `repro`, sharded campaigns and the service take) serially and with a
 //! 4-worker pool and require identical records and byte-identical rendered
-//! exports, plus identical matrix digests.
+//! exports.
 
 use giantsan::harness::campaign::{records_digest, Campaign};
 use giantsan::harness::experiments::{table2, table3, table4, table5, trace};
-use giantsan::harness::{csv, matrix, BatchRunner, Record, Study, StudyOpts, StudyRegistry, Tool};
-use giantsan::runtime::RuntimeConfig;
+use giantsan::harness::{csv, BatchRunner, Record, Study, StudyOpts, StudyRegistry, Tool};
 
 /// Every record of `study` at `opts`, run monolithically on `runner`.
 fn records(study: &dyn Study, opts: StudyOpts, runner: &BatchRunner) -> Vec<Record> {
@@ -146,24 +145,5 @@ fn every_study_is_thread_count_invariant() {
         assert_eq!(a.main_artifacts, b.main_artifacts, "{tag}");
         assert_eq!(a.json, b.json, "{tag}");
         assert_eq!(a.report, b.report, "{tag}");
-    }
-}
-
-#[test]
-fn matrix_digests_agree_across_three_seed_sets_and_thread_counts() {
-    let cfg = RuntimeConfig::small();
-    for seeds in [[0u64, 1, 2], [7, 11, 13], [100, 200, 300]] {
-        let cells = matrix::default_matrix(1, &seeds);
-        let serial = matrix::run_matrix(&BatchRunner::serial(), &cells, &cfg);
-        let serial_digest = matrix::digest(&serial);
-        for threads in [2, 4] {
-            let parallel = matrix::run_matrix(&BatchRunner::new(threads), &cells, &cfg);
-            assert_eq!(serial, parallel, "seeds {seeds:?}, {threads} threads");
-            assert_eq!(serial_digest, matrix::digest(&parallel));
-        }
-        // And re-running serially reproduces the digest exactly (the runs
-        // share no state).
-        let again = matrix::run_matrix(&BatchRunner::serial(), &cells, &cfg);
-        assert_eq!(serial_digest, matrix::digest(&again));
     }
 }

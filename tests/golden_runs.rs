@@ -7,8 +7,7 @@
 //! of checks, shadow loads or cache hits fails here with a readable diff.
 //!
 //! The same document must come out of every run under a full
-//! `TraceRecorder` (tracing never perturbs execution) and under every shadow
-//! kernel backend (the backends are interchangeable). The traced path is
+//! `TraceRecorder` (tracing never perturbs execution). The traced path is
 //! pinned too: the `trace_digest.txt` that `repro trace --workload figure8
 //! --tool giantsan` writes must reproduce `tests/golden/trace_digest.txt`.
 //!
@@ -19,23 +18,13 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use giantsan::harness::experiments::trace::TraceEntry;
 use giantsan::harness::{BatchRunner, Campaign, RunOutcome, SessionSpec, Study, StudyOpts, Tool};
 use giantsan::ir::{CheckPlan, Program};
 use giantsan::runtime::{RecoveryPolicy, RuntimeConfig};
-use giantsan::shadow::kernel::{self, Backend};
 use giantsan::workloads::spec_suite;
 use giantsan_telemetry::TraceRecorder;
-
-/// The kernel backend is process-wide state: the backend test holds this
-/// for writing while it forces backends, every other test for reading.
-static BACKEND: RwLock<()> = RwLock::new(());
-
-fn active_backend() -> RwLockReadGuard<'static, ()> {
-    BACKEND.read().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn golden(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -101,7 +90,6 @@ fn assert_matches_golden(doc: &str, what: &str) {
 
 #[test]
 fn spec_runs_match_golden_digests() {
-    let _backend = active_backend();
     let doc = run_document(SessionSpec::run_planned);
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::write(golden("run_digests.txt"), &doc).unwrap();
@@ -112,7 +100,6 @@ fn spec_runs_match_golden_digests() {
 
 #[test]
 fn traced_runs_match_golden_digests() {
-    let _backend = active_backend();
     let mut events = 0u64;
     let doc = run_document(|spec, program, plan, inputs| {
         let mut rec = TraceRecorder::for_cell(0);
@@ -125,25 +112,7 @@ fn traced_runs_match_golden_digests() {
 }
 
 #[test]
-fn runs_match_golden_digests_under_every_kernel_backend() {
-    let _exclusive = BACKEND.write().unwrap_or_else(PoisonError::into_inner);
-    let restore = kernel::active().backend();
-    let docs: Vec<(Backend, String)> = Backend::ALL
-        .into_iter()
-        .map(|backend| {
-            kernel::force(backend);
-            (backend, run_document(SessionSpec::run_planned))
-        })
-        .collect();
-    kernel::force(restore);
-    for (backend, doc) in docs {
-        assert_matches_golden(&doc, &format!("runs under the {} backend", backend.label()));
-    }
-}
-
-#[test]
 fn figure8_trace_matches_golden_digest() {
-    let _backend = active_backend();
     let opts = StudyOpts {
         workload: "figure8".to_string(),
         tool: Tool::GiantSan,
