@@ -39,11 +39,6 @@ impl AsanMinusMinus {
             inner: Asan::with_name(config, "ASan--"),
         }
     }
-
-    /// The wrapped ASan runtime.
-    pub fn as_asan(&self) -> &Asan {
-        &self.inner
-    }
 }
 
 impl Sanitizer for AsanMinusMinus {

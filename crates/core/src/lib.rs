@@ -43,5 +43,5 @@ pub use check::{
 };
 pub use check::{BadSpot, CheckOutcome, CheckPath};
 pub use report::{describe_code, render_report};
-pub use sanitizer::{classify, GiantSan, GiantSanBuilder, GiantSanOptions};
+pub use sanitizer::{classify, GiantSan, GiantSanOptions};
 pub use validate::{validate_shadow, ShadowInconsistency};

@@ -36,6 +36,23 @@ use crate::poison;
 ///     .unwrap_err();
 /// assert_eq!(err.kind, giantsan_runtime::ErrorKind::HeapBufferOverflow);
 /// ```
+///
+/// The §5.4 alternatives are fields of [`GiantSanOptions`], set with struct
+/// update:
+///
+/// ```
+/// use giantsan_core::{GiantSan, GiantSanOptions};
+/// use giantsan_runtime::RuntimeConfig;
+///
+/// let san = GiantSan::with_options(
+///     RuntimeConfig::small(),
+///     GiantSanOptions {
+///         reverse_mitigation: true,
+///         ..GiantSanOptions::default()
+///     },
+/// );
+/// assert!(san.options().reverse_mitigation);
+/// ```
 #[derive(Debug)]
 pub struct GiantSan {
     world: World,
@@ -72,85 +89,10 @@ impl Default for GiantSanOptions {
     }
 }
 
-impl GiantSanOptions {
-    /// Returns the options with anchor-based underflow detection toggled.
-    pub fn with_underflow_anchor(mut self, on: bool) -> Self {
-        self.underflow_anchor = on;
-        self
-    }
-
-    /// Returns the options with the §5.4 reverse-traversal mitigation
-    /// toggled.
-    pub fn with_reverse_mitigation(mut self, on: bool) -> Self {
-        self.reverse_mitigation = on;
-        self
-    }
-}
-
-/// Non-consuming fluent builder for [`GiantSan`], covering both the runtime
-/// configuration and every [`GiantSanOptions`] knob.
-///
-/// # Example
-///
-/// ```
-/// use giantsan_core::GiantSan;
-/// use giantsan_runtime::RuntimeConfig;
-///
-/// let san = GiantSan::builder()
-///     .config(RuntimeConfig::small())
-///     .reverse_mitigation(true)
-///     .build();
-/// assert_eq!(san.options().reverse_mitigation, true);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct GiantSanBuilder {
-    config: RuntimeConfig,
-    options: GiantSanOptions,
-}
-
-impl GiantSanBuilder {
-    /// Sets the runtime configuration (defaults to [`RuntimeConfig::default`]).
-    pub fn config(&mut self, config: RuntimeConfig) -> &mut Self {
-        self.config = config;
-        self
-    }
-
-    /// Replaces the whole option block at once.
-    pub fn options(&mut self, options: GiantSanOptions) -> &mut Self {
-        self.options = options;
-        self
-    }
-
-    /// Toggles anchor-based underflow detection (§5.4 first alternative when
-    /// off).
-    pub fn underflow_anchor(&mut self, on: bool) -> &mut Self {
-        self.options.underflow_anchor = on;
-        self
-    }
-
-    /// Toggles the quasi-lower-bound reverse-traversal mitigation (§5.4
-    /// second alternative).
-    pub fn reverse_mitigation(&mut self, on: bool) -> &mut Self {
-        self.options.reverse_mitigation = on;
-        self
-    }
-
-    /// Builds a GiantSan instance over a fresh world (the builder stays
-    /// usable for further sessions).
-    pub fn build(&self) -> GiantSan {
-        GiantSan::with_options(self.config.clone(), self.options.clone())
-    }
-}
-
 impl GiantSan {
     /// Creates a GiantSan instance over a fresh world.
     pub fn new(config: RuntimeConfig) -> Self {
         Self::with_options(config, GiantSanOptions::default())
-    }
-
-    /// Starts a fluent [`GiantSanBuilder`] with default config and options.
-    pub fn builder() -> GiantSanBuilder {
-        GiantSanBuilder::default()
     }
 
     /// The option block this instance runs with.
@@ -840,10 +782,13 @@ mod tests {
         // Regression: with the §5.4 reverse mitigation the cache admits
         // descending accesses below the quasi-lower-bound; a mid-loop free
         // must still surface at loop exit even when ub was never populated.
-        let mut s = GiantSan::builder()
-            .config(RuntimeConfig::small())
-            .reverse_mitigation(true)
-            .build();
+        let mut s = GiantSan::with_options(
+            RuntimeConfig::small(),
+            GiantSanOptions {
+                reverse_mitigation: true,
+                ..GiantSanOptions::default()
+            },
+        );
         let n: u64 = 256;
         let a = s.alloc(n, Region::Heap).unwrap();
         let end = a.base + n;
@@ -862,25 +807,6 @@ mod tests {
             .loop_final_check(&slot, end, AccessKind::Read)
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::UseAfterFree);
-    }
-
-    #[test]
-    fn builder_matches_with_options() {
-        let built = GiantSan::builder()
-            .underflow_anchor(false)
-            .reverse_mitigation(true)
-            .build();
-        assert_eq!(
-            *built.options(),
-            GiantSanOptions {
-                underflow_anchor: false,
-                reverse_mitigation: true,
-            }
-        );
-        assert_eq!(
-            *GiantSan::builder().build().options(),
-            GiantSanOptions::default()
-        );
     }
 
     #[test]
@@ -961,10 +887,13 @@ mod tests {
 
     #[test]
     fn reverse_mitigation_caches_descending_accesses() {
-        let mut s = GiantSan::builder()
-            .config(RuntimeConfig::small())
-            .reverse_mitigation(true)
-            .build();
+        let mut s = GiantSan::with_options(
+            RuntimeConfig::small(),
+            GiantSanOptions {
+                reverse_mitigation: true,
+                ..GiantSanOptions::default()
+            },
+        );
         let n: u64 = 4096;
         let a = s.alloc(n, Region::Heap).unwrap();
         let end = a.base + n;
@@ -987,10 +916,13 @@ mod tests {
     #[test]
     fn reverse_mitigation_soundness_at_every_size() {
         for size in [8u64, 24, 100, 256, 1000] {
-            let mut s = GiantSan::builder()
-                .config(RuntimeConfig::small())
-                .reverse_mitigation(true)
-                .build();
+            let mut s = GiantSan::with_options(
+                RuntimeConfig::small(),
+                GiantSanOptions {
+                    reverse_mitigation: true,
+                    ..GiantSanOptions::default()
+                },
+            );
             let a = s.alloc(size, Region::Heap).unwrap();
             // Reverse traversal of the whole-word prefix, anchored one past
             // the last full word (the `p = buf + n; *--p` idiom).
@@ -1010,10 +942,13 @@ mod tests {
     fn no_underflow_anchor_degrades_to_asan_mode() {
         // The first §5.4 alternative: a large negative offset that lands in
         // another live object bypasses the redzone, exactly like ASan.
-        let mut s = GiantSan::builder()
-            .config(RuntimeConfig::small())
-            .underflow_anchor(false)
-            .build();
+        let mut s = GiantSan::with_options(
+            RuntimeConfig::small(),
+            GiantSanOptions {
+                underflow_anchor: false,
+                ..GiantSanOptions::default()
+            },
+        );
         let victim = s.alloc(256, Region::Heap).unwrap();
         let a = s.alloc(64, Region::Heap).unwrap();
         let dist = (a.base - victim.base) as i64;

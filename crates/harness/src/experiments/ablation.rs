@@ -9,6 +9,7 @@ use giantsan_workloads::{figure8_program, quarantine_probe, traversal_program, P
 
 use crate::cost::CostModel;
 use crate::json::Json;
+use crate::session::SessionSpec;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
 use crate::tool::{run_tool, Tool};
@@ -83,11 +84,17 @@ fn reverse_rows(size: u64, rounds: u64) -> Vec<ReverseRow> {
         ),
         (
             "GiantSan + lower-bound cache",
-            Some(GiantSanOptions::default().with_reverse_mitigation(true)),
+            Some(GiantSanOptions {
+                reverse_mitigation: true,
+                ..GiantSanOptions::default()
+            }),
         ),
         (
             "GiantSan, ASan-mode underflow",
-            Some(GiantSanOptions::default().with_underflow_anchor(false)),
+            Some(GiantSanOptions {
+                underflow_anchor: false,
+                ..GiantSanOptions::default()
+            }),
         ),
         ("ASan", None),
     ];
@@ -95,11 +102,11 @@ fn reverse_rows(size: u64, rounds: u64) -> Vec<ReverseRow> {
         .into_iter()
         .map(|(label, options)| {
             let out = match &options {
-                Some(opts) => Tool::GiantSan
-                    .builder()
-                    .options(opts.clone())
-                    .spec()
-                    .run_planned(&prog, &plan, &inputs),
+                Some(opts) => SessionSpec {
+                    options: opts.clone(),
+                    ..SessionSpec::new(Tool::GiantSan)
+                }
+                .run_planned(&prog, &plan, &inputs),
                 None => run_tool(Tool::Asan, &prog, &inputs, &RuntimeConfig::default()),
             };
             assert!(
@@ -127,13 +134,13 @@ fn catches_underflow_bypass(options: Option<&GiantSanOptions>) -> bool {
     let (prog, inputs) = giantsan_workloads::underflow_bypass_probe();
     let cfg = RuntimeConfig::small();
     match options {
-        Some(opts) => Tool::GiantSan
-            .builder()
-            .config(cfg)
-            .options(opts.clone())
-            .spec()
-            .run(&prog, &inputs)
-            .detected(),
+        Some(opts) => SessionSpec {
+            config: cfg,
+            options: opts.clone(),
+            ..SessionSpec::new(Tool::GiantSan)
+        }
+        .run(&prog, &inputs)
+        .detected(),
         None => run_tool(Tool::Asan, &prog, &inputs, &cfg).detected(),
     }
 }
@@ -144,15 +151,14 @@ fn quarantine_rows() -> Vec<QuarantineRow> {
     let caps: [u64; 5] = [0, 8 << 10, 128 << 10, 1 << 20, 16 << 20];
     caps.into_iter()
         .map(|cap| {
-            let spec = Tool::GiantSan
-                .builder()
-                .config(
-                    RuntimeConfig::builder()
-                        .quarantine_cap(cap)
-                        .heap_size(32 << 20)
-                        .build(),
-                )
-                .spec();
+            let spec = SessionSpec {
+                config: RuntimeConfig {
+                    quarantine_cap: cap,
+                    heap_size: 32 << 20,
+                    ..RuntimeConfig::default()
+                },
+                ..SessionSpec::new(Tool::GiantSan)
+            };
             let detected = churn_levels
                 .iter()
                 .filter(|&&churn| {
@@ -197,10 +203,7 @@ fn pass_rows() -> Vec<PassAblationRow> {
         .into_iter()
         .map(|(label, profile)| {
             let a = analyze(&prog, &profile);
-            let out = Tool::GiantSan
-                .builder()
-                .spec()
-                .run_planned(&prog, &a.plan, &inputs);
+            let out = SessionSpec::new(Tool::GiantSan).run_planned(&prog, &a.plan, &inputs);
             assert!(
                 out.result.reports.is_empty(),
                 "{label}: clean workload raised {:?}",

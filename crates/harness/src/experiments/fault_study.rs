@@ -21,6 +21,7 @@ use giantsan_workloads::fuzz::{buggy_program, safe_program, InjectedBug};
 
 use crate::faults::{splitmix64, FaultKind, FaultPlan};
 use crate::json::Json;
+use crate::session::SessionSpec;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
 use crate::tool::Tool;
@@ -134,13 +135,12 @@ impl FaultCell {
             .recovery(RecoveryPolicy::recover())
             .build();
         let (program, inputs) = self.workload.materialize(self.seed);
-        let out = self
-            .tool
-            .builder()
-            .config(cfg)
-            .faults(self.plan(campaign_seed))
-            .spec()
-            .run(&program, &inputs);
+        let out = SessionSpec {
+            config: cfg,
+            faults: Some(self.plan(campaign_seed)),
+            ..SessionSpec::new(self.tool)
+        }
+        .run(&program, &inputs);
         let verdict = match out.result.termination {
             giantsan_ir::Termination::Crashed { .. } | giantsan_ir::Termination::StepLimit => {
                 Verdict::Crashed

@@ -7,10 +7,10 @@
 //! redzone and rounding waste in the heap's high-water mark, quarantine
 //! residency, and the fixed 1/8 shadow mapping.
 
-use giantsan_runtime::RuntimeConfig;
 use giantsan_workloads::spec_suite;
 
 use crate::json::Json;
+use crate::session::SessionSpec;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
 use crate::tool::Tool;
@@ -96,7 +96,7 @@ impl MemoryStudy {
 }
 
 /// `repro memory` as a [`Study`]: one cell per SPEC-like workload, each
-/// running every column tool and inspecting its world afterwards.
+/// running every column tool and reading its heap footprint at exit.
 #[derive(Debug, Clone, Copy)]
 pub struct MemoryEntry;
 
@@ -113,19 +113,14 @@ impl Study for MemoryEntry {
     }
 
     fn run_cell(&self, opts: &StudyOpts, index: usize) -> Json {
-        let cfg = RuntimeConfig::default();
         let suite = spec_suite(opts.scale);
         let w = &suite[index];
         let mut heap_high_water = Vec::new();
         let mut quarantined = Vec::new();
         for tool in COLUMNS {
-            let spec = tool.builder().config(cfg.clone()).spec();
-            let mut san = spec.session();
-            let plan = spec.plan(&w.program);
-            let exec = spec.exec_config();
-            let _ = giantsan_ir::run_dyn(&w.program, &w.inputs, san.as_mut(), &plan, &exec);
-            heap_high_water.push(san.world().heap().high_water());
-            quarantined.push(san.world().quarantined_bytes());
+            let out = SessionSpec::new(tool).run(&w.program, &w.inputs);
+            heap_high_water.push(out.heap_high_water);
+            quarantined.push(out.quarantined_bytes);
         }
         Json::obj()
             .field("id", w.id.as_str())
@@ -147,6 +142,24 @@ impl Study for MemoryEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use giantsan_core::GiantSan;
+    use giantsan_runtime::{RuntimeConfig, Sanitizer};
+
+    #[test]
+    fn run_outcome_heap_fields_are_the_session_world_footprint() {
+        let w = spec_suite(1)
+            .into_iter()
+            .find(|w| w.id == "502.gcc_r")
+            .expect("SPEC row");
+        let spec = SessionSpec::new(Tool::GiantSan);
+        let plan = spec.tool.plan(&w.program);
+        let out = spec.run_planned(&w.program, &plan, &w.inputs);
+        let mut san = GiantSan::new(RuntimeConfig::default());
+        giantsan_ir::run(&w.program, &w.inputs, &mut san, &plan, &spec.exec_config());
+        assert_eq!(out.heap_high_water, san.world().heap().high_water());
+        assert_eq!(out.quarantined_bytes, san.world().quarantined_bytes());
+        assert!(out.quarantined_bytes > 0, "gcc's frees stay quarantined");
+    }
 
     #[test]
     fn sanitizers_use_more_heap_and_only_quarantining_tools_quarantine() {

@@ -159,21 +159,24 @@ impl Study for Table5Entry {
         let cases = magma_cases(opts.div);
         let specs: Vec<SessionSpec> = CONFIGS
             .iter()
-            .map(|c| {
-                c.tool
-                    .builder()
-                    .config(RuntimeConfig::small())
-                    .redzone(c.redzone)
-                    .spec()
+            .map(|c| SessionSpec {
+                config: RuntimeConfig {
+                    redzone: c.redzone,
+                    ..RuntimeConfig::small()
+                },
+                ..SessionSpec::new(c.tool)
             })
             .collect();
         let indices: Vec<usize> = range.collect();
         let mut plans: HashMap<usize, Vec<CheckPlan>> = HashMap::new();
         for &i in &indices {
             let template = cases[i].template;
-            plans
-                .entry(template)
-                .or_insert_with(|| specs.iter().map(|s| s.plan(&templates[template])).collect());
+            plans.entry(template).or_insert_with(|| {
+                specs
+                    .iter()
+                    .map(|s| s.tool.plan(&templates[template]))
+                    .collect()
+            });
         }
         runner.map(&indices, |_, &i| {
             let case = &cases[i];

@@ -20,8 +20,8 @@
 //! (history-cache refreshes) and the hoisted pre-header / loop-final region
 //! checks — exactly the sites the paper's optimisation story is about.
 
-use giantsan_analysis::{analyze, analyze_recorded};
-use giantsan_ir::{CheckPlan, Program};
+use giantsan_analysis::analyze_recorded;
+use giantsan_ir::Program;
 use giantsan_runtime::Counters;
 use giantsan_telemetry::export::{events_jsonl, prometheus, text_digest, ChromeTrace};
 use giantsan_telemetry::{
@@ -30,6 +30,7 @@ use giantsan_telemetry::{
 use giantsan_workloads::{figure8_program, spec_workload};
 
 use crate::json::Json;
+use crate::session::SessionSpec;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::{pct, TextTable};
 use crate::tool::Tool;
@@ -397,18 +398,6 @@ fn hists_from(j: &Json) -> Histograms {
 #[derive(Debug, Clone, Copy)]
 pub struct TraceEntry;
 
-impl TraceEntry {
-    /// The deterministic plan every cell runs under (identical to the one
-    /// the planning cell records: `analyze` and [`analyze_recorded`] run
-    /// the same pipeline).
-    fn plan_for(opts: &StudyOpts, program: &Program) -> CheckPlan {
-        match opts.tool {
-            Tool::Native => CheckPlan::none(program),
-            _ => analyze(program, &opts.tool.builder().spec().profile()).plan,
-        }
-    }
-}
-
 impl Study for TraceEntry {
     fn name(&self) -> &'static str {
         "trace"
@@ -432,9 +421,8 @@ impl Study for TraceEntry {
         if index == 0 {
             // The planning cell: per-pass events (none under Native).
             let mut rec = TraceRecorder::for_cell(0);
-            let spec = opts.tool.builder().spec();
             if opts.tool != Tool::Native {
-                analyze_recorded(&program, &spec.profile(), &mut rec);
+                analyze_recorded(&program, &opts.tool.profile(), &mut rec);
             }
             let (ev, h, d) = rec.finish();
             return Json::obj()
@@ -445,8 +433,10 @@ impl Study for TraceEntry {
                 .field("hists", hists_json(&h));
         }
         let cell = index as u32;
-        let spec = opts.tool.builder().spec();
-        let plan = Self::plan_for(opts, &program);
+        // The plan the planning cell records: `Tool::plan` and
+        // `analyze_recorded` run the same pipeline.
+        let spec = SessionSpec::new(opts.tool);
+        let plan = opts.tool.plan(&program);
         let inputs = cell_inputs(&opts.workload, opts.scale, cell, &base_inputs);
         let mut rec = TraceRecorder::for_cell(cell);
         let out = spec.run_planned_recorded(&program, &plan, &inputs, &mut rec);
@@ -667,12 +657,12 @@ mod tests {
     /// payload-derived span chain must reproduce).
     fn cell_events(o: &StudyOpts, cell: u32) -> Vec<Event> {
         let (program, base_inputs) = workload_program(&o.workload, o.scale).unwrap();
-        let spec = o.tool.builder().spec();
         let mut rec = TraceRecorder::for_cell(cell);
         if cell == 0 {
-            analyze_recorded(&program, &spec.profile(), &mut rec);
+            analyze_recorded(&program, &o.tool.profile(), &mut rec);
         } else {
-            let plan = TraceEntry::plan_for(o, &program);
+            let spec = SessionSpec::new(o.tool);
+            let plan = o.tool.plan(&program);
             let inputs = cell_inputs(&o.workload, o.scale, cell, &base_inputs);
             spec.run_planned_recorded(&program, &plan, &inputs, &mut rec);
         }

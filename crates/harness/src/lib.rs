@@ -53,7 +53,7 @@ pub use campaign::{Campaign, CampaignError, ResumeStats, ShardSpec};
 pub use cli::CliOpts;
 pub use cost::{geomean, CostModel};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultySanitizer};
-pub use session::{SessionSpec, ToolBuilder};
+pub use session::SessionSpec;
 pub use study::{Record, Study, StudyOpts, StudyOutput, StudyRegistry};
 pub use table::{pct, TextTable};
 pub use tool::{run_planned, run_tool, RunOutcome, Tool};

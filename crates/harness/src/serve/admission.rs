@@ -154,11 +154,6 @@ impl<T> BoundedQueue<T> {
         self.inner.lock().expect("queue poisoned").items.len()
     }
 
-    /// `true` once [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue poisoned").closed
-    }
-
     /// Enqueues `item`, refusing when full or draining.
     pub fn push(&self, item: T) -> Result<(), QueueRefusal> {
         let mut inner = self.inner.lock().expect("queue poisoned");

@@ -1,140 +1,69 @@
-//! The session/config API: how tool instances are described and built.
+//! The session API: one value describes a sanitizer configuration, and one
+//! code path builds and runs it.
 //!
 //! The batch-execution engine ([`crate::BatchRunner`]) hands the same
 //! experiment cell description to whichever worker steals it, and that
 //! worker builds its own private sanitizer session. [`SessionSpec`] is that
-//! description: a cheap, `Send + Sync`, cloneable value carrying the tool
-//! identity, the [`RuntimeConfig`], and the [`GiantSanOptions`] — everything
-//! needed to construct a session from scratch. [`ToolBuilder`] is the fluent
-//! front door that replaces the old ad-hoc `match`-construction scattered
-//! through `tool.rs`.
+//! description: a plain, `Send + Sync`, cloneable value carrying the tool
+//! identity, the [`RuntimeConfig`], the [`GiantSanOptions`] and an optional
+//! [`FaultPlan`] — everything needed to construct a session from scratch.
+//! Callers start from [`SessionSpec::new`] and override fields with struct
+//! update:
 //!
-//! ```text
-//! Tool::GiantSan.builder()          // ToolBuilder
-//!     .config(...)                  //   fluent overrides
-//!     .options(...)
-//!     .spec()                       // SessionSpec (shareable across workers)
-//!     .run_planned(&prog, &plan, &inputs)   // fresh session per run
+//! ```
+//! use giantsan_harness::{SessionSpec, Tool};
+//! use giantsan_runtime::RuntimeConfig;
+//!
+//! let spec = SessionSpec {
+//!     config: RuntimeConfig::small(),
+//!     ..SessionSpec::new(Tool::Asan)
+//! };
+//! assert_eq!(spec.tool, Tool::Asan);
 //! ```
 //!
-//! Runs stay **monomorphized**: [`SessionSpec::run_planned`] dispatches on
-//! the tool once, outside the interpreter, so each arm instantiates
-//! [`giantsan_ir::run`] at a concrete sanitizer type and the per-access
-//! check calls inline (PR 1's dispatch optimisation, preserved).
+//! Runs stay **monomorphized**: [`SessionSpec::run_planned_recorded`] holds
+//! the one `match` over [`Tool`] that builds a sanitizer, outside the
+//! interpreter, so each arm instantiates [`giantsan_ir::run_with`] at a
+//! concrete sanitizer type and the per-access check calls inline.
 
-use giantsan_analysis::{analyze, ToolProfile};
 use giantsan_baselines::{Asan, AsanMinusMinus, Lfp};
 use giantsan_core::{GiantSan, GiantSanOptions};
-use giantsan_ir::{run_with, CheckPlan, ExecConfig, ExecResult, Program};
+use giantsan_ir::{run_with, CheckPlan, ExecConfig, Program};
 use giantsan_runtime::{NullSanitizer, RuntimeConfig, Sanitizer};
 use giantsan_telemetry::{NoopRecorder, Recorder};
 
 use crate::faults::{FaultPlan, FaultySanitizer};
 use crate::tool::{RunOutcome, Tool};
 
-/// Fluent builder for a [`SessionSpec`].
+/// A complete, thread-shareable description of one sanitizer configuration.
 ///
-/// Obtained from [`Tool::builder`]; defaults to [`RuntimeConfig::default`]
-/// and [`GiantSanOptions::default`].
-///
-/// # Example
-///
-/// ```
-/// use giantsan_harness::Tool;
-/// use giantsan_runtime::RuntimeConfig;
-///
-/// let spec = Tool::Asan.builder().config(RuntimeConfig::small()).spec();
-/// assert_eq!(spec.tool(), Tool::Asan);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ToolBuilder {
-    tool: Tool,
-    config: RuntimeConfig,
-    options: GiantSanOptions,
-    faults: Option<FaultPlan>,
+/// A spec never holds runtime state: every [`SessionSpec::run_planned`]
+/// call constructs a fresh world, which is what lets the batch engine run
+/// the same spec on many workers at once and what keeps serial and parallel
+/// results identical (no state leaks between cells).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SessionSpec {
+    /// The tool (column of Table 2) sessions run.
+    pub tool: Tool,
+    /// The runtime configuration sessions are built with.
+    pub config: RuntimeConfig,
+    /// The GiantSan option block (ignored by non-GiantSan tools).
+    pub options: GiantSanOptions,
+    /// A deterministic fault plan every session injects (see
+    /// [`crate::faults`]), if armed.
+    pub faults: Option<FaultPlan>,
 }
 
-impl ToolBuilder {
-    pub(crate) fn new(tool: Tool) -> Self {
-        ToolBuilder {
+impl SessionSpec {
+    /// `tool` with [`RuntimeConfig::default`], [`GiantSanOptions::default`]
+    /// and no faults.
+    pub fn new(tool: Tool) -> SessionSpec {
+        SessionSpec {
             tool,
             config: RuntimeConfig::default(),
             options: GiantSanOptions::default(),
             faults: None,
         }
-    }
-
-    /// Sets the runtime configuration for every session built from the spec.
-    pub fn config(mut self, config: RuntimeConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Overrides only the redzone size, keeping the rest of the config
-    /// (Table 5 varies exactly this).
-    pub fn redzone(mut self, bytes: u64) -> Self {
-        self.config.redzone = bytes;
-        self
-    }
-
-    /// Sets the GiantSan option block (ignored by non-GiantSan tools).
-    pub fn options(mut self, options: GiantSanOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Arms a deterministic fault plan: every session built from the spec
-    /// injects the plan's faults (see [`crate::faults`]).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Finishes the description.
-    pub fn spec(self) -> SessionSpec {
-        SessionSpec {
-            tool: self.tool,
-            config: self.config,
-            options: self.options,
-            faults: self.faults,
-        }
-    }
-}
-
-/// A complete, thread-shareable description of one sanitizer configuration.
-///
-/// A spec never holds runtime state: every [`SessionSpec::session`] or
-/// [`SessionSpec::run_planned`] call constructs a fresh world, which is what
-/// lets the batch engine run the same spec on many workers at once and what
-/// keeps serial and parallel results identical (no state leaks between
-/// cells).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionSpec {
-    tool: Tool,
-    config: RuntimeConfig,
-    options: GiantSanOptions,
-    faults: Option<FaultPlan>,
-}
-
-impl SessionSpec {
-    /// The tool this spec describes.
-    pub fn tool(&self) -> Tool {
-        self.tool
-    }
-
-    /// The runtime configuration sessions are built with.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
-    /// The GiantSan option block (meaningful for the GiantSan family only).
-    pub fn options(&self) -> &GiantSanOptions {
-        &self.options
-    }
-
-    /// The armed fault plan, if any.
-    pub fn faults(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
     }
 
     /// The runtime config sessions are actually built with: the declared
@@ -143,49 +72,6 @@ impl SessionSpec {
         match self.faults.as_ref().and_then(FaultPlan::quarantine_cap) {
             Some(cap) => self.config.to_builder().quarantine_cap(cap).build(),
             None => self.config.clone(),
-        }
-    }
-
-    /// The instrumentation capabilities of this tool's compiler pass.
-    pub fn profile(&self) -> ToolProfile {
-        match self.tool {
-            Tool::Native => ToolProfile::native(),
-            Tool::GiantSan => ToolProfile::giantsan(),
-            Tool::Asan => ToolProfile::asan(),
-            Tool::AsanMinusMinus => ToolProfile::asan_minus_minus(),
-            Tool::Lfp => ToolProfile::lfp(),
-            Tool::CacheOnly => ToolProfile::giantsan_cache_only(),
-            Tool::EliminationOnly => ToolProfile::giantsan_elimination_only(),
-        }
-    }
-
-    /// Computes the instrumentation plan for `program`.
-    pub fn plan(&self, program: &Program) -> CheckPlan {
-        match self.tool {
-            Tool::Native => CheckPlan::none(program),
-            _ => analyze(program, &self.profile()).plan,
-        }
-    }
-
-    /// Builds a fresh boxed session (for callers that need to hold the
-    /// sanitizer across calls, e.g. the memory study).
-    pub fn session(&self) -> Box<dyn Sanitizer> {
-        fn boxed<S: Sanitizer + 'static>(san: S, faults: Option<&FaultPlan>) -> Box<dyn Sanitizer> {
-            match faults {
-                Some(plan) => Box::new(FaultySanitizer::new(san, plan)),
-                None => Box::new(san),
-            }
-        }
-        let cfg = self.session_config();
-        let faults = self.faults.as_ref();
-        match self.tool {
-            Tool::Native => boxed(NullSanitizer::new(cfg), faults),
-            Tool::GiantSan | Tool::CacheOnly | Tool::EliminationOnly => {
-                boxed(GiantSan::with_options(cfg, self.options.clone()), faults)
-            }
-            Tool::Asan => boxed(Asan::new(cfg), faults),
-            Tool::AsanMinusMinus => boxed(AsanMinusMinus::new(cfg), faults),
-            Tool::Lfp => boxed(Lfp::new(cfg), faults),
         }
     }
 
@@ -204,11 +90,6 @@ impl SessionSpec {
     }
 
     /// Runs `program` in a fresh session with a pre-computed plan.
-    ///
-    /// Dispatches on the tool *here*, outside the interpreter, so each arm
-    /// instantiates [`giantsan_ir::run`] at a concrete sanitizer type: the
-    /// per-access
-    /// check calls inline instead of costing a vtable hop per load/store.
     pub fn run_planned(&self, program: &Program, plan: &CheckPlan, inputs: &[i64]) -> RunOutcome {
         self.run_planned_recorded(program, plan, inputs, &mut NoopRecorder)
     }
@@ -229,83 +110,70 @@ impl SessionSpec {
         inputs: &[i64],
         rec: &mut R,
     ) -> RunOutcome {
-        let exec = self.exec_config();
+        let run = Run {
+            program,
+            plan,
+            inputs,
+            exec: self.exec_config(),
+            faults: self.faults.as_ref(),
+            rec,
+        };
         let cfg = self.session_config();
-        // Each arm stays monomorphized; the faulty variant instantiates the
-        // interpreter at `FaultySanitizer<Tool>`, the clean one at `Tool`.
-        fn dispatch<S: Sanitizer, R: Recorder>(
-            san: S,
-            faults: Option<&FaultPlan>,
-            program: &Program,
-            plan: &CheckPlan,
-            inputs: &[i64],
-            exec: &ExecConfig,
-            rec: &mut R,
-        ) -> RunOutcome {
-            match faults {
-                Some(fp) => {
-                    let mut san = FaultySanitizer::new(san, fp);
-                    run_counted(&mut san, program, plan, inputs, exec, rec)
-                }
-                None => {
-                    let mut san = san;
-                    run_counted(&mut san, program, plan, inputs, exec, rec)
-                }
-            }
-        }
-        let faults = self.faults.as_ref();
         match self.tool {
-            Tool::Native => dispatch(
-                NullSanitizer::new(cfg),
-                faults,
-                program,
-                plan,
-                inputs,
-                &exec,
-                rec,
-            ),
-            Tool::GiantSan | Tool::CacheOnly | Tool::EliminationOnly => dispatch(
-                GiantSan::with_options(cfg, self.options.clone()),
-                faults,
-                program,
-                plan,
-                inputs,
-                &exec,
-                rec,
-            ),
-            Tool::Asan => dispatch(Asan::new(cfg), faults, program, plan, inputs, &exec, rec),
-            Tool::AsanMinusMinus => dispatch(
-                AsanMinusMinus::new(cfg),
-                faults,
-                program,
-                plan,
-                inputs,
-                &exec,
-                rec,
-            ),
-            Tool::Lfp => dispatch(Lfp::new(cfg), faults, program, plan, inputs, &exec, rec),
+            Tool::Native => run.on(NullSanitizer::new(cfg)),
+            Tool::GiantSan | Tool::CacheOnly | Tool::EliminationOnly => {
+                run.on(GiantSan::with_options(cfg, self.options.clone()))
+            }
+            Tool::Asan => run.on(Asan::new(cfg)),
+            Tool::AsanMinusMinus => run.on(AsanMinusMinus::new(cfg)),
+            Tool::Lfp => run.on(Lfp::new(cfg)),
         }
     }
 
     /// Plans and runs in one step.
     pub fn run(&self, program: &Program, inputs: &[i64]) -> RunOutcome {
-        let plan = self.plan(program);
+        let plan = self.tool.plan(program);
         self.run_planned(program, &plan, inputs)
     }
 }
 
-fn run_counted<S: Sanitizer, R: Recorder>(
-    san: &mut S,
-    program: &Program,
-    plan: &CheckPlan,
-    inputs: &[i64],
-    exec: &ExecConfig,
-    rec: &mut R,
-) -> RunOutcome {
-    let result: ExecResult = run_with(program, inputs, san, plan, exec, rec);
-    RunOutcome {
-        result,
-        counters: *san.counters(),
+/// One run's inputs, waiting for the sanitizer the tool match builds.
+struct Run<'a, R> {
+    program: &'a Program,
+    plan: &'a CheckPlan,
+    inputs: &'a [i64],
+    exec: ExecConfig,
+    faults: Option<&'a FaultPlan>,
+    rec: &'a mut R,
+}
+
+impl<R: Recorder> Run<'_, R> {
+    /// Runs under `san`, wrapped in a [`FaultySanitizer`] when a fault plan
+    /// is armed; either way the interpreter is instantiated at a concrete
+    /// type.
+    fn on<S: Sanitizer>(self, san: S) -> RunOutcome {
+        match self.faults {
+            Some(plan) => self.counted(&mut FaultySanitizer::new(san, plan)),
+            None => self.counted(&mut { san }),
+        }
+    }
+
+    fn counted<S: Sanitizer>(self, san: &mut S) -> RunOutcome {
+        let result = run_with(
+            self.program,
+            self.inputs,
+            san,
+            self.plan,
+            &self.exec,
+            self.rec,
+        );
+        let world = san.world();
+        RunOutcome {
+            result,
+            counters: *san.counters(),
+            heap_high_water: world.heap().high_water(),
+            quarantined_bytes: world.quarantined_bytes(),
+        }
     }
 }
 
@@ -313,6 +181,8 @@ fn run_counted<S: Sanitizer, R: Recorder>(
 mod tests {
     use super::*;
     use giantsan_ir::ProgramBuilder;
+    use giantsan_runtime::RecoveryPolicy;
+    use giantsan_workloads::{traversal_program, Pattern};
 
     fn tiny() -> (Program, Vec<i64>) {
         let mut b = ProgramBuilder::new("tiny");
@@ -327,8 +197,8 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SessionSpec>();
         let (prog, inputs) = tiny();
-        let spec = Tool::GiantSan.builder().spec();
-        let plan = spec.plan(&prog);
+        let spec = SessionSpec::new(Tool::GiantSan);
+        let plan = spec.tool.plan(&prog);
         let outcomes = std::thread::scope(|s| {
             let handles: Vec<_> = (0..3)
                 .map(|_| s.spawn(|| spec.run_planned(&prog, &plan, &inputs)))
@@ -346,40 +216,60 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_flow_into_sessions() {
-        let spec = Tool::GiantSan
-            .builder()
-            .config(RuntimeConfig::small())
-            .redzone(1)
-            .options(GiantSanOptions::default().with_reverse_mitigation(true))
-            .spec();
-        assert_eq!(spec.config().redzone, 1);
-        assert!(spec.options().reverse_mitigation);
-        let mut session = spec.session();
-        assert_eq!(session.name(), "GiantSan");
-        assert_eq!(session.world().config().redzone, 1);
-        let a = session
-            .alloc(32, giantsan_runtime::Region::Heap)
-            .expect("alloc");
-        assert!(session
-            .check_access(a.base, 8, giantsan_runtime::AccessKind::Read)
-            .is_ok());
+    fn field_overrides_flow_into_sessions() {
+        let config = RuntimeConfig {
+            redzone: 1,
+            ..RuntimeConfig::small()
+        };
+        let options = GiantSanOptions {
+            reverse_mitigation: true,
+            ..GiantSanOptions::default()
+        };
+        let spec = SessionSpec {
+            config: config.clone(),
+            options: options.clone(),
+            ..SessionSpec::new(Tool::GiantSan)
+        };
+        assert_eq!(spec.config.redzone, 1);
+        assert!(spec.options.reverse_mitigation);
+        // The session the spec runs is the one built by hand from the same
+        // fields: same world (heap high-water), same checks (counters).
+        let (prog, inputs) = traversal_program(Pattern::Reverse, 256, 2);
+        let plan = spec.tool.plan(&prog);
+        let out = spec.run_planned(&prog, &plan, &inputs);
+        assert!(!out.detected());
+        let mut san = GiantSan::with_options(config, options);
+        assert_eq!(san.name(), "GiantSan");
+        giantsan_ir::run(&prog, &inputs, &mut san, &plan, &spec.exec_config());
+        assert_eq!(out.counters, *san.counters());
+        assert_eq!(out.heap_high_water, san.world().heap().high_water());
+        // ...and each override changes what the defaults would give.
+        let default = SessionSpec::new(Tool::GiantSan).run_planned(&prog, &plan, &inputs);
+        assert_ne!(out.counters.shadow_loads, default.counters.shadow_loads);
+        assert_ne!(out.heap_high_water, default.heap_high_water);
     }
 
     #[test]
     fn recovery_policy_reaches_the_interpreter_policy() {
-        use giantsan_runtime::RecoveryPolicy;
-        let cfg = RuntimeConfig::builder().halt_on_error(true).build();
-        let spec = Tool::Asan.builder().config(cfg).spec();
+        let spec = SessionSpec {
+            config: RuntimeConfig {
+                recovery: RecoveryPolicy::Halt,
+                ..RuntimeConfig::default()
+            },
+            ..SessionSpec::new(Tool::Asan)
+        };
         assert!(spec.exec_config().recovery.halts());
         assert_eq!(
-            Tool::Asan.builder().spec().exec_config().recovery,
+            SessionSpec::new(Tool::Asan).exec_config().recovery,
             RecoveryPolicy::Continue
         );
-        let cfg = RuntimeConfig::builder()
-            .recovery(RecoveryPolicy::recover())
-            .build();
-        let spec = Tool::Asan.builder().config(cfg).spec();
+        let spec = SessionSpec {
+            config: RuntimeConfig {
+                recovery: RecoveryPolicy::recover(),
+                ..RuntimeConfig::default()
+            },
+            ..SessionSpec::new(Tool::Asan)
+        };
         assert!(spec.exec_config().recovery.contains_faults());
     }
 }

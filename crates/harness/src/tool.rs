@@ -1,17 +1,18 @@
 //! The tool registry: every sanitizer configuration the paper evaluates.
 //!
 //! `Tool` is the identity half of the session API: it names a column of
-//! Table 2 and knows nothing about configuration. [`Tool::builder`] starts a
-//! [`crate::ToolBuilder`], which produces a [`crate::SessionSpec`] — the
-//! complete description workers of the batch engine build sessions from. The
-//! free functions here ([`run_planned`], [`run_tool`]) are the historical
-//! entry points, kept as thin wrappers over the spec API.
+//! Table 2 and owns the tool's static facts — its compiler pass
+//! ([`Tool::profile`]) and the plan that pass produces ([`Tool::plan`]).
+//! Runtime configuration lives in [`crate::SessionSpec`], the value workers
+//! of the batch engine build sessions from. The free functions here
+//! ([`run_planned`], [`run_tool`]) are the short form for a default spec
+//! with a given [`RuntimeConfig`].
 
-use giantsan_analysis::ToolProfile;
+use giantsan_analysis::{analyze, ToolProfile};
 use giantsan_ir::{CheckPlan, ExecResult, Program};
-use giantsan_runtime::{Counters, RuntimeConfig, Sanitizer};
+use giantsan_runtime::{Counters, RuntimeConfig};
 
-use crate::session::ToolBuilder;
+use crate::session::SessionSpec;
 
 /// A sanitizer configuration (one column of Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,24 +68,26 @@ impl Tool {
         }
     }
 
-    /// Starts building a [`crate::SessionSpec`] for this tool.
-    pub fn builder(self) -> ToolBuilder {
-        ToolBuilder::new(self)
-    }
-
     /// The instrumentation capabilities this tool's compiler pass has.
     pub fn profile(self) -> ToolProfile {
-        self.builder().spec().profile()
+        match self {
+            Tool::Native => ToolProfile::native(),
+            Tool::GiantSan => ToolProfile::giantsan(),
+            Tool::Asan => ToolProfile::asan(),
+            Tool::AsanMinusMinus => ToolProfile::asan_minus_minus(),
+            Tool::Lfp => ToolProfile::lfp(),
+            Tool::CacheOnly => ToolProfile::giantsan_cache_only(),
+            Tool::EliminationOnly => ToolProfile::giantsan_elimination_only(),
+        }
     }
 
-    /// Computes this tool's instrumentation plan for `program`.
+    /// Computes this tool's instrumentation plan for `program` (Native runs
+    /// uninstrumented, without planning).
     pub fn plan(self, program: &Program) -> CheckPlan {
-        self.builder().spec().plan(program)
-    }
-
-    /// Instantiates the runtime over a fresh world.
-    pub fn sanitizer(self, config: &RuntimeConfig) -> Box<dyn Sanitizer> {
-        self.builder().config(config.clone()).spec().session()
+        match self {
+            Tool::Native => CheckPlan::none(program),
+            _ => analyze(program, &self.profile()).plan,
+        }
     }
 }
 
@@ -95,6 +98,11 @@ pub struct RunOutcome {
     pub result: ExecResult,
     /// Sanitizer counters (shadow loads, check paths, poisoning).
     pub counters: Counters,
+    /// The heap's high-water mark in bytes at exit (redzones and rounding
+    /// included).
+    pub heap_high_water: u64,
+    /// Bytes resident in quarantine at exit.
+    pub quarantined_bytes: u64,
 }
 
 impl RunOutcome {
@@ -117,10 +125,11 @@ pub fn run_planned(
     inputs: &[i64],
     config: &RuntimeConfig,
 ) -> RunOutcome {
-    tool.builder()
-        .config(config.clone())
-        .spec()
-        .run_planned(program, plan, inputs)
+    SessionSpec {
+        config: config.clone(),
+        ..SessionSpec::new(tool)
+    }
+    .run_planned(program, plan, inputs)
 }
 
 /// Plans and runs in one step.
@@ -130,10 +139,11 @@ pub fn run_tool(
     inputs: &[i64],
     config: &RuntimeConfig,
 ) -> RunOutcome {
-    tool.builder()
-        .config(config.clone())
-        .spec()
-        .run(program, inputs)
+    SessionSpec {
+        config: config.clone(),
+        ..SessionSpec::new(tool)
+    }
+    .run(program, inputs)
 }
 
 #[cfg(test)]
@@ -188,11 +198,11 @@ mod tests {
         let cfg = RuntimeConfig::small();
         for tool in Tool::ALL {
             let via_wrapper = run_tool(tool, &prog, &inputs, &cfg);
-            let via_spec = tool
-                .builder()
-                .config(cfg.clone())
-                .spec()
-                .run(&prog, &inputs);
+            let via_spec = SessionSpec {
+                config: cfg.clone(),
+                ..SessionSpec::new(tool)
+            }
+            .run(&prog, &inputs);
             assert_eq!(via_wrapper.counters, via_spec.counters, "{}", tool.name());
             assert_eq!(
                 via_wrapper.result.checksum,

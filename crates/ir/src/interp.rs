@@ -21,8 +21,7 @@
 //! [`run`] is generic over the sanitizer: calling it with a concrete tool
 //! monomorphizes the whole interpreter loop around that tool's check
 //! methods, so the per-access fast path inlines instead of going through a
-//! vtable. [`run_dyn`] pins the `dyn Sanitizer` instantiation for call
-//! sites that hold boxed tools.
+//! vtable.
 //!
 //! [`run_with`] additionally threads a [`Recorder`] through the loop. Every
 //! emission site is guarded by `if R::ENABLED`, so [`run`] — which delegates
@@ -216,20 +215,6 @@ pub fn run_with<S: Sanitizer + ?Sized, R: Recorder>(
         });
     }
     interp.result
-}
-
-/// Dynamic-dispatch entry point: [`run`] instantiated at `dyn Sanitizer`.
-///
-/// Kept as an explicit shim so call sites that hold a boxed tool have a
-/// stable, guaranteed-virtual path.
-pub fn run_dyn(
-    program: &Program,
-    inputs: &[i64],
-    san: &mut dyn Sanitizer,
-    plan: &CheckPlan,
-    config: &ExecConfig,
-) -> ExecResult {
-    run(program, inputs, san, plan, config)
 }
 
 /// One statement, decoded for execution: expressions lowered to [`Form`]s,

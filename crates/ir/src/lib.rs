@@ -57,6 +57,6 @@ pub mod watchdog;
 
 pub use builder::ProgramBuilder;
 pub use expr::{Expr, VarId};
-pub use interp::{run, run_dyn, run_with, ExecConfig, ExecResult, Termination};
+pub use interp::{run, run_with, ExecConfig, ExecResult, Termination};
 pub use plan::{CacheId, CheckPlan, LoopPlan, PreCheck, SiteAction};
 pub use program::{LoopId, Program, PtrId, SiteId, Stmt};

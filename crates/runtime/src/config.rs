@@ -60,14 +60,6 @@ impl RuntimeConfig {
     /// Default redzone size used throughout the paper's performance study.
     pub const DEFAULT_REDZONE: u64 = 16;
 
-    /// Configuration with a given redzone size, other fields default.
-    pub fn with_redzone(redzone: u64) -> Self {
-        RuntimeConfig {
-            redzone,
-            ..Self::default()
-        }
-    }
-
     /// A small-arena configuration for fast unit tests.
     pub fn small() -> Self {
         RuntimeConfig {
@@ -147,19 +139,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Sets whether execution stops at the first error report.
-    ///
-    /// Shorthand for [`RuntimeConfigBuilder::recovery`] with
-    /// [`RecoveryPolicy::Halt`] / [`RecoveryPolicy::Continue`].
-    pub fn halt_on_error(&mut self, halt: bool) -> &mut Self {
-        self.cfg.recovery = if halt {
-            RecoveryPolicy::Halt
-        } else {
-            RecoveryPolicy::Continue
-        };
-        self
-    }
-
     /// Sets the full post-report policy (halt / continue / recover).
     pub fn recovery(&mut self, policy: RecoveryPolicy) -> &mut Self {
         self.cfg.recovery = policy;
@@ -199,13 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn with_redzone_overrides_only_redzone() {
-        let cfg = RuntimeConfig::with_redzone(512);
-        assert_eq!(cfg.redzone, 512);
-        assert_eq!(cfg.heap_size, RuntimeConfig::default().heap_size);
-    }
-
-    #[test]
     fn small_is_smaller() {
         assert!(RuntimeConfig::small().heap_size < RuntimeConfig::default().heap_size);
     }
@@ -215,7 +187,7 @@ mod tests {
         assert_eq!(RuntimeConfig::builder().build(), RuntimeConfig::default());
         let cfg = RuntimeConfig::builder()
             .redzone(1)
-            .halt_on_error(true)
+            .recovery(RecoveryPolicy::Halt)
             .build();
         assert_eq!(cfg.redzone, 1);
         assert_eq!(cfg.recovery, RecoveryPolicy::Halt);

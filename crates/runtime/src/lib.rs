@@ -41,7 +41,6 @@ mod recovery;
 mod report;
 mod sanitizer;
 mod stack;
-mod tcache;
 mod world;
 
 pub use config::{HeapBackend, RuntimeConfig, RuntimeConfigBuilder};
@@ -53,5 +52,4 @@ pub use recovery::{Admission, MetadataFault, RecoverLimits, RecoveryPolicy, Reco
 pub use report::{AccessKind, CheckResult, ErrorKind, ErrorReport};
 pub use sanitizer::{CacheSlot, NullSanitizer, Sanitizer};
 pub use stack::StackSim;
-pub use tcache::{TcacheStats, ThreadCachedAllocator};
 pub use world::{Allocation, FreeOutcome, Region, World};

@@ -86,25 +86,17 @@ mod tests {
         let (prog, inputs) = quarantine_probe(64 << 10);
         let plan = analyze(&prog, &ToolProfile::giantsan()).plan;
         // Large quarantine: the dangling read still sees poison.
-        let mut big = GiantSan::builder()
-            .config(
-                RuntimeConfig::small()
-                    .to_builder()
-                    .quarantine_cap(1 << 20)
-                    .build(),
-            )
-            .build();
+        let mut big = GiantSan::new(RuntimeConfig {
+            quarantine_cap: 1 << 20,
+            ..RuntimeConfig::small()
+        });
         let r = run(&prog, &inputs, &mut big, &plan, &ExecConfig::default());
         assert!(r.detected(), "large quarantine must detect");
         // Tiny quarantine: the slot is recycled and re-used — bypassed.
-        let mut small = GiantSan::builder()
-            .config(
-                RuntimeConfig::small()
-                    .to_builder()
-                    .quarantine_cap(1 << 10)
-                    .build(),
-            )
-            .build();
+        let mut small = GiantSan::new(RuntimeConfig {
+            quarantine_cap: 1 << 10,
+            ..RuntimeConfig::small()
+        });
         let r = run(&prog, &inputs, &mut small, &plan, &ExecConfig::default());
         assert!(!r.detected(), "tiny quarantine must be bypassed");
     }

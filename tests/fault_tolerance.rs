@@ -6,7 +6,9 @@
 use proptest::prelude::*;
 
 use giantsan::harness::experiments::fault_study::{fault_matrix, FaultStudy, FaultsEntry, Verdict};
-use giantsan::harness::{BatchRunner, Campaign, FaultKind, FaultPlan, StudyOpts, Tool};
+use giantsan::harness::{
+    run_tool, BatchRunner, Campaign, FaultKind, FaultPlan, SessionSpec, StudyOpts, Tool,
+};
 use giantsan::ir::Termination;
 use giantsan::runtime::{RecoveryPolicy, RuntimeConfig};
 use giantsan::workloads::fuzz::InjectedBug;
@@ -67,12 +69,12 @@ fn bit_flips_are_contained_not_fatal() {
             seed % 3,
         );
         let fp = giantsan::workloads::fuzz::safe_program(seed);
-        let out = Tool::GiantSan
-            .builder()
-            .config(recover_config())
-            .faults(plan)
-            .spec()
-            .run(&fp.program, &fp.inputs);
+        let out = SessionSpec {
+            config: recover_config(),
+            faults: Some(plan),
+            ..SessionSpec::new(Tool::GiantSan)
+        }
+        .run(&fp.program, &fp.inputs);
         assert!(
             matches!(out.result.termination, Termination::Finished),
             "seed {seed}: {:?}",
@@ -92,11 +94,12 @@ fn bit_flips_are_contained_not_fatal() {
 #[test]
 fn error_report_is_a_std_error() {
     let fp = giantsan::workloads::fuzz::buggy_program(0, InjectedBug::OverflowNear);
-    let out = Tool::GiantSan
-        .builder()
-        .config(RuntimeConfig::small())
-        .spec()
-        .run(&fp.program, &fp.inputs);
+    let out = run_tool(
+        Tool::GiantSan,
+        &fp.program,
+        &fp.inputs,
+        &RuntimeConfig::small(),
+    );
     let report = out
         .result
         .reports
@@ -123,12 +126,12 @@ proptest! {
         let plan = FaultPlan::new(seed)
             .with_event(FaultKind::QuarantineExhaustion { cap }, 0);
         let fp = giantsan::workloads::fuzz::buggy_program(seed, InjectedBug::UseAfterFree);
-        let out = Tool::GiantSan
-            .builder()
-            .config(recover_config())
-            .faults(plan)
-            .spec()
-            .run(&fp.program, &fp.inputs);
+        let out = SessionSpec {
+            config: recover_config(),
+            faults: Some(plan),
+            ..SessionSpec::new(Tool::GiantSan)
+        }
+        .run(&fp.program, &fp.inputs);
         // Never a crash: the access is contained or the block was recycled.
         prop_assert!(
             matches!(out.result.termination, Termination::Finished),

@@ -23,7 +23,7 @@
 //! reset at loop entry. The `quasi_lower_bound_*` tests pin that symmetry.
 
 use giantsan::analysis::{analyze, SiteFate, ToolProfile};
-use giantsan::core::GiantSan;
+use giantsan::core::{GiantSan, GiantSanOptions};
 use giantsan::ir::{run, ExecConfig, Expr, Program, ProgramBuilder};
 use giantsan::runtime::{ErrorKind, RuntimeConfig, Sanitizer};
 
@@ -36,15 +36,15 @@ fn run_giantsan(prog: &Program, inputs: &[i64], profile: &ToolProfile) -> giants
 /// Like [`run_giantsan`] but with the §5.4 reverse-traversal mitigation on
 /// (quasi-lower-bounds populated), returning the sanitizer too so tests can
 /// assert the cache actually admitted accesses.
-fn run_with_reverse_mitigation(
-    prog: &Program,
-    inputs: &[i64],
-) -> (giantsan::ir::ExecResult, GiantSan) {
+fn run_reverse_mitigated(prog: &Program, inputs: &[i64]) -> (giantsan::ir::ExecResult, GiantSan) {
     let a = analyze(prog, &ToolProfile::giantsan());
-    let mut san = GiantSan::builder()
-        .config(RuntimeConfig::small())
-        .reverse_mitigation(true)
-        .build();
+    let mut san = GiantSan::with_options(
+        RuntimeConfig::small(),
+        GiantSanOptions {
+            reverse_mitigation: true,
+            ..GiantSanOptions::default()
+        },
+    );
     let r = run(prog, inputs, &mut san, &a.plan, &ExecConfig::default());
     (r, san)
 }
@@ -179,7 +179,7 @@ fn quasi_lower_bound_free_is_caught_by_the_final_check() {
         "the end-anchored access must take the cached path for this test to \
          exercise lower-bound staleness"
     );
-    let (r, san) = run_with_reverse_mitigation(&prog, &[]);
+    let (r, san) = run_reverse_mitigated(&prog, &[]);
     assert!(
         san.counters().cache_hits >= 1,
         "the second iteration must be admitted by the quasi-lower-bound \
@@ -221,7 +221,7 @@ fn quasi_lower_bound_does_not_survive_realloc_shrink() {
     reverse_loop(&mut b);
     let prog = b.build();
 
-    let (r, san) = run_with_reverse_mitigation(&prog, &[]);
+    let (r, san) = run_reverse_mitigated(&prog, &[]);
     assert!(
         san.counters().cache_hits >= 1,
         "the first loop must converge onto its quasi-lower-bound (got {:?})",
