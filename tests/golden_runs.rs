@@ -8,8 +8,11 @@
 //!
 //! The same document must come out of every run under a full
 //! `TraceRecorder` (tracing never perturbs execution). The traced path is
-//! pinned too: the `trace_digest.txt` that `repro trace --workload figure8
-//! --tool giantsan` writes must reproduce `tests/golden/trace_digest.txt`.
+//! pinned too: the `trace_digest.txt` and `trace_span_digest.txt` that
+//! `repro trace --workload figure8 --tool giantsan` writes must reproduce
+//! their files under `tests/golden/`, and `trace_metrics_digest.txt` pins the
+//! FNV-1a of its `trace_metrics.prom` without the host-dependent
+//! `giantsan_kernel_info` line.
 //!
 //! Whole studies are pinned as well: `study_digests.txt` holds
 //! `campaign::records_digest` of every cell payload of the studies that
@@ -33,7 +36,7 @@ use giantsan::harness::{
 use giantsan::ir::{CheckPlan, Program};
 use giantsan::runtime::{RecoveryPolicy, RuntimeConfig};
 use giantsan::workloads::spec_suite;
-use giantsan_telemetry::TraceRecorder;
+use giantsan_telemetry::{fnv1a, TraceRecorder};
 
 fn golden(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -137,15 +140,33 @@ fn figure8_trace_matches_golden_digest() {
         .unwrap()
         .run_all(&BatchRunner::default());
     let out = TraceEntry.render(&opts, &records).unwrap();
-    let (_, got) = out
-        .main_artifacts
-        .iter()
-        .find(|(name, _)| name == "trace_digest.txt")
-        .expect("repro trace writes trace_digest.txt");
-    let want = std::fs::read_to_string(golden("trace_digest.txt")).unwrap();
+    let artifact = |name: &str| -> &str {
+        out.main_artifacts
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, text)| text.as_str())
+            .unwrap_or_else(|| panic!("repro trace writes {name}"))
+    };
+    for name in ["trace_digest.txt", "trace_span_digest.txt"] {
+        let want = std::fs::read_to_string(golden(name)).unwrap();
+        assert_eq!(
+            artifact(name),
+            want,
+            "traced Figure-8 GiantSan run drifted from tests/golden/{name}"
+        );
+    }
+    // The exposition minus its one host-dependent line (the kernel backend
+    // CPUID resolved), digested like the event stream.
+    let prom: String = artifact("trace_metrics.prom")
+        .lines()
+        .filter(|l| !l.starts_with("giantsan_kernel_info{"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let want = std::fs::read_to_string(golden("trace_metrics_digest.txt")).unwrap();
     assert_eq!(
-        *got, want,
-        "traced Figure-8 GiantSan run drifted from tests/golden/trace_digest.txt"
+        format!("{:#018x}\n", fnv1a(prom.as_bytes())),
+        want,
+        "traced Figure-8 GiantSan exposition drifted from tests/golden/trace_metrics_digest.txt"
     );
 }
 
