@@ -31,7 +31,7 @@ use std::io::Write as _;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use giantsan_telemetry::{fnv1a, Fnv1a};
+use giantsan_telemetry::{fnv1a, Fnv1a, SpanKind, SpanSet};
 
 use crate::batch::BatchRunner;
 use crate::json::Json;
@@ -150,6 +150,19 @@ pub struct ResumeStats {
     pub ran: Vec<usize>,
 }
 
+/// The causal span chain of one run of a campaign, plus the two ids its
+/// driver needs (shard spans are `span_id(job, Shard, index)` and cell
+/// spans hang under those — the batch runner derives them the same way).
+#[derive(Debug)]
+pub struct JobSpans {
+    /// The full request → admission → scheduler → job → shard → cell set.
+    pub set: SpanSet,
+    /// The root (request) span id.
+    pub root: u64,
+    /// The job span id.
+    pub job: u64,
+}
+
 /// A study bound to concrete opts, with its cell labels and spec hash.
 pub struct Campaign<'a> {
     study: &'a dyn Study,
@@ -213,6 +226,39 @@ impl<'a> Campaign<'a> {
     /// The campaign's compatibility fingerprint.
     pub fn spec_hash(&self) -> u64 {
         self.spec_hash
+    }
+
+    /// Builds the deterministic span chain of a run in `shards` shards: the
+    /// request, admission, scheduler and job spans labelled by `spine` in
+    /// that order, then one shard span per shard and one cell span per cell
+    /// label.
+    ///
+    /// Every id derives from the spec hash — no wall-clock, no thread
+    /// identity — so the set is byte-identical across thread counts,
+    /// resumes, and processes. That is what lets a service job write its
+    /// `spans.jsonl` **before** the first shard runs: when a cell later
+    /// wedges, the post-mortem dump already has the causal chain on disk.
+    pub fn spans(&self, spine: [&str; 4], shards: usize) -> JobSpans {
+        let [request, admission, scheduler, job] = spine;
+        let mut set = SpanSet::new();
+        let root = set.root(self.spec_hash, request);
+        let admission = set.child(root, SpanKind::Admission, 0, admission);
+        let scheduler = set.child(admission, SpanKind::Scheduler, 0, scheduler);
+        let job = set.child(scheduler, SpanKind::Job, 0, job);
+        let shards = shards.max(1);
+        for shard in 0..shards {
+            let range = shard_range(self.labels.len(), shard, shards);
+            let s = set.child(
+                job,
+                SpanKind::Shard,
+                shard as u64,
+                format!("shard {shard} (cells {}..{})", range.start, range.end),
+            );
+            for i in range {
+                set.child(s, SpanKind::Cell, i as u64, &self.labels[i]);
+            }
+        }
+        JobSpans { set, root, job }
     }
 
     /// Runs the whole matrix in one batch (no checkpointing) — the

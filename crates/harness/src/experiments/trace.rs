@@ -20,15 +20,19 @@
 //! (history-cache refreshes) and the hoisted pre-header / loop-final region
 //! checks — exactly the sites the paper's optimisation story is about.
 
+use std::collections::BTreeMap;
+
 use giantsan_analysis::analyze_recorded;
 use giantsan_ir::Program;
 use giantsan_runtime::Counters;
-use giantsan_telemetry::export::{events_jsonl, prometheus, text_digest, ChromeTrace};
+use giantsan_telemetry::export::{events_jsonl, prometheus, ChromeTrace};
 use giantsan_telemetry::{
-    site_label, FlightRecorder, Histograms, Log2Hist, PathMix, SpanKind, SpanSet, TraceRecorder,
+    fnv1a, site_label, span_id, CheckPathKind, FlightRecorder, Histograms, Log2Hist, PathMix,
+    SpanKind, SpanSet, TraceRecorder,
 };
 use giantsan_workloads::{figure8_program, spec_workload};
 
+use crate::campaign::Campaign;
 use crate::json::Json;
 use crate::session::SessionSpec;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
@@ -117,7 +121,7 @@ impl TraceData {
     /// FNV-1a digest of the JSONL bytes — the thread-invariant fingerprint
     /// `trace_digest.txt` carries.
     pub fn digest(&self) -> u64 {
-        text_digest(&self.jsonl)
+        fnv1a(self.jsonl.as_bytes())
     }
 
     /// The top `n` sites by slow-path share (ties broken by visit volume,
@@ -189,107 +193,69 @@ fn render_report(opts: &StudyOpts, kernel: &str, data: &TraceData) -> String {
     out.push_str(&t.render());
 
     out.push_str("\n-- hot spots by slow-path share --\n");
-    let mut t = TextTable::new(
-        [
-            "site", "total", "fast", "hit", "update", "slow", "under", "arith", "skip", "slow%",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
+    let columns = [
+        CheckPathKind::Fast,
+        CheckPathKind::CacheHit,
+        CheckPathKind::CacheUpdate,
+        CheckPathKind::Slow,
+        CheckPathKind::Underflow,
+        CheckPathKind::Arith,
+        CheckPathKind::Skipped,
+    ];
+    let mut header = vec!["site".to_string(), "total".to_string()];
+    header.extend(columns.map(|p| p.name().to_string()));
+    header.push("slow%".to_string());
+    let mut t = TextTable::new(header);
     for (site, mix) in data.hotspots(10) {
-        t.row(vec![
-            site_label(site),
-            mix.total().to_string(),
-            mix.fast.to_string(),
-            mix.cache_hits.to_string(),
-            mix.cache_updates.to_string(),
-            mix.slow.to_string(),
-            mix.underflow.to_string(),
-            mix.arith.to_string(),
-            mix.skipped.to_string(),
-            pct(mix.slow_share() * 100.0),
-        ]);
+        let mut row = vec![site_label(site), mix.total().to_string()];
+        row.extend(columns.map(|p| mix[p].to_string()));
+        row.push(pct(mix.slow_share() * 100.0));
+        t.row(row);
     }
     out.push_str(&t.render());
     out
 }
 
-/// The request → admission → scheduler → job → shard spine every trace
-/// invocation hangs its cell spans off. A CLI invocation has no admission
-/// queue or worker pool, but sharing the serve taxonomy means one resolver
-/// (`spans.jsonl` + [`giantsan_telemetry::parse_span_line`]) works on both
-/// a service job's dump and a `repro trace` artifact. Returns the set and
-/// the shard span id cells attach to.
-fn span_spine(seed: u64, workload: &str, tool: Tool, cells: usize) -> (SpanSet, u64) {
-    let mut set = SpanSet::new();
-    let root = set.root(
-        seed,
-        format!("repro trace: {workload} under {}", tool.name()),
-    );
-    let adm = set.child(root, SpanKind::Admission, 0, "local invocation (no queue)");
-    let sched = set.child(adm, SpanKind::Scheduler, 0, "in-process batch runner");
-    let job = set.child(sched, SpanKind::Job, 0, "trace");
-    let shard = set.child(
-        job,
-        SpanKind::Shard,
-        0,
-        format!("shard 0 (cells 0..{cells})"),
-    );
-    (set, shard)
+/// What a cell's span leaves derive from: its pipeline passes
+/// (`(name, enabled)`, in emission order) and its per-site path mixes.
+type CellLeaves = (Vec<(String, bool)>, BTreeMap<u32, PathMix>);
+
+/// Reads a record's [`CellLeaves`] back out of its payload: the pass events
+/// of its rendered JSONL slice and the site mixes of its histograms.
+fn cell_leaves(r: &Record) -> CellLeaves {
+    let passes = study::req_str(&r.payload, "jsonl")
+        .lines()
+        .filter(|line| line.contains("\"ev\":\"pass\""))
+        .map(|line| {
+            let e = Json::parse(line).expect("payload event line is JSON");
+            let enabled = study::req(&e, "enabled").as_bool().expect("pass state");
+            (study::req_str(&e, "pass").to_string(), enabled)
+        })
+        .collect();
+    (passes, hists_from(study::req(&r.payload, "hists")).sites)
 }
 
-/// Rebuilds the span chain from the records: the spine from `span_spine`,
-/// one cell span per record, Pass leaves parsed back out of each record's
-/// rendered JSONL slice, and Check leaves recomputed from the record's
-/// sampling histograms (`slow + cache_update + underflow` is exactly the
-/// set [`CheckPathKind::is_slow_path`] charges, so the labels match
-/// [`SpanSet::hotspots`] over the cell's events byte for byte).
-///
-/// [`CheckPathKind::is_slow_path`]: giantsan_telemetry::CheckPathKind::is_slow_path
-fn trace_spans(seed: u64, workload: &str, tool: Tool, records: &[Record]) -> SpanSet {
-    let (mut set, shard) = span_spine(seed, workload, tool, records.len());
-    for (index, r) in records.iter().enumerate() {
-        let cell_span = set.child(shard, SpanKind::Cell, index as u64, r.label.clone());
-        let mut pass_ordinal = 0u64;
-        for line in study::req_str(&r.payload, "jsonl").lines() {
-            if !line.contains("\"ev\":\"pass\"") {
-                continue;
-            }
-            let Some(name) = line
-                .split_once(",\"pass\":\"")
-                .and_then(|(_, rest)| rest.split('"').next())
-            else {
-                continue;
-            };
-            let state = if line.contains("\"enabled\":false") {
-                " (disabled)"
-            } else {
-                ""
-            };
-            set.child(
-                cell_span,
-                SpanKind::Pass,
-                pass_ordinal,
-                format!("{name}{state}"),
-            );
-            pass_ordinal += 1;
-        }
-        let hists = hists_from(study::req(&r.payload, "hists"));
-        let mut sites: Vec<(u32, u64)> = hists
-            .sites
-            .iter()
-            .map(|(site, m)| (*site, m.slow + m.cache_updates + m.underflow))
-            .filter(|&(_, slow)| slow > 0)
-            .collect();
-        sites.sort_by_key(|&(site, _)| site);
-        for (site, slow) in sites {
-            set.child(
-                cell_span,
-                SpanKind::Check,
-                site as u64,
-                format!("{} ({slow} slow-path)", site_label(site)),
-            );
-        }
+/// The span chain of a trace run: the spine [`Campaign::spans`] builds for
+/// one local shard, then each cell's [`SpanSet::hotspots`] leaves. A CLI
+/// invocation has no admission queue or worker pool, but sharing the serve
+/// taxonomy means one resolver works on both a service job's `spans.jsonl`
+/// and a `repro trace` artifact.
+fn trace_spans(campaign: &Campaign, cells: &[CellLeaves]) -> SpanSet {
+    let opts = campaign.opts();
+    let spans = campaign.spans(
+        [
+            &format!("repro trace: {} under {}", opts.workload, opts.tool.name()),
+            "local invocation (no queue)",
+            "in-process batch runner",
+            "trace",
+        ],
+        1,
+    );
+    let shard = span_id(spans.job, SpanKind::Shard, 0);
+    let mut set = spans.set;
+    for (index, (passes, sites)) in cells.iter().enumerate() {
+        let cell = span_id(shard, SpanKind::Cell, index as u64);
+        set.hotspots(cell, passes.iter().map(|(p, on)| (p.as_str(), *on)), sites);
     }
     set
 }
@@ -328,31 +294,6 @@ fn log2_from(j: &Json) -> Log2Hist {
     h
 }
 
-/// [`PathMix`] fields in payload array order.
-fn mix_values(m: &PathMix) -> [u64; 7] {
-    [
-        m.fast,
-        m.slow,
-        m.cache_hits,
-        m.cache_updates,
-        m.underflow,
-        m.arith,
-        m.skipped,
-    ]
-}
-
-fn mix_from(values: &[u64]) -> PathMix {
-    PathMix {
-        fast: values[0],
-        slow: values[1],
-        cache_hits: values[2],
-        cache_updates: values[3],
-        underflow: values[4],
-        arith: values[5],
-        skipped: values[6],
-    }
-}
-
 /// Encodes a full [`Histograms`] set (the four log2 histograms plus the
 /// per-site path mixes).
 fn hists_json(h: &Histograms) -> Json {
@@ -362,7 +303,7 @@ fn hists_json(h: &Histograms) -> Json {
         .map(|(site, mix)| {
             Json::obj()
                 .field("site", *site)
-                .field("mix", study::u64s(&mix_values(mix)))
+                .field("mix", study::u64s(&mix.0))
         })
         .collect();
     Json::obj()
@@ -383,9 +324,11 @@ fn hists_from(j: &Json) -> Histograms {
         sites: Default::default(),
     };
     for site in study::req_array(j, "sites") {
-        let mix = study::req_u64s(site, "mix");
+        let mix = study::req_u64s(site, "mix")
+            .try_into()
+            .expect("mix payload carries every path");
         h.sites
-            .insert(study::req_u64(site, "site") as u32, mix_from(&mix));
+            .insert(study::req_u64(site, "site") as u32, PathMix(mix));
     }
     h
 }
@@ -464,13 +407,12 @@ impl Study for TraceEntry {
             render_report(opts, kernel, &data)
         );
         let counter_fields: Vec<(&str, u64)> = data.counters.fields().collect();
-        // The span seed is the campaign spec hash — the same fingerprint
-        // sharding and resuming verify, and it already excludes `--threads`,
-        // so the span digest is invariant across worker counts.
-        let seed = crate::campaign::Campaign::new(self, opts.clone())
-            .map_err(|e| e.to_string())?
-            .spec_hash();
-        let spans = trace_spans(seed, &opts.workload, opts.tool, records);
+        // The spans are seeded with the campaign spec hash — the same
+        // fingerprint sharding and resuming verify, and it already excludes
+        // `--threads`, so the span digest is invariant across worker counts.
+        let campaign = Campaign::new(self, opts.clone()).map_err(|e| e.to_string())?;
+        let cells: Vec<CellLeaves> = records.iter().map(cell_leaves).collect();
+        let spans = trace_spans(&campaign, &cells);
         let digest = data.digest();
         Ok(StudyOutput {
             report,
@@ -522,18 +464,10 @@ impl Study for TraceEntry {
         for m in TraceData::from_records(records).hists.sites.values() {
             mix.merge(m);
         }
-        let series: Vec<(&str, String)> = [
-            ("fast", mix.fast),
-            ("slow", mix.slow),
-            ("cache_hit", mix.cache_hits),
-            ("cache_update", mix.cache_updates),
-            ("underflow", mix.underflow),
-            ("arith", mix.arith),
-            ("skipped", mix.skipped),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k, v.to_string()))
-        .collect();
+        let series: Vec<(&str, String)> = CheckPathKind::ALL
+            .into_iter()
+            .map(|p| (p.name(), mix[p].to_string()))
+            .collect();
         let series_refs: Vec<(&str, &str)> = series.iter().map(|(k, v)| (*k, v.as_str())).collect();
         t.counter(1, "check paths", end, &series_refs);
         vec![("trace_chrome.json".to_string(), t.finish())]
@@ -545,7 +479,7 @@ mod tests {
     use super::*;
     use crate::batch::BatchRunner;
     use crate::campaign::Campaign;
-    use giantsan_telemetry::{Event, PRE_CHECK_SITE};
+    use giantsan_telemetry::{EventKind, PRE_CHECK_SITE};
 
     fn opts(workload: &str, tool: Tool) -> StudyOpts {
         StudyOpts {
@@ -596,15 +530,23 @@ mod tests {
         // The data-dependent y[j] store (site 1) refreshes its history
         // cache once per cell, then hits it for the rest of the loop.
         let site1 = data.hists.site(1).expect("site 1 traced");
-        assert_eq!(site1.cache_updates, DEFAULT_CELLS as u64, "{site1:?}");
-        assert!(site1.cache_hits > site1.cache_updates, "{site1:?}");
+        let (hits, updates) = (
+            site1[CheckPathKind::CacheHit],
+            site1[CheckPathKind::CacheUpdate],
+        );
+        assert_eq!(updates, DEFAULT_CELLS as u64, "{site1:?}");
+        assert!(hits > updates, "{site1:?}");
         // The hoisted pre-header region check runs once per cell and is the
         // only metadata work left for x[i]; site 0 itself is eliminated.
         let pre = data.hists.site(PRE_CHECK_SITE).expect("pre-header traced");
         assert_eq!(pre.total(), DEFAULT_CELLS as u64, "{pre:?}");
-        assert_eq!(pre.fast + pre.slow, pre.total(), "{pre:?}");
+        assert_eq!(
+            pre[CheckPathKind::Fast] + pre[CheckPathKind::Slow],
+            pre.total(),
+            "{pre:?}"
+        );
         let site0 = data.hists.site(0).expect("site 0 traced");
-        assert_eq!(site0.total(), site0.skipped, "{site0:?}");
+        assert_eq!(site0.total(), site0[CheckPathKind::Skipped], "{site0:?}");
         // Ranking: the once-per-cell region checks (memset guardian,
         // pre-header) carry the highest slow-path share, the cached y[j]
         // store follows, and the eliminated x[i] load ranks below them all.
@@ -637,7 +579,7 @@ mod tests {
         assert!(jsonl.lines().count() > 10);
         assert!(jsonl.starts_with("{\"cell\":0,\"seq\":0,"));
         let digest = artifact(&out, "trace_digest.txt");
-        assert_eq!(digest, format!("{:#018x}\n", text_digest(jsonl)));
+        assert_eq!(digest, format!("{:#018x}\n", fnv1a(jsonl.as_bytes())));
         let prom = artifact(&out, "trace_metrics.prom");
         assert!(prom.contains(&format!("giantsan_kernel_info{{kernel=\"{kernel}\"}} 1")));
         assert!(prom.contains("giantsan_shadow_loads_total"));
@@ -653,9 +595,10 @@ mod tests {
         assert!(chrome.contains(&format!("[kernel={kernel}]")));
     }
 
-    /// One cell's event stream, recorded directly (the oracle the
+    /// One cell's span leaves, recorded directly: the pass events of its
+    /// stream and its `TraceRecorder` site mixes (the oracle the
     /// payload-derived span chain must reproduce).
-    fn cell_events(o: &StudyOpts, cell: u32) -> Vec<Event> {
+    fn recorded_leaves(o: &StudyOpts, cell: u32) -> CellLeaves {
         let (program, base_inputs) = workload_program(&o.workload, o.scale).unwrap();
         let mut rec = TraceRecorder::for_cell(cell);
         if cell == 0 {
@@ -666,28 +609,37 @@ mod tests {
             let inputs = cell_inputs(&o.workload, o.scale, cell, &base_inputs);
             spec.run_planned_recorded(&program, &plan, &inputs, &mut rec);
         }
-        rec.finish().0
+        let (events, hists, _) = rec.finish();
+        let passes = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Pass { pass, enabled, .. } => Some((pass.to_string(), enabled)),
+                _ => None,
+            })
+            .collect();
+        (passes, hists.sites)
     }
 
     #[test]
     fn span_artifact_matches_the_event_stream_and_is_causally_complete() {
         let o = opts("figure8", Tool::GiantSan);
         let campaign = Campaign::new(&TraceEntry, o.clone()).unwrap();
-        let seed = campaign.spec_hash();
         let records = campaign.run_all(&BatchRunner::serial());
         let out = TraceEntry.render(&o, &records).unwrap();
         let jsonl = artifact(&out, "trace_spans.jsonl");
         let digest = artifact(&out, "trace_span_digest.txt");
         assert!(digest.starts_with("0x") && digest.ends_with('\n'));
 
-        // The payload-reconstructed chain equals the one derived from the
-        // recorded event streams by `SpanSet::hotspots`.
-        let (mut from_events, shard) =
-            span_spine(seed, &o.workload, o.tool, DEFAULT_CELLS as usize + 1);
-        for (cell, r) in records.iter().enumerate() {
-            let cell_span = from_events.child(shard, SpanKind::Cell, cell as u64, r.label.clone());
-            from_events.hotspots(cell_span, &cell_events(&o, cell as u32));
-        }
+        // The payload-reconstructed chain equals the one built from the
+        // directly recorded cells.
+        let recorded: Vec<CellLeaves> = (0..records.len())
+            .map(|cell| recorded_leaves(&o, cell as u32))
+            .collect();
+        assert_eq!(
+            recorded,
+            records.iter().map(cell_leaves).collect::<Vec<_>>()
+        );
+        let from_events = trace_spans(&campaign, &recorded);
         assert_eq!(from_events.to_jsonl(), jsonl);
         assert_eq!(format!("{:#018x}\n", from_events.digest()), digest);
 
@@ -716,7 +668,11 @@ mod tests {
         // still flow; every check is planner-skipped.
         assert!(!native.jsonl.contains("\"ev\":\"pass\""));
         assert!(native.jsonl.contains("\"ev\":\"run\""));
-        assert!(native.hists.sites.values().all(|m| m.total() == m.skipped));
+        assert!(native
+            .hists
+            .sites
+            .values()
+            .all(|m| m.total() == m[CheckPathKind::Skipped]));
         assert!(Campaign::new(&TraceEntry, opts("nope", Tool::GiantSan)).is_err());
     }
 }

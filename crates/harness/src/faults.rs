@@ -160,11 +160,6 @@ impl<S: Sanitizer> FaultySanitizer<S> {
     pub fn injected(&self) -> u64 {
         self.injected
     }
-
-    /// The wrapped tool.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: Sanitizer> Sanitizer for FaultySanitizer<S> {

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use giantsan_telemetry::{FlightEventKind, FlightRecorder, SpanKind, SpanSet};
+use giantsan_telemetry::{FlightEventKind, FlightRecorder};
 
 use crate::batch::BatchRunner;
 use crate::campaign::{records_digest, shard_range, Campaign, ShardSpec};
@@ -85,48 +85,6 @@ impl SchedulerShared {
     pub fn accepting(&self) -> bool {
         !self.draining.load(Ordering::SeqCst)
     }
-}
-
-/// The causal span chain of one job, plus the two ids the scheduler needs
-/// while driving it (shard spans are `span_id(job, Shard, index)` and cell
-/// spans hang under those — the batch runner derives them the same way).
-#[derive(Debug)]
-pub struct JobSpans {
-    /// The full request → admission → scheduler → job → shard → cell set,
-    /// rendered into the job directory as `spans.jsonl`.
-    pub set: SpanSet,
-    /// The root (request) span id.
-    pub root: u64,
-    /// The job span id.
-    pub job: u64,
-}
-
-/// Builds the deterministic span chain for one job.
-///
-/// Every id derives from the campaign spec hash — no wall-clock, no thread
-/// identity — so the set is byte-identical across thread counts, resumes,
-/// and processes. That is what lets `spans.jsonl` be written **before** the
-/// first shard runs: when a cell later wedges, the post-mortem dump already
-/// has the causal chain on disk.
-pub fn job_spans(spec_hash: u64, labels: &[String], job_id: &str, shards: usize) -> JobSpans {
-    let mut set = SpanSet::new();
-    let root = set.root(spec_hash, format!("POST /v1/jobs -> {job_id}"));
-    let admission = set.child(root, SpanKind::Admission, 0, "admission queue");
-    let sched = set.child(admission, SpanKind::Scheduler, 0, "worker pool");
-    let job = set.child(sched, SpanKind::Job, 0, job_id);
-    for shard in 0..shards.max(1) {
-        let range = shard_range(labels.len(), shard, shards.max(1));
-        let s = set.child(
-            job,
-            SpanKind::Shard,
-            shard as u64,
-            format!("shard {shard} (cells {}..{})", range.start, range.end),
-        );
-        for i in range {
-            set.child(s, SpanKind::Cell, i as u64, &labels[i]);
-        }
-    }
-    JobSpans { set, root, job }
 }
 
 /// Writes the flight recorder's retained events into `dir` as a
@@ -217,14 +175,19 @@ pub fn run_job(shared: &SchedulerShared, job: &Arc<JobEntry>) {
     let dir = job.campaign_dir();
     // The causal span chain is fully determined by the spec, so it goes to
     // disk *now*: if a cell wedges mid-shard, the post-mortem flight dump
-    // already has spans.jsonl to chain back through.
-    let spans = job_spans(
-        campaign.spec_hash(),
-        campaign.labels(),
-        &job.id,
+    // already has spans.jsonl to chain back through. A resumed job writes
+    // it again while `GET /v1/jobs/:id/spans` may be reading it, hence the
+    // rename.
+    let spans = campaign.spans(
+        [
+            &format!("POST /v1/jobs -> {}", job.id),
+            "admission queue",
+            "worker pool",
+            &job.id,
+        ],
         job.spec.shards,
     );
-    let _ = std::fs::write(job.dir.join("spans.jsonl"), spans.set.to_jsonl());
+    write_atomic(&job.dir, "spans.jsonl", &spans.set.to_jsonl());
     shared.metrics.note_job(&job.id, spans.root);
     *shared.active_job.lock().expect("active job poisoned") = Some(Arc::clone(job));
     let job_seq = job
@@ -236,7 +199,7 @@ pub fn run_job(shared: &SchedulerShared, job: &Arc<JobEntry>) {
         .flight
         .record(0, FlightEventKind::JobStart, spans.job, job_seq, 0);
     // Cell and shard lifecycle events land in the flight recorder under
-    // spans the batch engine derives exactly as `job_spans` did, so dumps
+    // spans the batch engine derives exactly as `Campaign::spans` did, so dumps
     // resolve against spans.jsonl.
     let runner = BatchRunner::new(shared.config.threads_per_job)
         .with_cell_deadline(shared.config.cell_deadline)
@@ -373,6 +336,7 @@ fn fail(shared: &SchedulerShared, job: &Arc<JobEntry>, error: String) {
 mod tests {
     use super::*;
     use crate::serve::jobs::JobSpec;
+    use giantsan_telemetry::SpanKind;
     use std::path::{Path, PathBuf};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -455,17 +419,16 @@ mod tests {
         run_job(&sh, &job);
         assert_eq!(job.status().phase, JobPhase::Completed);
         let text = std::fs::read_to_string(job.dir.join("spans.jsonl")).unwrap();
-        let spans = job_spans(
-            {
-                let study = sh.studies.get("echo").unwrap();
-                let mut opts = job.spec.opts.clone();
-                opts.threads = sh.config.threads_per_job;
-                Campaign::new(study, opts).unwrap().spec_hash()
-            },
-            &["echo-0000", "echo-0001", "echo-0002", "echo-0003"].map(String::from),
-            &job.id,
-            2,
+        let study = sh.studies.get("echo").unwrap();
+        let mut opts = job.spec.opts.clone();
+        opts.threads = sh.config.threads_per_job;
+        let campaign = Campaign::new(study, opts).unwrap();
+        assert_eq!(
+            campaign.labels(),
+            ["echo-0000", "echo-0001", "echo-0002", "echo-0003"]
         );
+        let request = format!("POST /v1/jobs -> {}", job.id);
+        let spans = campaign.spans([&request, "admission queue", "worker pool", &job.id], 2);
         // The file is exactly the deterministic set: request + admission +
         // scheduler + job + 2 shards + 4 cells = 10 spans.
         assert_eq!(text, spans.set.to_jsonl());
@@ -512,8 +475,9 @@ mod tests {
         let spans_text = std::fs::read_to_string(job.dir.join("spans.jsonl")).unwrap();
         let mut set = std::collections::HashMap::new();
         for line in spans_text.lines() {
-            let (id, parent) = giantsan_telemetry::parse_span_line(line).unwrap();
-            set.insert(id, parent);
+            let span = Json::parse(line).unwrap();
+            let hex = |key| span.get(key).and_then(Json::as_hex);
+            set.insert(hex("id").unwrap(), hex("parent"));
         }
         let mut checked = 0;
         for line in flight.lines().skip(1) {

@@ -242,6 +242,13 @@ fn sigkill_mid_campaign_then_restart_resumes_to_the_serial_digest() {
 }
 
 /// Pulls the `"span":"0x..."` field out of a flight-recorder JSONL line.
+/// `(id, parent)` of one `spans.jsonl` line.
+fn span_link(line: &str) -> (u64, Option<u64>) {
+    let span = Json::parse(line).expect("span line is JSON");
+    let hex = |key| span.get(key).and_then(Json::as_hex);
+    (hex("id").expect("span id"), hex("parent"))
+}
+
 fn flight_span(line: &str) -> Option<u64> {
     let at = line.find("\"span\":\"0x")? + "\"span\":\"0x".len();
     u64::from_str_radix(line.get(at..at + 16)?, 16).ok()
@@ -294,16 +301,14 @@ fn watchdog_fired_cells_leave_a_flight_dump_chaining_to_the_request() {
     // The span chain was written at job start and is served over HTTP.
     let (st, spans_text) = get(&addr, &format!("/v1/jobs/{id}/spans"));
     assert_eq!(st, 200, "{spans_text}");
-    let parents: std::collections::HashMap<u64, Option<u64>> = spans_text
-        .lines()
-        .filter_map(giantsan_telemetry::parse_span_line)
-        .collect();
+    let parents: std::collections::HashMap<u64, Option<u64>> =
+        spans_text.lines().map(span_link).collect();
     assert!(!parents.is_empty(), "{spans_text}");
     let root_line = spans_text
         .lines()
         .find(|l| l.contains("\"kind\":\"request\""))
         .expect("request root span served");
-    let (root, none) = giantsan_telemetry::parse_span_line(root_line).unwrap();
+    let (root, none) = span_link(root_line);
     assert_eq!(none, None, "the request span is the chain root");
 
     // The flight dump exists, parses, and its quarantine events carry span

@@ -127,18 +127,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Sets the simulated stack size in bytes.
-    pub fn stack_size(&mut self, bytes: u64) -> &mut Self {
-        self.cfg.stack_size = bytes;
-        self
-    }
-
-    /// Sets the global-object arena size in bytes.
-    pub fn global_size(&mut self, bytes: u64) -> &mut Self {
-        self.cfg.global_size = bytes;
-        self
-    }
-
     /// Sets the full post-report policy (halt / continue / recover).
     pub fn recovery(&mut self, policy: RecoveryPolicy) -> &mut Self {
         self.cfg.recovery = policy;

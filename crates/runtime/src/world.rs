@@ -443,7 +443,10 @@ mod tests {
 
     #[test]
     fn globals_bump_and_exhaust() {
-        let mut w = World::new(RuntimeConfig::small().to_builder().global_size(256).build());
+        let mut w = World::new(RuntimeConfig {
+            global_size: 256,
+            ..RuntimeConfig::small()
+        });
         let g1 = w.alloc(32, Region::Global).unwrap();
         let g2 = w.alloc(32, Region::Global).unwrap();
         assert!(g2.base > g1.base);

@@ -46,6 +46,18 @@ pub enum CheckPathKind {
 }
 
 impl CheckPathKind {
+    /// Every path, in declaration order: the order of [`crate::PathMix`]'s
+    /// counts and of every per-path series the exporters write.
+    pub const ALL: [CheckPathKind; 7] = [
+        CheckPathKind::Fast,
+        CheckPathKind::Slow,
+        CheckPathKind::CacheHit,
+        CheckPathKind::CacheUpdate,
+        CheckPathKind::Underflow,
+        CheckPathKind::Arith,
+        CheckPathKind::Skipped,
+    ];
+
     /// Short stable name used in JSONL/Prometheus output.
     pub fn name(self) -> &'static str {
         match self {
@@ -223,6 +235,9 @@ mod tests {
         assert!(!CheckPathKind::Fast.is_slow_path());
         assert!(!CheckPathKind::CacheHit.is_slow_path());
         assert!(!CheckPathKind::Skipped.is_slow_path());
+        for (i, path) in CheckPathKind::ALL.into_iter().enumerate() {
+            assert_eq!(path as usize, i, "ALL is in declaration order");
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! JSON Lines export of the deterministic event stream.
 //!
 //! One JSON object per line, stable key order, no floats, no wall-clock, no
-//! worker ids — the rendered bytes (and therefore [`jsonl_digest`]) are a
+//! worker ids — the rendered bytes (and therefore their FNV-1a digest) are a
 //! pure function of the sorted event stream and are invariant under thread
 //! count.
 
 use std::fmt::Write as _;
 
-use crate::event::{fnv1a, Event, EventKind};
+use crate::event::{Event, EventKind};
 
 /// Renders `events` as JSON Lines, sorted by `(cell, seq)`.
 ///
@@ -111,26 +111,10 @@ pub fn events_jsonl(events: &[Event]) -> String {
     out
 }
 
-/// FNV-1a digest of the rendered JSONL bytes — the thread-invariant trace
-/// fingerprint CI diffs serial vs parallel.
-pub fn jsonl_digest(events: &[Event]) -> u64 {
-    fnv1a(events_jsonl(events).as_bytes())
-}
-
-/// FNV-1a digest of an already-rendered JSONL document.
-///
-/// Campaign shards store each cell's event stream as rendered JSONL text;
-/// merging concatenates the per-cell texts in `(cell, seq)` order, so
-/// digesting the concatenation with this function equals [`jsonl_digest`]
-/// of the merged event list without re-parsing a single event.
-pub fn text_digest(text: &str) -> u64 {
-    fnv1a(text.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CheckPathKind;
+    use crate::event::{fnv1a, CheckPathKind};
 
     fn ev(cell: u32, seq: u64) -> Event {
         Event {
@@ -167,7 +151,8 @@ mod tests {
     fn digest_is_order_invariant_under_sorting() {
         let a = vec![ev(0, 0), ev(1, 0), ev(1, 1)];
         let b = vec![ev(1, 1), ev(0, 0), ev(1, 0)];
-        assert_eq!(jsonl_digest(&a), jsonl_digest(&b));
+        let digest = |events: &[Event]| fnv1a(events_jsonl(events).as_bytes());
+        assert_eq!(digest(&a), digest(&b));
     }
 
     #[test]

@@ -11,7 +11,7 @@ mod jsonl;
 mod prom;
 
 pub use chrome::ChromeTrace;
-pub use jsonl::{events_jsonl, jsonl_digest, text_digest};
+pub use jsonl::events_jsonl;
 pub use prom::{prometheus, service_exposition};
 
 /// Escapes `s` for embedding in a JSON string literal.

@@ -8,6 +8,7 @@
 
 use std::fmt::Write as _;
 
+use crate::event::CheckPathKind;
 use crate::hist::{Histograms, Log2Hist};
 
 fn hist_exposition(out: &mut String, name: &str, help: &str, h: &Log2Hist) {
@@ -84,19 +85,13 @@ pub fn prometheus(
     );
     let _ = writeln!(out, "# TYPE giantsan_site_checks_total counter");
     for (site, mix) in &hists.sites {
-        for (path, v) in [
-            ("fast", mix.fast),
-            ("slow", mix.slow),
-            ("cache_hit", mix.cache_hits),
-            ("cache_update", mix.cache_updates),
-            ("underflow", mix.underflow),
-            ("arith", mix.arith),
-            ("skipped", mix.skipped),
-        ] {
+        for path in CheckPathKind::ALL {
+            let v = mix[path];
             if v > 0 {
                 let _ = writeln!(
                     out,
-                    "giantsan_site_checks_total{{site=\"{site}\",path=\"{path}\"}} {v}"
+                    "giantsan_site_checks_total{{site=\"{site}\",path=\"{}\"}} {v}",
+                    path.name()
                 );
             }
         }
@@ -145,7 +140,7 @@ pub fn service_exposition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CheckPathKind, EventKind};
+    use crate::event::EventKind;
 
     #[test]
     fn service_exposition_renders_all_three_families() {

@@ -6,6 +6,7 @@
 //! pinned by `tests/hist_props.rs`), and no wall-clock ever enters a bucket.
 
 use std::collections::BTreeMap;
+use std::ops::{Index, IndexMut};
 
 use giantsan_shadow::codes;
 
@@ -90,64 +91,51 @@ impl Log2Hist {
     }
 }
 
-/// Per-site check-path mix: how often each path was taken at one site.
+/// Per-site check-path mix: how often each path was taken at one site,
+/// indexed by [`CheckPathKind`] (counts in [`CheckPathKind::ALL`] order).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PathMix {
-    /// Fast-path checks.
-    pub fast: u64,
-    /// Slow-path checks.
-    pub slow: u64,
-    /// History-cache hits.
-    pub cache_hits: u64,
-    /// History-cache refreshes.
-    pub cache_updates: u64,
-    /// Dedicated underflow checks.
-    pub underflow: u64,
-    /// Pointer-arithmetic checks.
-    pub arith: u64,
-    /// Planner-eliminated visits (no runtime work).
-    pub skipped: u64,
+pub struct PathMix(pub [u64; CheckPathKind::ALL.len()]);
+
+impl Index<CheckPathKind> for PathMix {
+    type Output = u64;
+
+    fn index(&self, path: CheckPathKind) -> &u64 {
+        &self.0[path as usize]
+    }
+}
+
+impl IndexMut<CheckPathKind> for PathMix {
+    fn index_mut(&mut self, path: CheckPathKind) -> &mut u64 {
+        &mut self.0[path as usize]
+    }
 }
 
 impl PathMix {
     /// Total visits across every path.
     pub fn total(&self) -> u64 {
-        self.fast
-            + self.slow
-            + self.cache_hits
-            + self.cache_updates
-            + self.underflow
-            + self.arith
-            + self.skipped
+        self.0.iter().sum()
+    }
+
+    /// Visits that took a metadata-loading slow path
+    /// ([`CheckPathKind::is_slow_path`]).
+    pub fn slow_paths(&self) -> u64 {
+        CheckPathKind::ALL
+            .into_iter()
+            .filter(|p| p.is_slow_path())
+            .map(|p| self[p])
+            .sum()
     }
 
     /// Fraction of visits that took a metadata-loading slow path.
     pub fn slow_share(&self) -> f64 {
-        let slow = self.slow + self.cache_updates + self.underflow;
-        slow as f64 / self.total().max(1) as f64
-    }
-
-    fn bump(&mut self, path: CheckPathKind) {
-        match path {
-            CheckPathKind::Fast => self.fast += 1,
-            CheckPathKind::Slow => self.slow += 1,
-            CheckPathKind::CacheHit => self.cache_hits += 1,
-            CheckPathKind::CacheUpdate => self.cache_updates += 1,
-            CheckPathKind::Underflow => self.underflow += 1,
-            CheckPathKind::Arith => self.arith += 1,
-            CheckPathKind::Skipped => self.skipped += 1,
-        }
+        self.slow_paths() as f64 / self.total().max(1) as f64
     }
 
     /// Folds `other` into `self`.
     pub fn merge(&mut self, other: &PathMix) {
-        self.fast += other.fast;
-        self.slow += other.slow;
-        self.cache_hits += other.cache_hits;
-        self.cache_updates += other.cache_updates;
-        self.underflow += other.underflow;
-        self.arith += other.arith;
-        self.skipped += other.skipped;
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
     }
 }
 
@@ -181,7 +169,7 @@ impl Histograms {
                 if let Some(degree) = code.and_then(codes::folding_degree) {
                     self.fold_depths.record(degree as u64);
                 }
-                self.sites.entry(*site).or_default().bump(*path);
+                self.sites.entry(*site).or_default()[*path] += 1;
             }
             EventKind::QuasiBound { step, .. } => {
                 self.convergence.record(*step as u64);
@@ -259,8 +247,9 @@ mod tests {
         assert_eq!(h.convergence.count, 1);
         assert_eq!(h.alloc_sizes.sum, 100);
         let mix = h.site(3).unwrap();
-        assert_eq!(mix.slow, 1);
+        assert_eq!(mix[CheckPathKind::Slow], 1);
         assert_eq!(mix.total(), 1);
+        assert_eq!(mix.slow_paths(), 1);
         assert!(mix.slow_share() > 0.99);
     }
 

@@ -61,7 +61,7 @@
 //! });
 //! assert_eq!(rec.events().len(), 1);
 //! assert_eq!(rec.histograms().region_sizes.count, 1);
-//! assert_eq!(rec.histograms().site(1).unwrap().slow, 1);
+//! assert_eq!(rec.histograms().site(1).unwrap()[CheckPathKind::Slow], 1);
 //! ```
 
 pub mod event;
@@ -77,4 +77,4 @@ pub use event::{
 pub use flight::{FlightEvent, FlightEventKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use hist::{Histograms, Log2Hist, PathMix};
 pub use recorder::{NoopRecorder, Recorder, TraceRecorder};
-pub use span::{parse_span_line, span_id, Span, SpanKind, SpanSet};
+pub use span::{span_id, Span, SpanKind, SpanSet};

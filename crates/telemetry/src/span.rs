@@ -20,15 +20,19 @@
 //! The root of a chain is seeded with the campaign spec hash (which already
 //! excludes `--threads`), so span ids are stable across
 //! resumes, restarts, and worker counts. Leaf spans below the cell level
-//! are synthesized from the [`Recorder`](crate::Recorder) event stream via
-//! [`SpanSet::hotspots`]: under the [`NoopRecorder`](crate::NoopRecorder)
-//! no events exist, no leaf spans are built, and the layer costs nothing —
-//! the same zero-cost-when-disabled discipline the rest of the crate obeys.
+//! are built by [`SpanSet::hotspots`] from what a
+//! [`TraceRecorder`](crate::TraceRecorder) kept of the cell: its pipeline
+//! passes and its per-site [`PathMix`] aggregates. Under the
+//! [`NoopRecorder`](crate::NoopRecorder) neither exists, no leaf spans are
+//! built, and the layer costs nothing — the same zero-cost-when-disabled
+//! discipline the rest of the crate obeys.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::event::{fnv1a, site_label, Event, EventKind, Fnv1a};
+use crate::event::{fnv1a, site_label, Fnv1a};
 use crate::export::json_escape;
+use crate::hist::PathMix;
 
 /// Where in the service stack a span sits. The ordering of the variants is
 /// the causal order of the chain; [`SpanSet::to_jsonl`] sorts by it.
@@ -177,43 +181,36 @@ impl SpanSet {
         chain
     }
 
-    /// Synthesizes leaf spans under `cell_span` from a cell's recorded
-    /// event stream: one [`SpanKind::Pass`] span per pipeline pass (in
-    /// emission order) and one [`SpanKind::Check`] span per site that took
-    /// a slow path, labelled with its slow-path event count. Under the
-    /// `NoopRecorder` the stream is empty and nothing is built.
-    pub fn hotspots(&mut self, cell_span: u64, events: &[Event]) {
-        let mut pass_ordinal = 0u64;
-        let mut sites: Vec<(u32, u64)> = Vec::new();
-        for e in events {
-            match &e.kind {
-                EventKind::Pass { pass, enabled, .. } => {
-                    let state = if *enabled { "" } else { " (disabled)" };
-                    self.child(
-                        cell_span,
-                        SpanKind::Pass,
-                        pass_ordinal,
-                        format!("{pass}{state}"),
-                    );
-                    pass_ordinal += 1;
-                }
-                EventKind::Check { site, path, .. } if path.is_slow_path() => {
-                    match sites.iter_mut().find(|(s, _)| s == site) {
-                        Some((_, n)) => *n += 1,
-                        None => sites.push((*site, 1)),
-                    }
-                }
-                _ => {}
-            }
-        }
-        sites.sort_by_key(|&(site, _)| site);
-        for (site, slow) in sites {
+    /// Builds the leaf spans under `cell_span`: one [`SpanKind::Pass`] span
+    /// per pipeline pass (`(name, enabled)`, in emission order) and one
+    /// [`SpanKind::Check`] span per site that took a slow path, labelled
+    /// with its [`PathMix::slow_paths`] count. A cell with no passes and no
+    /// slow-path sites gets no leaves.
+    pub fn hotspots<'a>(
+        &mut self,
+        cell_span: u64,
+        passes: impl IntoIterator<Item = (&'a str, bool)>,
+        sites: &BTreeMap<u32, PathMix>,
+    ) {
+        for (ordinal, (pass, enabled)) in passes.into_iter().enumerate() {
+            let state = if enabled { "" } else { " (disabled)" };
             self.child(
                 cell_span,
-                SpanKind::Check,
-                site as u64,
-                format!("{} ({slow} slow-path)", site_label(site)),
+                SpanKind::Pass,
+                ordinal as u64,
+                format!("{pass}{state}"),
             );
+        }
+        for (&site, mix) in sites {
+            let slow = mix.slow_paths();
+            if slow > 0 {
+                self.child(
+                    cell_span,
+                    SpanKind::Check,
+                    site as u64,
+                    format!("{} ({slow} slow-path)", site_label(site)),
+                );
+            }
         }
     }
 
@@ -246,21 +243,6 @@ impl SpanSet {
     pub fn digest(&self) -> u64 {
         fnv1a(self.to_jsonl().as_bytes())
     }
-}
-
-/// Parses one line of [`SpanSet::to_jsonl`] output back into `(id, parent)`
-/// — enough to rebuild the parent chain from a dump without a JSON parser.
-/// Returns `None` when the line is not a span line.
-pub fn parse_span_line(line: &str) -> Option<(u64, Option<u64>)> {
-    fn hex_field(line: &str, key: &str) -> Option<u64> {
-        let at = line.find(key)? + key.len();
-        let rest = &line[at..];
-        let hex = rest.strip_prefix("\"0x")?;
-        let end = hex.find('"')?;
-        u64::from_str_radix(&hex[..end], 16).ok()
-    }
-    let id = hex_field(line, "\"id\":")?;
-    Some((id, hex_field(line, "\"parent\":")))
 }
 
 #[cfg(test)]
@@ -308,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_is_insertion_order_invariant_and_round_trips() {
+    fn jsonl_is_insertion_order_invariant_and_links_parents() {
         let (set, root, cell) = chain();
         // Rebuild the same spans in a different insertion order.
         let mut shuffled = SpanSet::new();
@@ -320,69 +302,48 @@ mod tests {
         assert_eq!(set.to_jsonl(), shuffled.to_jsonl());
         assert_eq!(set.digest(), shuffled.digest());
 
-        // Every line parses and the cell line links upward to the root.
+        // Every span is one line; the root has no parent field and the cell
+        // line names its parent.
         let text = set.to_jsonl();
-        let parsed: Vec<(u64, Option<u64>)> = text.lines().filter_map(parse_span_line).collect();
-        assert_eq!(parsed.len(), set.len());
-        let cell_line = parsed.iter().find(|(id, _)| *id == cell).unwrap();
-        assert_eq!(cell_line.1, set.find(cell).unwrap().parent);
-        let root_line = parsed.iter().find(|(id, _)| *id == root).unwrap();
-        assert_eq!(root_line.1, None, "root has no parent field");
+        assert_eq!(text.lines().count(), set.len());
+        let line_of = |id: u64| {
+            let key = format!("{{\"id\":\"{id:#018x}\"");
+            text.lines().find(|l| l.starts_with(&key)).unwrap()
+        };
+        let parent = set.find(cell).unwrap().parent.unwrap();
+        assert!(line_of(cell).contains(&format!("\"parent\":\"{parent:#018x}\"")));
+        assert!(!line_of(root).contains("\"parent\""), "root has no parent");
     }
 
     #[test]
-    fn hotspots_come_from_the_event_stream_only() {
+    fn hotspots_come_from_passes_and_site_mixes() {
         let (mut set, _, cell) = chain();
         let before = set.len();
-        set.hotspots(cell, &[]);
-        assert_eq!(set.len(), before, "no events, no leaf spans");
+        set.hotspots(cell, [], &BTreeMap::new());
+        assert_eq!(set.len(), before, "no passes, no sites, no leaf spans");
 
-        let events = vec![
-            Event {
-                cell: 42,
-                seq: 0,
-                kind: EventKind::Pass {
-                    pass: "merge",
-                    enabled: true,
-                    visited: 5,
-                    transformed: 1,
-                    eliminated: 1,
-                },
-            },
-            Event {
-                cell: 42,
-                seq: 1,
-                kind: EventKind::Check {
-                    site: 7,
-                    path: CheckPathKind::Slow,
-                    write: false,
-                    loads: 2,
-                    region: 64,
-                    code: None,
-                },
-            },
-            Event {
-                cell: 42,
-                seq: 2,
-                kind: EventKind::Check {
-                    site: 7,
-                    path: CheckPathKind::Fast,
-                    write: false,
-                    loads: 0,
-                    region: 8,
-                    code: None,
-                },
-            },
-        ];
-        set.hotspots(cell, &events);
-        assert_eq!(set.len(), before + 2, "one pass + one slow-path site");
-        let pass = set
+        let mut sites = BTreeMap::new();
+        // Site 7: one slow check and one fast one; site 9: fast only.
+        let mut hot = PathMix::default();
+        hot[CheckPathKind::Slow] = 1;
+        hot[CheckPathKind::Fast] = 1;
+        sites.insert(7, hot);
+        let mut cold = PathMix::default();
+        cold[CheckPathKind::Fast] = 3;
+        sites.insert(9, cold);
+        set.hotspots(cell, [("merge", true), ("hoist", false)], &sites);
+        assert_eq!(set.len(), before + 3, "two passes + one slow-path site");
+        let passes: Vec<&Span> = set
             .spans()
             .iter()
-            .find(|s| s.kind == SpanKind::Pass)
-            .unwrap();
-        assert_eq!(pass.parent, Some(cell));
-        assert_eq!(pass.label, "merge");
+            .filter(|s| s.kind == SpanKind::Pass)
+            .collect();
+        assert_eq!(passes[0].parent, Some(cell));
+        assert_eq!(passes[0].label, "merge");
+        assert_eq!(
+            (passes[1].index, passes[1].label.as_str()),
+            (1, "hoist (disabled)")
+        );
         let check = set
             .spans()
             .iter()
