@@ -18,7 +18,9 @@
 //! `campaign::records_digest` of every cell payload of the studies that
 //! build sessions with non-default configurations (`memory`'s per-tool
 //! worlds, `ablation`'s option blocks and quarantine caps, `table5`'s
-//! redzone sweep).
+//! redzone sweep), and of the studies whose sessions run in
+//! `RuntimeConfig::default()` worlds (`table2`, `fig10`, `fig11`,
+//! `density`, at the options of `every_study_is_thread_count_invariant`).
 //!
 //! To regenerate after an *intentional* behaviour change (requires
 //! justification in review): `GOLDEN_REGEN=1 cargo test --test golden_runs`.
@@ -174,18 +176,33 @@ fn figure8_trace_matches_golden_digest() {
 fn study_records_match_golden_digests() {
     let registry = StudyRegistry::builtin();
     let mut doc = String::new();
-    for (name, div) in [("memory", 10), ("ablation", 10), ("table5", 60)] {
+    let default_rounds = StudyOpts::default().rounds;
+    for (name, div, rounds) in [
+        ("memory", 10, default_rounds),
+        ("ablation", 10, default_rounds),
+        ("table5", 60, default_rounds),
+        ("table2", 120, 1),
+        ("fig10", 120, 1),
+        ("fig11", 120, 1),
+        ("density", 120, 1),
+    ] {
         let opts = StudyOpts {
             div,
+            rounds,
             ..StudyOpts::default()
         };
         let study = registry.get(name).expect("registered study");
         let records = Campaign::new(study, opts)
             .unwrap()
             .run_all(&BatchRunner::default());
+        let rounds_flag = if rounds == default_rounds {
+            String::new()
+        } else {
+            format!(" --rounds {rounds}")
+        };
         let _ = writeln!(
             doc,
-            "{name} --div {div} digest={:#018x}",
+            "{name} --div {div}{rounds_flag} digest={:#018x}",
             records_digest(&records)
         );
     }
