@@ -232,7 +232,7 @@ fn cell_leaves(r: &Record) -> CellLeaves {
             (study::req_str(&e, "pass").to_string(), enabled)
         })
         .collect();
-    (passes, hists_from(study::req(&r.payload, "hists")).sites)
+    (passes, sites_from(study::req(&r.payload, "hists")))
 }
 
 /// The span chain of a trace run: the spine [`Campaign::spans`] builds for
@@ -316,21 +316,27 @@ fn hists_json(h: &Histograms) -> Json {
 
 /// Inverse of [`hists_json`].
 fn hists_from(j: &Json) -> Histograms {
-    let mut h = Histograms {
+    Histograms {
         region_sizes: log2_from(study::req(j, "region_sizes")),
         fold_depths: log2_from(study::req(j, "fold_depths")),
         convergence: log2_from(study::req(j, "convergence")),
         alloc_sizes: log2_from(study::req(j, "alloc_sizes")),
-        sites: Default::default(),
-    };
-    for site in study::req_array(j, "sites") {
-        let mix = study::req_u64s(site, "mix")
-            .try_into()
-            .expect("mix payload carries every path");
-        h.sites
-            .insert(study::req_u64(site, "site") as u32, PathMix(mix));
+        sites: sites_from(j),
     }
-    h
+}
+
+/// The per-site path mixes of a [`hists_json`] encoding, leaving its log2
+/// histograms undecoded.
+fn sites_from(j: &Json) -> BTreeMap<u32, PathMix> {
+    study::req_array(j, "sites")
+        .iter()
+        .map(|site| {
+            let mix = study::req_u64s(site, "mix")
+                .try_into()
+                .expect("mix payload carries every path");
+            (study::req_u64(site, "site") as u32, PathMix(mix))
+        })
+        .collect()
 }
 
 /// `repro trace` as a [`Study`]: cell 0 is the planner (its per-pass
@@ -461,8 +467,10 @@ impl Study for TraceEntry {
             .max()
             .unwrap_or(0) as f64;
         let mut mix = PathMix::default();
-        for m in TraceData::from_records(records).hists.sites.values() {
-            mix.merge(m);
+        for r in records {
+            for m in sites_from(study::req(&r.payload, "hists")).values() {
+                mix.merge(m);
+            }
         }
         let series: Vec<(&str, String)> = CheckPathKind::ALL
             .into_iter()

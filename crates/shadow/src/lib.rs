@@ -15,6 +15,14 @@
 //! real `mmap` region or a `Vec<u8>`. Working in simulation additionally lets
 //! the test suite use a ground-truth oracle (see `giantsan-runtime`).
 //!
+//! Unlike a real process image, a simulated space is built and dropped once
+//! per session. A space of 32 MiB or more (glibc maps every allocation of
+//! that size fresh and unmaps it on free) keeps its bytes mapped when it
+//! drops: the 4 KiB chunks its session wrote are zeroed, and the buffer is
+//! parked for the next space of the same size on the same thread. A thread
+//! parks at most one buffer, and a space of another size frees it. Every
+//! space therefore starts all zero, as a fresh one would.
+//!
 //! # Example
 //!
 //! ```
@@ -31,6 +39,7 @@
 //! [Ling et al., ASPLOS 2024]: https://doi.org/10.1145/3620665.3640391
 
 mod addr;
+mod arena;
 pub mod codes;
 pub mod kernel;
 mod scan;

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::arena::Arena;
 use crate::{align_up, Addr, SEGMENT_SIZE};
 
 /// Error raised when an operation touches bytes outside the space.
@@ -36,6 +37,10 @@ impl std::error::Error for SpaceError {}
 /// interpreter land here, which means out-of-bounds writes in buggy workloads
 /// corrupt *simulated* data only, while remaining observable to sanitizers.
 ///
+/// A space of 32 MiB or more keeps its bytes mapped for the next space of
+/// its size on the same thread (see the [crate docs](crate)); every new
+/// space still starts all zero.
+///
 /// # Example
 ///
 /// ```
@@ -49,7 +54,7 @@ impl std::error::Error for SpaceError {}
 #[derive(Clone)]
 pub struct AddressSpace {
     base: u64,
-    bytes: Vec<u8>,
+    bytes: Arena,
 }
 
 impl fmt::Debug for AddressSpace {
@@ -79,7 +84,7 @@ impl AddressSpace {
         let size = align_up(size, SEGMENT_SIZE);
         AddressSpace {
             base,
-            bytes: vec![0u8; size as usize],
+            bytes: Arena::zeroed(size as usize),
         }
     }
 
@@ -130,7 +135,7 @@ impl AddressSpace {
     /// Returns [`SpaceError`] if any byte of the range is unmapped.
     pub fn write(&mut self, addr: Addr, buf: &[u8]) -> Result<(), SpaceError> {
         let i = self.index(addr, buf.len() as u64)?;
-        self.bytes[i..i + buf.len()].copy_from_slice(buf);
+        self.bytes.slice_mut(i, buf.len()).copy_from_slice(buf);
         Ok(())
     }
 
@@ -161,8 +166,12 @@ impl AddressSpace {
     /// Panics if `width` is not one of 1, 2, 4, 8.
     pub fn write_uint(&mut self, addr: Addr, value: u64, width: u32) -> Result<(), SpaceError> {
         assert!(matches!(width, 1 | 2 | 4 | 8), "unsupported width {width}");
-        let buf = value.to_le_bytes();
-        self.write(addr, &buf[..width as usize])
+        let len = width as usize;
+        let i = self.index(addr, width as u64)?;
+        self.bytes
+            .word_mut(i, len)
+            .copy_from_slice(&value.to_le_bytes()[..len]);
+        Ok(())
     }
 
     /// Reads a little-endian `u64` at `addr`.
@@ -190,7 +199,7 @@ impl AddressSpace {
     /// Returns [`SpaceError`] if the range is unmapped.
     pub fn fill(&mut self, addr: Addr, byte: u8, len: u64) -> Result<(), SpaceError> {
         let i = self.index(addr, len)?;
-        self.bytes[i..i + len as usize].fill(byte);
+        self.bytes.slice_mut(i, len as usize).fill(byte);
         Ok(())
     }
 
@@ -204,7 +213,7 @@ impl AddressSpace {
     pub fn copy(&mut self, dst: Addr, src: Addr, len: u64) -> Result<(), SpaceError> {
         let si = self.index(src, len)?;
         let di = self.index(dst, len)?;
-        self.bytes.copy_within(si..si + len as usize, di);
+        self.bytes.copy_within(si, di, len as usize);
         Ok(())
     }
 }
@@ -212,6 +221,8 @@ impl AddressSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::{parked_len, RECYCLE_MIN};
+    use crate::slice_all_eq;
 
     fn space() -> AddressSpace {
         AddressSpace::new(0x1_0000, 4096)
@@ -283,6 +294,84 @@ mod tests {
         for i in 0..12u64 {
             assert_eq!(s.read_uint(a + 4 + i, 1).unwrap(), i);
         }
+    }
+
+    /// The smallest space whose bytes are recycled.
+    const LARGE: u64 = RECYCLE_MIN as u64;
+
+    fn all_zero(s: &AddressSpace) -> bool {
+        slice_all_eq(&s.bytes, 0)
+    }
+
+    /// Drops `dirty` and returns the next space of its size, asserting that
+    /// it reuses `dirty`'s buffer and is all zero.
+    fn recycled(dirty: AddressSpace) -> AddressSpace {
+        let (ptr, size) = (dirty.bytes.as_ptr(), dirty.size());
+        drop(dirty);
+        assert_eq!(parked_len(), Some(size as usize));
+        let next = AddressSpace::new(0x1_0000, size);
+        assert_eq!(next.bytes.as_ptr(), ptr, "the parked buffer was not reused");
+        assert_eq!(parked_len(), None);
+        assert!(all_zero(&next));
+        next
+    }
+
+    #[test]
+    fn recycled_space_is_all_zero_after_every_write_path() {
+        let mut s = AddressSpace::new(0x1_0000, LARGE);
+        let (lo, hi) = (s.lo(), s.hi());
+        s.write_uint(lo, 0xff, 1).unwrap();
+        s.write_uint(hi - 1, 0xff, 1).unwrap();
+        // Straddles the first 4 KiB chunk boundary.
+        s.write_u64(lo + 4092, u64::MAX).unwrap();
+        s.write(lo + 3 * 4096 - 5, &[0x5a; 10]).unwrap();
+        // Spans three chunks, then is copied across two others.
+        s.fill(lo + 20_000, 0xab, 9000).unwrap();
+        s.copy(lo + (1 << 20) + 100, lo + 20_000, 9000).unwrap();
+        s.copy(hi - 6000, lo + 20_000, 6000).unwrap();
+        assert!(!all_zero(&s));
+        let mut s = recycled(s);
+        // The second generation is reset too.
+        s.fill(lo + 8191, 1, 2).unwrap();
+        recycled(s);
+    }
+
+    #[test]
+    fn size_mismatch_frees_the_parked_buffer() {
+        let mut s = AddressSpace::new(0x1_0000, LARGE);
+        s.write_u64(s.lo(), 7).unwrap();
+        drop(s);
+        assert_eq!(parked_len(), Some(RECYCLE_MIN));
+        let other = AddressSpace::new(0x1_0000, LARGE + 4096);
+        assert_eq!(parked_len(), None);
+        assert!(all_zero(&other));
+        drop(other);
+        assert_eq!(parked_len(), Some(RECYCLE_MIN + 4096));
+        let _small = AddressSpace::new(0x1_0000, 4096);
+        assert_eq!(parked_len(), None);
+    }
+
+    #[test]
+    fn small_spaces_are_not_parked() {
+        let s = AddressSpace::new(0x1_0000, LARGE - 8);
+        drop(s);
+        assert_eq!(parked_len(), None);
+    }
+
+    #[test]
+    fn session_unwinding_mid_write_leaves_the_next_space_zero() {
+        let unwound = std::panic::catch_unwind(|| {
+            let mut s = AddressSpace::new(0x1_0000, LARGE);
+            let lo = s.lo();
+            s.fill(lo + 4000, 0xee, 200).unwrap();
+            s.write_u64(s.hi() - 8, u64::MAX).unwrap();
+            // An unsupported width panics with the space still live.
+            s.write_uint(lo, 1, 3).unwrap();
+        });
+        assert!(unwound.is_err());
+        assert_eq!(parked_len(), Some(RECYCLE_MIN));
+        let next = AddressSpace::new(0x1_0000, LARGE);
+        assert!(all_zero(&next));
     }
 
     #[test]

@@ -9,7 +9,12 @@
 
 use giantsan::harness::campaign::{records_digest, Campaign};
 use giantsan::harness::experiments::{table2, table3, table4, table5, trace};
-use giantsan::harness::{csv, BatchRunner, Record, Study, StudyOpts, StudyRegistry, Tool};
+use giantsan::harness::{
+    csv, BatchRunner, Record, SessionSpec, Study, StudyOpts, StudyRegistry, Tool,
+};
+use giantsan::ir::{Expr, Program, ProgramBuilder};
+use giantsan::runtime::Counters;
+use giantsan::workloads::fuzz::{buggy_program, InjectedBug};
 
 /// Every record of `study` at `opts`, run monolithically on `runner`.
 fn records(study: &dyn Study, opts: StudyOpts, runner: &BatchRunner) -> Vec<Record> {
@@ -146,4 +151,71 @@ fn every_study_is_thread_count_invariant() {
         assert_eq!(a.json, b.json, "{tag}");
         assert_eq!(a.report, b.report, "{tag}");
     }
+}
+
+/// A Native program that writes nothing and loads every word of the first
+/// 64 KiB of the heap and of the 2 KiB around its first stack slot, where
+/// the fuzz programs place their objects and land their wild stores. Under
+/// Native no load is checked, so its checksum folds whatever bytes the
+/// world started with: 0 in a fresh world.
+fn stale_byte_probe() -> Program {
+    let mut b = ProgramBuilder::new("stale-byte-probe");
+    let heap = b.alloc_heap(8);
+    b.for_loop(0i64, 8192i64, |b, i| {
+        b.load_discard(heap, Expr::var(i) * 8, 8);
+    });
+    b.frame(|b| {
+        let slot = b.alloc_stack(16);
+        b.for_loop(0i64, 256i64, |b, i| {
+            b.load_discard(slot, Expr::var(i) * 8 - 1024, 8);
+        });
+    });
+    b.build()
+}
+
+/// A session in a recycled arena behaves exactly like one in a fresh arena.
+///
+/// `RuntimeConfig::default()` worlds are large enough that a dropped
+/// session's address space is reset and reused by the next session on the
+/// same thread. Every injected bug's wild stores land in that space (under
+/// Native nothing stops them). Each session is followed by the
+/// [`stale_byte_probe`], which must read only zeros. The same sessions run
+/// forward, then backward on the same thread (so each follows a different
+/// session), then forward on a fresh thread, whose first arena is fresh;
+/// every result digest and counter must agree.
+#[test]
+fn recycled_arenas_are_indistinguishable_from_fresh_ones() {
+    fn sessions(reverse: bool) -> Vec<(u64, Counters)> {
+        let probe = stale_byte_probe();
+        let mut cases: Vec<_> = (0..2u64)
+            .flat_map(|seed| InjectedBug::ALL.map(|bug| buggy_program(seed, bug)))
+            .flat_map(|fp| Tool::ALL.map(|tool| (tool, fp.clone())))
+            .collect();
+        if reverse {
+            cases.reverse();
+        }
+        let mut out: Vec<_> = cases
+            .iter()
+            .map(|(tool, fp)| {
+                let o = SessionSpec::new(*tool).run(&fp.program, &fp.inputs);
+                let after = SessionSpec::new(Tool::Native).run(&probe, &[]);
+                assert_eq!(
+                    after.result.checksum,
+                    0,
+                    "{} under {} left bytes behind",
+                    fp.program.name,
+                    tool.name()
+                );
+                (o.result.digest(), o.counters)
+            })
+            .collect();
+        if reverse {
+            out.reverse();
+        }
+        out
+    }
+    let first = sessions(false);
+    assert_eq!(sessions(true), first, "backward on the same thread");
+    let fresh = std::thread::spawn(|| sessions(false)).join().unwrap();
+    assert_eq!(fresh, first, "forward on a fresh thread");
 }
