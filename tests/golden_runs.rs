@@ -20,7 +20,9 @@
 //! worlds, `ablation`'s option blocks and quarantine caps, `table5`'s
 //! redzone sweep), and of the studies whose sessions run in
 //! `RuntimeConfig::default()` worlds (`table2`, `fig10`, `fig11`,
-//! `density`, at the options of `every_study_is_thread_count_invariant`).
+//! `density`, at the options of `every_study_is_thread_count_invariant`),
+//! and of the detection and planner studies (`table3`, `table4`, `plan`, at
+//! the same options), whose buggy programs drive the crash and halt paths.
 //!
 //! To regenerate after an *intentional* behaviour change (requires
 //! justification in review): `GOLDEN_REGEN=1 cargo test --test golden_runs`.
@@ -185,6 +187,9 @@ fn study_records_match_golden_digests() {
         ("fig10", 120, 1),
         ("fig11", 120, 1),
         ("density", 120, 1),
+        ("table3", 120, 1),
+        ("table4", 120, 1),
+        ("plan", 120, 1),
     ] {
         let opts = StudyOpts {
             div,
