@@ -64,7 +64,11 @@ fn input_at(inputs: &[i64], idx: i64) -> i64 {
 impl Form {
     /// The expression's value with `vars` bound; equal to `Expr::eval` on
     /// the tree this form was lowered from.
-    #[inline]
+    ///
+    /// The inline forms, nearly every form a program executes, are
+    /// evaluated in place; the wide ones go through one out-of-line call,
+    /// which keeps this body small enough to inline at every use.
+    #[inline(always)]
     pub(crate) fn eval(&self, vars: &[i64], inputs: &[i64]) -> i64 {
         match self {
             Form::Const(c) => *c,
@@ -72,6 +76,14 @@ impl Form {
             Form::Lin2 { c, m, v } => c
                 .wrapping_add(m[0].wrapping_mul(vars[v[0] as usize]))
                 .wrapping_add(m[1].wrapping_mul(vars[v[1] as usize])),
+            Form::LinN { .. } | Form::Mixed(_) => self.eval_wide(vars, inputs),
+        }
+    }
+
+    /// [`Form::eval`] of a `LinN` or `Mixed` form.
+    #[inline(never)]
+    fn eval_wide(&self, vars: &[i64], inputs: &[i64]) -> i64 {
+        match self {
             Form::LinN { c, terms } => terms.iter().fold(*c, |acc, &(m, v)| {
                 acc.wrapping_add(m.wrapping_mul(vars[v as usize]))
             }),
@@ -85,6 +97,7 @@ impl Form {
                     };
                     acc.wrapping_add(m.wrapping_mul(val))
                 }),
+            inline => inline.eval(vars, inputs),
         }
     }
 }

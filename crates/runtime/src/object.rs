@@ -6,7 +6,7 @@
 //! precisely (the paper's Tables 3–5) and lets property tests compare each
 //! tool's verdict with the truth.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use giantsan_shadow::Addr;
@@ -80,10 +80,11 @@ impl ObjectInfo {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ObjectTable {
-    objects: HashMap<ObjectId, ObjectInfo>,
+    /// Every object ever allocated, indexed by id: ids are handed out
+    /// densely from 0 and an object is never removed.
+    objects: Vec<ObjectInfo>,
     /// Live objects indexed by base address for range queries.
     live_by_base: BTreeMap<u64, ObjectId>,
-    next_id: u64,
 }
 
 impl ObjectTable {
@@ -101,40 +102,39 @@ impl ObjectTable {
         block_start: Addr,
         block_len: u64,
     ) -> ObjectId {
-        let id = ObjectId(self.next_id);
-        self.next_id += 1;
-        self.objects.insert(
+        let id = ObjectId(self.objects.len() as u64);
+        self.objects.push(ObjectInfo {
             id,
-            ObjectInfo {
-                id,
-                base,
-                size,
-                region,
-                block_start,
-                block_len,
-                state: ObjectState::Live,
-            },
-        );
+            base,
+            size,
+            region,
+            block_start,
+            block_len,
+            state: ObjectState::Live,
+        });
         self.live_by_base.insert(base.raw(), id);
         id
     }
 
     /// Looks up an object by id (live or dead).
     pub fn get(&self, id: ObjectId) -> Option<&ObjectInfo> {
-        self.objects.get(&id)
+        self.objects.get(usize::try_from(id.0).ok()?)
+    }
+
+    /// The object with id `id`, which this table handed out.
+    fn info(&self, id: ObjectId) -> &ObjectInfo {
+        &self.objects[id.0 as usize]
     }
 
     /// Finds the live object whose base is exactly `base`.
     pub fn live_at_base(&self, base: Addr) -> Option<&ObjectInfo> {
-        self.live_by_base
-            .get(&base.raw())
-            .and_then(|id| self.objects.get(id))
+        self.live_by_base.get(&base.raw()).map(|&id| self.info(id))
     }
 
     /// Finds the live object containing `addr`, if any.
     pub fn live_containing(&self, addr: Addr) -> Option<&ObjectInfo> {
         let (_, id) = self.live_by_base.range(..=addr.raw()).next_back()?;
-        let info = &self.objects[id];
+        let info = self.info(*id);
         info.contains_range(addr, 1).then_some(info)
     }
 
@@ -146,14 +146,14 @@ impl ObjectTable {
             addr >= o.block_start && addr.raw() < o.block_start.raw() + o.block_len
         };
         if let Some((_, id)) = self.live_by_base.range(..=addr.raw()).next_back() {
-            let o = &self.objects[id];
+            let o = self.info(*id);
             if in_block(o) {
                 return Some(o);
             }
         }
         // The successor's block may begin before its base (left redzone).
         if let Some((_, id)) = self.live_by_base.range(addr.raw()..).next() {
-            let o = &self.objects[id];
+            let o = self.info(*id);
             if in_block(o) {
                 return Some(o);
             }
@@ -162,13 +162,14 @@ impl ObjectTable {
     }
 
     /// Finds the most recently allocated non-live object whose *block* range
-    /// contains `addr` (for use-after-free classification).
+    /// contains `addr` (for use-after-free classification): the one with
+    /// the largest id, so the search runs from the newest object back.
     pub fn dead_block_containing(&self, addr: Addr) -> Option<&ObjectInfo> {
-        self.objects
-            .values()
-            .filter(|o| o.state != ObjectState::Live)
-            .filter(|o| addr >= o.block_start && addr.raw() < o.block_start.raw() + o.block_len)
-            .max_by_key(|o| o.id)
+        self.objects.iter().rev().find(|o| {
+            o.state != ObjectState::Live
+                && addr >= o.block_start
+                && addr.raw() < o.block_start.raw() + o.block_len
+        })
     }
 
     /// Marks a live object freed-but-reserved. Returns the updated info.
@@ -177,7 +178,10 @@ impl ObjectTable {
     ///
     /// Panics if `id` is unknown (a runtime-internal invariant violation).
     pub fn mark_quarantined(&mut self, id: ObjectId) -> ObjectInfo {
-        let info = self.objects.get_mut(&id).expect("unknown object id");
+        let info = self
+            .objects
+            .get_mut(id.0 as usize)
+            .expect("unknown object id");
         debug_assert_eq!(info.state, ObjectState::Live);
         info.state = ObjectState::Quarantined;
         self.live_by_base.remove(&info.base.raw());
@@ -191,7 +195,10 @@ impl ObjectTable {
     ///
     /// Panics if `id` is unknown.
     pub fn mark_recycled(&mut self, id: ObjectId) -> ObjectInfo {
-        let info = self.objects.get_mut(&id).expect("unknown object id");
+        let info = self
+            .objects
+            .get_mut(id.0 as usize)
+            .expect("unknown object id");
         info.state = ObjectState::Recycled;
         info.clone()
     }
@@ -216,7 +223,7 @@ impl ObjectTable {
 
     /// Iterates over live objects in base-address order.
     pub fn iter_live(&self) -> impl Iterator<Item = &ObjectInfo> + '_ {
-        self.live_by_base.values().map(move |id| &self.objects[id])
+        self.live_by_base.values().map(move |&id| self.info(id))
     }
 }
 
@@ -295,6 +302,59 @@ mod tests {
         t.insert(Addr::new(0x2000), 8, Region::Stack, Addr::new(0x2000), 8);
         let bases: Vec<_> = t.iter_live().map(|o| o.base.raw()).collect();
         assert_eq!(bases, vec![0x1000, 0x2000, 0x3000]);
+    }
+
+    #[test]
+    fn dense_ids_track_ten_thousand_objects() {
+        // 10K objects over 1,000 block slots in scrambled order; each insert
+        // first frees the slot's live object, recycling every third.
+        const SLOTS: u64 = 1000;
+        let base_of = |slot: u64| 0x10_0000 + slot * 64;
+        let mut t = ObjectTable::new();
+        let mut live: BTreeMap<u64, ObjectId> = BTreeMap::new();
+        let mut newest_dead: BTreeMap<u64, ObjectId> = BTreeMap::new();
+        for i in 0..10_000u64 {
+            let slot = (i * 7919) % SLOTS;
+            let base = base_of(slot);
+            if let Some(old) = live.remove(&base) {
+                assert_eq!(t.mark_quarantined(old).state, ObjectState::Quarantined);
+                if old.0 % 3 == 0 {
+                    assert_eq!(t.mark_recycled(old).state, ObjectState::Recycled);
+                }
+                newest_dead.insert(base, old);
+            }
+            let id = t.insert(
+                Addr::new(base),
+                8 + slot % 24,
+                Region::Heap,
+                Addr::new(base - 16),
+                64,
+            );
+            assert_eq!(id, ObjectId(i));
+            live.insert(base, id);
+        }
+        assert_eq!(t.total_count(), 10_000);
+        assert_eq!(t.live_count(), live.len());
+        let iterated: Vec<_> = t.iter_live().map(|o| (o.base.raw(), o.id)).collect();
+        assert_eq!(iterated, live.into_iter().collect::<Vec<_>>());
+        for i in [0u64, 1, 4_999, 9_999] {
+            let o = t.get(ObjectId(i)).unwrap();
+            assert_eq!(
+                (o.id, o.base.raw()),
+                (ObjectId(i), base_of((i * 7919) % SLOTS))
+            );
+        }
+        assert!(t.get(ObjectId(10_000)).is_none());
+        assert!(t.get(ObjectId(u64::MAX)).is_none());
+        // Every slot has held ten objects; its newest dead one wins, also
+        // when found through the left redzone.
+        for (base, id) in newest_dead {
+            assert_eq!(t.dead_block_containing(Addr::new(base)).unwrap().id, id);
+            assert_eq!(
+                t.dead_block_containing(Addr::new(base - 16)).unwrap().id,
+                id
+            );
+        }
     }
 
     #[test]

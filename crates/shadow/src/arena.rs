@@ -69,20 +69,20 @@ impl Arena {
         &mut self.bytes[i..i + len]
     }
 
-    /// [`Arena::slice_mut`] for one load/store width: `len` is at most a
-    /// chunk, so the range touches only its first and last chunk. Two flag
-    /// stores and no `memset` call keep the interpreter's store path as
+    /// [`Arena::slice_mut`] for one load/store width: `N` is at most a
+    /// chunk, so the word touches only its first and last chunk. Two flag
+    /// stores and a fixed-size copy keep the interpreter's store path as
     /// short as it was without the dirty map.
-    pub(crate) fn word_mut(&mut self, i: usize, len: usize) -> &mut [u8] {
-        assert!(
-            (1..=1 << CHUNK_SHIFT).contains(&len),
-            "not a word: {len} bytes"
-        );
+    #[inline]
+    pub(crate) fn word_mut<const N: usize>(&mut self, i: usize) -> &mut [u8; N] {
+        const { assert!(N >= 1 && N <= 1 << CHUNK_SHIFT, "not a word") };
         if !self.dirty.is_empty() {
             self.dirty[i >> CHUNK_SHIFT] = true;
-            self.dirty[(i + len - 1) >> CHUNK_SHIFT] = true;
+            self.dirty[(i + N - 1) >> CHUNK_SHIFT] = true;
         }
-        &mut self.bytes[i..i + len]
+        self.bytes[i..]
+            .first_chunk_mut()
+            .expect("a word lies inside the arena")
     }
 
     /// `memmove` of `len` bytes from offset `src` to offset `dst`.
@@ -95,6 +95,7 @@ impl Arena {
 impl Deref for Arena {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.bytes
     }

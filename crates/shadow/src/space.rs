@@ -89,26 +89,31 @@ impl AddressSpace {
     }
 
     /// Lowest mapped address.
+    #[inline]
     pub fn lo(&self) -> Addr {
         Addr::new(self.base)
     }
 
     /// One past the highest mapped address.
+    #[inline]
     pub fn hi(&self) -> Addr {
         Addr::new(self.base + self.bytes.len() as u64)
     }
 
     /// Total size in bytes.
+    #[inline]
     pub fn size(&self) -> u64 {
         self.bytes.len() as u64
     }
 
     /// Returns `true` if the whole range `[addr, addr+len)` is mapped.
+    #[inline]
     pub fn contains_range(&self, addr: Addr, len: u64) -> bool {
         let a = addr.raw();
         a >= self.base && len <= self.size() && a - self.base <= self.size() - len
     }
 
+    #[inline]
     fn index(&self, addr: Addr, len: u64) -> Result<usize, SpaceError> {
         if self.contains_range(addr, len) {
             Ok((addr.raw() - self.base) as usize)
@@ -148,11 +153,15 @@ impl AddressSpace {
     /// # Panics
     ///
     /// Panics if `width` is not one of 1, 2, 4, 8.
+    #[inline]
     pub fn read_uint(&self, addr: Addr, width: u32) -> Result<u64, SpaceError> {
-        assert!(matches!(width, 1 | 2 | 4 | 8), "unsupported width {width}");
-        let mut buf = [0u8; 8];
-        self.read(addr, &mut buf[..width as usize])?;
-        Ok(u64::from_le_bytes(buf))
+        Ok(match width {
+            1 => u8::from_le_bytes(self.word(addr)?).into(),
+            2 => u16::from_le_bytes(self.word(addr)?).into(),
+            4 => u32::from_le_bytes(self.word(addr)?).into(),
+            8 => u64::from_le_bytes(self.word(addr)?),
+            _ => unsupported_width(width),
+        })
     }
 
     /// Writes the low `width` bytes of `value` little-endian.
@@ -164,13 +173,33 @@ impl AddressSpace {
     /// # Panics
     ///
     /// Panics if `width` is not one of 1, 2, 4, 8.
+    // Forced: under a plain `#[inline]` the interpreter's store stayed a
+    // call that returned its `Result` through memory.
+    #[inline(always)]
     pub fn write_uint(&mut self, addr: Addr, value: u64, width: u32) -> Result<(), SpaceError> {
-        assert!(matches!(width, 1 | 2 | 4 | 8), "unsupported width {width}");
-        let len = width as usize;
-        let i = self.index(addr, width as u64)?;
-        self.bytes
-            .word_mut(i, len)
-            .copy_from_slice(&value.to_le_bytes()[..len]);
+        match width {
+            1 => self.put_word(addr, (value as u8).to_le_bytes()),
+            2 => self.put_word(addr, (value as u16).to_le_bytes()),
+            4 => self.put_word(addr, (value as u32).to_le_bytes()),
+            8 => self.put_word(addr, value.to_le_bytes()),
+            _ => unsupported_width(width),
+        }
+    }
+
+    /// The `N` bytes at `addr`: one fixed-size copy, no length loop.
+    #[inline]
+    fn word<const N: usize>(&self, addr: Addr) -> Result<[u8; N], SpaceError> {
+        let i = self.index(addr, N as u64)?;
+        Ok(*self.bytes[i..]
+            .first_chunk()
+            .expect("an indexed word lies inside the space"))
+    }
+
+    /// Stores `bytes` at `addr`.
+    #[inline]
+    fn put_word<const N: usize>(&mut self, addr: Addr, bytes: [u8; N]) -> Result<(), SpaceError> {
+        let i = self.index(addr, N as u64)?;
+        *self.bytes.word_mut(i) = bytes;
         Ok(())
     }
 
@@ -179,6 +208,7 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Returns [`SpaceError`] if the range is unmapped.
+    #[inline]
     pub fn read_u64(&self, addr: Addr) -> Result<u64, SpaceError> {
         self.read_uint(addr, 8)
     }
@@ -188,6 +218,7 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Returns [`SpaceError`] if the range is unmapped.
+    #[inline]
     pub fn write_u64(&mut self, addr: Addr, value: u64) -> Result<(), SpaceError> {
         self.write_uint(addr, value, 8)
     }
@@ -216,6 +247,12 @@ impl AddressSpace {
         self.bytes.copy_within(si, di, len as usize);
         Ok(())
     }
+}
+
+#[cold]
+#[inline(never)]
+fn unsupported_width(width: u32) -> ! {
+    panic!("unsupported width {width}")
 }
 
 #[cfg(test)]
@@ -262,6 +299,40 @@ mod tests {
         assert!(s.read_u64(s.lo() - 8).is_err());
         // Ranges straddling the top edge fault too.
         assert!(s.fill(s.hi() - 4, 0, 8).is_err());
+    }
+
+    #[test]
+    fn words_at_the_edges_round_trip_or_fault() {
+        let mut s = space();
+        for w in [1u32, 2, 4, 8] {
+            let len = u64::from(w);
+            let v = 0x8877_6655_4433_2211u64 & (u64::MAX >> (64 - 8 * w));
+            // The last word of the space, and the first.
+            for at in [s.hi() - len, s.lo()] {
+                s.write_uint(at, v, w).unwrap();
+                assert_eq!(s.read_uint(at, w).unwrap(), v);
+            }
+            // One byte further up, and one below the space.
+            for at in [s.hi() - len + 1, s.lo() - 1] {
+                let fault = SpaceError { addr: at, len };
+                assert_eq!(s.read_uint(at, w), Err(fault));
+                assert_eq!(s.write_uint(at, v, w), Err(fault));
+            }
+        }
+        // The faulting writes left the edges as they were.
+        assert_eq!(s.read_u64(s.hi() - 8).unwrap(), 0x8877_6655_4433_2211);
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported width 3")]
+    fn width_three_read_panics() {
+        let _ = space().read_uint(Addr::new(0x1_0000), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported width 3")]
+    fn width_three_write_panics_even_out_of_range() {
+        let _ = space().write_uint(Addr::new(8), 1, 3);
     }
 
     #[test]
