@@ -47,6 +47,6 @@ pub mod pipeline;
 mod planner;
 mod profile;
 
-pub use pipeline::{PassId, PassManager, PassSet, PassStats, Provenance};
+pub use pipeline::{PassId, PassSet, PassStats, Provenance};
 pub use planner::{analyze, analyze_recorded, Analysis, SiteFate};
 pub use profile::ToolProfile;

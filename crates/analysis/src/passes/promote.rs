@@ -52,7 +52,7 @@ impl Pass for PromotePass {
             let promotable = if aff.coeff == 0 {
                 // Loop-invariant check: hoisting is part of the elimination
                 // family.
-                cx.enabled.contains(PassId::Merge)
+                cx.profile.enables(PassId::Merge)
             } else {
                 // Affine: needs a knowable, invariant trip count.
                 !inner.opaque && cx.bounds_invariant.get(&inner.id).copied().unwrap_or(false)

@@ -1,9 +1,8 @@
-//! The planner's pass pipeline: an LLVM-style pass manager over a shared
-//! analysis context.
+//! The planner's pass pipeline: discrete passes over a shared analysis
+//! context.
 //!
-//! [`analyze`](crate::analyze) used to be one monolithic walker; it is now a
-//! [`PassManager`] running discrete passes in a fixed canonical order (see
-//! [`PassId::PIPELINE`]), each reading and extending one shared
+//! [`analyze`](crate::analyze) runs discrete passes in a fixed canonical
+//! order (see [`PassId::PIPELINE`]), each reading and extending one shared
 //! `AnalysisCtx`. A [`crate::ToolProfile`] selects which passes run — the
 //! paper's capability flags (§4.3–§4.4) are exactly pass subsets — and every
 //! pass records:
@@ -35,14 +34,13 @@
 //!    plain instruction-level check.
 
 use std::collections::{HashMap, HashSet};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use giantsan_ir::{CacheId, CheckPlan, Expr, LoopId, LoopPlan, Program, PtrId, SiteAction, VarId};
+use giantsan_ir::{CacheId, Expr, LoopId, LoopPlan, Program, PtrId, SiteAction, VarId};
 use giantsan_runtime::AccessKind;
 
 use crate::affine::DefEnv;
-use crate::passes;
-use crate::planner::{Analysis, SiteFate};
+use crate::planner::SiteFate;
 use crate::profile::ToolProfile;
 
 /// Identity of one pipeline stage, in canonical execution order.
@@ -119,7 +117,7 @@ pub struct PassSet(u16);
 
 impl PassSet {
     /// The set containing no passes at all (not even structural ones); the
-    /// pass manager still runs structural passes regardless.
+    /// pipeline still runs structural passes regardless.
     pub const fn empty() -> Self {
         PassSet(0)
     }
@@ -216,7 +214,7 @@ pub struct PassStats {
     pub wall: Duration,
 }
 
-/// Per-pass counters returned by a pass run; the manager wraps them into
+/// Per-pass counters returned by a pass run; [`crate::analyze`] wraps them into
 /// [`PassStats`] together with the enable flag and wall time.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PassOutcome {
@@ -264,10 +262,6 @@ pub(crate) struct AliasGroup {
 pub(crate) struct AnalysisCtx<'p> {
     pub program: &'p Program,
     pub profile: &'p ToolProfile,
-    /// The pass set the manager is scheduling (pass-internal policy, e.g.
-    /// promote's invariant-hoist rule, consults this rather than the
-    /// profile so a hand-built manager stays self-consistent).
-    pub enabled: PassSet,
 
     // -- facts from const-prop (structural) --
     pub env: DefEnv,
@@ -296,12 +290,11 @@ pub(crate) struct AnalysisCtx<'p> {
 }
 
 impl<'p> AnalysisCtx<'p> {
-    pub(crate) fn new(program: &'p Program, profile: &'p ToolProfile, enabled: PassSet) -> Self {
+    pub(crate) fn new(program: &'p Program, profile: &'p ToolProfile) -> Self {
         let n = program.num_sites as usize;
         AnalysisCtx {
             program,
             profile,
-            enabled,
             env: DefEnv::new(),
             loops: HashMap::new(),
             barriers: HashMap::new(),
@@ -336,112 +329,6 @@ impl<'p> AnalysisCtx<'p> {
         self.fates[idx] = fate;
         self.decided[idx] = true;
         self.provenance[idx] = Some(Provenance { pass, reason });
-    }
-}
-
-/// Schedules and runs the pipeline for one profile.
-///
-/// # Example
-///
-/// ```
-/// use giantsan_analysis::{PassId, PassManager, ToolProfile};
-/// use giantsan_ir::ProgramBuilder;
-///
-/// let mut b = ProgramBuilder::new("tiny");
-/// let p = b.alloc_heap(64);
-/// b.load_discard(p, 0i64, 8);
-/// let prog = b.build();
-///
-/// let profile = ToolProfile::giantsan();
-/// let a = PassManager::for_profile(&profile).run(&prog, &profile);
-/// assert_eq!(a.pass_stats.len(), PassId::PIPELINE.len());
-/// assert!(a.pass_stats.iter().all(|s| s.enabled));
-/// ```
-#[derive(Debug, Clone)]
-pub struct PassManager {
-    enabled: PassSet,
-}
-
-impl PassManager {
-    /// A manager scheduling exactly `enabled` (plus the structural passes,
-    /// which always run).
-    pub fn new(enabled: PassSet) -> Self {
-        PassManager { enabled }
-    }
-
-    /// The manager for a profile's declared pass set.
-    pub fn for_profile(profile: &ToolProfile) -> Self {
-        PassManager::new(profile.passes())
-    }
-
-    /// The scheduled pass set.
-    pub fn enabled(&self) -> PassSet {
-        self.enabled
-    }
-
-    /// Runs the pipeline over `program`, producing the plan, the fate and
-    /// provenance tables, and one [`PassStats`] row per pipeline stage
-    /// (disabled stages appear with `enabled: false` and zero counters).
-    ///
-    /// `profile` supplies pass-internal policy that is not a pass on/off
-    /// switch — today the runtime's region-check cost model
-    /// ([`ToolProfile::linear_region_checks`]).
-    pub fn run(&self, program: &Program, profile: &ToolProfile) -> Analysis {
-        self.run_recorded(program, profile, &mut giantsan_telemetry::NoopRecorder)
-    }
-
-    /// [`PassManager::run`] with a telemetry [`Recorder`] attached: each
-    /// pipeline stage additionally emits one [`EventKind::Pass`] event
-    /// carrying its counters (the deterministic subset of [`PassStats`] —
-    /// wall time stays out of the data plane).
-    ///
-    /// [`Recorder`]: giantsan_telemetry::Recorder
-    /// [`EventKind::Pass`]: giantsan_telemetry::EventKind::Pass
-    pub fn run_recorded<R: giantsan_telemetry::Recorder>(
-        &self,
-        program: &Program,
-        profile: &ToolProfile,
-        rec: &mut R,
-    ) -> Analysis {
-        let mut cx = AnalysisCtx::new(program, profile, self.enabled);
-        let mut stats = Vec::with_capacity(PassId::PIPELINE.len());
-        for pass in passes::registry() {
-            let id = pass.id();
-            let enabled = id.is_structural() || self.enabled.contains(id);
-            let start = Instant::now();
-            let out = if enabled {
-                pass.run(&mut cx)
-            } else {
-                PassOutcome::default()
-            };
-            if R::ENABLED {
-                rec.record(giantsan_telemetry::EventKind::Pass {
-                    pass: id.name(),
-                    enabled,
-                    visited: out.visited,
-                    transformed: out.transformed,
-                    eliminated: out.eliminated,
-                });
-            }
-            stats.push(PassStats {
-                pass: id,
-                enabled,
-                visited: out.visited,
-                transformed: out.transformed,
-                eliminated: out.eliminated,
-                wall: start.elapsed(),
-            });
-        }
-        Analysis {
-            plan: CheckPlan {
-                sites: cx.actions,
-                loops: cx.plans,
-                num_caches: cx.num_caches,
-            },
-            fates: cx.fates,
-            provenance: cx.provenance,
-            pass_stats: stats,
-        }
     }
 }
 
@@ -497,8 +384,7 @@ mod tests {
         let p = b.alloc_heap(64);
         b.load_discard(p, 0i64, 8);
         let prog = b.build();
-        let profile = ToolProfile::asan();
-        let a = PassManager::for_profile(&profile).run(&prog, &profile);
+        let a = crate::analyze(&prog, &ToolProfile::asan());
         let cache = a
             .pass_stats
             .iter()

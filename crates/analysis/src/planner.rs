@@ -13,10 +13,12 @@
 //! check for `y[j]`.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use giantsan_ir::{CheckPlan, Program};
 
-use crate::pipeline::{PassManager, PassStats, Provenance};
+use crate::passes;
+use crate::pipeline::{AnalysisCtx, PassId, PassOutcome, PassStats, Provenance};
 use crate::profile::ToolProfile;
 
 /// Why a site ended up with its action (static accounting for Figure 10).
@@ -153,8 +155,11 @@ impl SiteFate {
     }
 }
 
-/// Runs the planner for `program` under `profile`: schedules the pass
-/// pipeline for the profile's pass set and runs it.
+/// Runs the planner for `program` under `profile`: every pipeline stage in
+/// canonical order, each skipped unless the profile enables it. The result
+/// carries the plan, the fate and provenance tables, and one [`PassStats`]
+/// row per stage (disabled stages appear with `enabled: false` and zero
+/// counters).
 ///
 /// # Example
 ///
@@ -180,11 +185,12 @@ impl SiteFate {
 /// assert_eq!(a.fates[2], SiteFate::MergedAway);
 /// ```
 pub fn analyze(program: &Program, profile: &ToolProfile) -> Analysis {
-    PassManager::for_profile(profile).run(program, profile)
+    analyze_recorded(program, profile, &mut giantsan_telemetry::NoopRecorder)
 }
 
-/// [`analyze`] with a telemetry recorder: one [`Pass`] event per pipeline
-/// stage (see [`PassManager::run_recorded`]).
+/// [`analyze`] with a telemetry recorder: each pipeline stage additionally
+/// emits one [`Pass`] event carrying its counters (the deterministic subset
+/// of [`PassStats`] — wall time stays out of the data plane).
 ///
 /// [`Pass`]: giantsan_telemetry::EventKind::Pass
 pub fn analyze_recorded<R: giantsan_telemetry::Recorder>(
@@ -192,13 +198,50 @@ pub fn analyze_recorded<R: giantsan_telemetry::Recorder>(
     profile: &ToolProfile,
     rec: &mut R,
 ) -> Analysis {
-    PassManager::for_profile(profile).run_recorded(program, profile, rec)
+    let mut cx = AnalysisCtx::new(program, profile);
+    let mut stats = Vec::with_capacity(PassId::PIPELINE.len());
+    for pass in passes::registry() {
+        let id = pass.id();
+        let enabled = profile.enables(id);
+        let start = Instant::now();
+        let out = if enabled {
+            pass.run(&mut cx)
+        } else {
+            PassOutcome::default()
+        };
+        if R::ENABLED {
+            rec.record(giantsan_telemetry::EventKind::Pass {
+                pass: id.name(),
+                enabled,
+                visited: out.visited,
+                transformed: out.transformed,
+                eliminated: out.eliminated,
+            });
+        }
+        stats.push(PassStats {
+            pass: id,
+            enabled,
+            visited: out.visited,
+            transformed: out.transformed,
+            eliminated: out.eliminated,
+            wall: start.elapsed(),
+        });
+    }
+    Analysis {
+        plan: CheckPlan {
+            sites: cx.actions,
+            loops: cx.plans,
+            num_caches: cx.num_caches,
+        },
+        fates: cx.fates,
+        provenance: cx.provenance,
+        pass_stats: stats,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::PassId;
     use giantsan_ir::{Expr, LoopId, ProgramBuilder, SiteAction};
 
     /// The paper's Figure 8a program.

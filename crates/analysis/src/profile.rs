@@ -119,17 +119,10 @@ impl ToolProfile {
     }
 
     /// This profile minus one pass (structural passes cannot be dropped).
-    /// The name is kept — pair with [`ToolProfile::named`] in ablations.
+    /// The name is kept.
     #[must_use]
     pub fn without_pass(mut self, pass: PassId) -> Self {
         self.passes = self.passes.without(pass);
-        self
-    }
-
-    /// The same configuration under a different display name.
-    #[must_use]
-    pub fn named(mut self, name: &'static str) -> Self {
-        self.name = name;
         self
     }
 
@@ -195,7 +188,6 @@ mod tests {
         let no_cache = g.clone().without_pass(PassId::Cache);
         assert!(!no_cache.caching() && no_cache.elimination());
         assert_eq!(no_cache.name, "GiantSan");
-        assert_eq!(no_cache.named("GiantSan-NoCache").name, "GiantSan-NoCache");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! what gives the benchmark comparisons their shape.
 
 use giantsan_runtime::{
-    AccessKind, Allocation, CheckResult, Counters, ErrorKind, ErrorReport, HeapError, ObjectInfo,
-    Region, RuntimeConfig, Sanitizer, World,
+    AccessKind, Allocation, CheckResult, Counters, ErrorKind, ErrorReport, FreeOutcome, HeapError,
+    ObjectInfo, Region, RuntimeConfig, Sanitizer, World,
 };
 use giantsan_shadow::{align_up, Addr, ShadowMemory, SEGMENT_SIZE};
 
@@ -68,26 +68,17 @@ pub struct Asan {
     world: World,
     shadow: ShadowMemory,
     counters: Counters,
-    name: &'static str,
 }
 
 impl Asan {
     /// Creates an ASan instance over a fresh world.
     pub fn new(config: RuntimeConfig) -> Self {
-        Self::with_name(config, "ASan")
-    }
-
-    /// Creates an ASan runtime under a different display name; used by
-    /// [`crate::AsanMinusMinus`], whose runtime is identical (the difference
-    /// is which checks the instrumentation emits).
-    pub fn with_name(config: RuntimeConfig, name: &'static str) -> Self {
         let world = World::new(config);
         let shadow = ShadowMemory::new(world.space(), codes::UNALLOCATED);
         Asan {
             world,
             shadow,
             counters: Counters::default(),
-            name,
         }
     }
 
@@ -156,6 +147,27 @@ impl Asan {
         );
     }
 
+    /// Poisons a fresh allocation's redzones and user region.
+    fn poison_new(&mut self, a: &Allocation) {
+        let info = self
+            .world
+            .objects()
+            .get(a.id)
+            .expect("fresh allocation must be registered")
+            .clone();
+        self.poison_allocation(&info);
+    }
+
+    /// Marks a freed block as freed and resets the blocks the quarantine
+    /// evicted to unallocated.
+    fn poison_freed(&mut self, outcome: &FreeOutcome) {
+        let freed = &outcome.freed;
+        self.poison_segments(freed.block_start, freed.block_len, codes::FREED);
+        for info in &outcome.recycled {
+            self.poison_segments(info.block_start, info.block_len, codes::UNALLOCATED);
+        }
+    }
+
     fn report(&mut self, addr: Addr, code: u8, len: u64, kind: AccessKind) -> ErrorReport {
         self.counters.reports += 1;
         let classified = if codes::is_partial(code) {
@@ -175,7 +187,7 @@ impl Asan {
 
 impl Sanitizer for Asan {
     fn name(&self) -> &'static str {
-        self.name
+        "ASan"
     }
 
     fn world(&self) -> &World {
@@ -200,13 +212,7 @@ impl Sanitizer for Asan {
         if region == Region::Stack {
             self.counters.stack_allocs += 1;
         }
-        let info = self
-            .world
-            .objects()
-            .get(a.id)
-            .expect("fresh allocation must be registered")
-            .clone();
-        self.poison_allocation(&info);
+        self.poison_new(&a);
         Ok(a)
     }
 
@@ -214,11 +220,7 @@ impl Sanitizer for Asan {
         self.counters.frees += 1;
         match self.world.free(base) {
             Ok(outcome) => {
-                let freed = outcome.freed.clone();
-                self.poison_segments(freed.block_start, freed.block_len, codes::FREED);
-                for info in outcome.recycled.clone() {
-                    self.poison_segments(info.block_start, info.block_len, codes::UNALLOCATED);
-                }
+                self.poison_freed(&outcome);
                 Ok(())
             }
             Err(report) => {
@@ -233,18 +235,8 @@ impl Sanitizer for Asan {
             Ok((a, outcome)) => {
                 self.counters.allocs += 1;
                 self.counters.frees += 1;
-                let info = self
-                    .world
-                    .objects()
-                    .get(a.id)
-                    .expect("fresh allocation must be registered")
-                    .clone();
-                self.poison_allocation(&info);
-                let freed = outcome.freed.clone();
-                self.poison_segments(freed.block_start, freed.block_len, codes::FREED);
-                for info in outcome.recycled.clone() {
-                    self.poison_segments(info.block_start, info.block_len, codes::UNALLOCATED);
-                }
+                self.poison_new(&a);
+                self.poison_freed(&outcome);
                 Ok(a)
             }
             Err(report) => {

@@ -5,15 +5,16 @@
 //!
 //! * [`Asan`] — AddressSanitizer: the classic low-density shadow encoding
 //!   with instruction-level checks and a linear-time region guardian;
-//! * [`AsanMinusMinus`] — ASan's runtime driven by an elimination-only
-//!   instrumentation plan (the planner in `giantsan-analysis` carries the
-//!   difference);
 //! * [`Lfp`] — low-fat pointers: pointer-derived bounds over rounded-up size
 //!   classes, cheap checks, rounding false negatives, weak stack coverage.
 //!
 //! Together with `giantsan_core::GiantSan` and
-//! [`giantsan_runtime::NullSanitizer`] these are the five columns of the
-//! paper's Table 2.
+//! [`giantsan_runtime::NullSanitizer`] these are the runtimes behind the
+//! five columns of the paper's Table 2. ASan-- (Zhang et al., USENIX
+//! Security 2022) has no runtime of its own: it is [`Asan`] under the
+//! elimination and promotion plan of `ToolProfile::asan_minus_minus` in
+//! `giantsan-analysis`, the same way GiantSan's ablation variants are
+//! `GiantSan` under a smaller pass set.
 //!
 //! # Example
 //!
@@ -33,9 +34,7 @@
 //! ```
 
 pub mod asan;
-mod asan_mm;
 pub mod lfp;
 
 pub use asan::Asan;
-pub use asan_mm::AsanMinusMinus;
 pub use lfp::Lfp;

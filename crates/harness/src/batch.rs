@@ -233,11 +233,6 @@ impl BatchRunner {
         Self::new(1)
     }
 
-    /// A runner sized to the machine's available parallelism.
-    pub fn auto() -> Self {
-        Self::new(Self::available_parallelism())
-    }
-
     /// The host's available parallelism (1 when it cannot be queried).
     pub fn available_parallelism() -> usize {
         std::thread::available_parallelism()
@@ -410,9 +405,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl Default for BatchRunner {
-    /// Defaults to [`BatchRunner::auto`].
+    /// A runner sized to the machine's available parallelism.
     fn default() -> Self {
-        Self::auto()
+        Self::new(Self::available_parallelism())
     }
 }
 
@@ -440,7 +435,7 @@ mod tests {
     #[test]
     fn zero_threads_clamps_to_one() {
         assert_eq!(BatchRunner::new(0).threads(), 1);
-        assert!(BatchRunner::auto().threads() >= 1);
+        assert!(BatchRunner::default().threads() >= 1);
     }
 
     #[test]

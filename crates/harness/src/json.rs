@@ -24,6 +24,8 @@
 
 use std::fmt::Write as _;
 
+use giantsan_telemetry::export::json_escape;
+
 /// A JSON value tree with a deterministic pretty renderer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -85,24 +87,6 @@ impl From<Vec<Json>> for Json {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Json {
     /// An empty object, ready for [`Json::field`] chaining.
     pub fn obj() -> Self {
@@ -160,7 +144,7 @@ impl Json {
             }
             Json::F64(_) => out.push_str("null"),
             Json::Str(s) => {
-                let _ = write!(out, "\"{}\"", escape(s));
+                let _ = write!(out, "\"{}\"", json_escape(s));
             }
             Json::Array(items) => {
                 out.push('[');
@@ -178,7 +162,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "\"{}\":", escape(k));
+                    let _ = write!(out, "\"{}\":", json_escape(k));
                     v.write_compact(out);
                 }
                 out.push('}');
@@ -281,7 +265,7 @@ impl Json {
             }
             Json::F64(_) => out.push_str("null"),
             Json::Str(s) => {
-                let _ = write!(out, "\"{}\"", escape(s));
+                let _ = write!(out, "\"{}\"", json_escape(s));
             }
             Json::Array(items) => {
                 if items.is_empty() {
@@ -307,7 +291,7 @@ impl Json {
                 for (i, (k, v)) in fields.iter().enumerate() {
                     out.push_str(if i == 0 { "\n" } else { ",\n" });
                     out.push_str(&pad);
-                    let _ = write!(out, "\"{}\": ", escape(k));
+                    let _ = write!(out, "\"{}\": ", json_escape(k));
                     v.write(out, indent + 1);
                 }
                 out.push('\n');
@@ -450,7 +434,7 @@ impl Parser<'_> {
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
                             // Campaign blobs never emit surrogate pairs
-                            // (escape() only \u-encodes control bytes), so
+                            // (json_escape() only \u-encodes control bytes), so
                             // lone surrogates are rejected rather than paired.
                             out.push(
                                 char::from_u32(code)

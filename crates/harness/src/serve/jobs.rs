@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use super::scheduler::write_atomic;
 use crate::json::Json;
 use crate::study::{StudyOpts, StudyRegistry};
 
@@ -318,14 +319,7 @@ impl JobEntry {
             target.extend(fields);
         }
         drop(st);
-        let text = j.render();
-        let tmp = self.dir.join("job.json.tmp");
-        let fin = self.dir.join("job.json");
-        // Atomic on POSIX: a crash leaves either the old or the new
-        // descriptor, never a torn one.
-        if std::fs::write(&tmp, &text).is_ok() {
-            let _ = std::fs::rename(&tmp, &fin);
-        }
+        write_atomic(&self.dir, "job.json", &j.render());
     }
 }
 

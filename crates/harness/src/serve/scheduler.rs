@@ -98,7 +98,9 @@ pub fn dump_flight(flight: &FlightRecorder, dir: &Path, process: &str) {
     write_atomic(dir, "flight_chrome.json", &flight.to_chrome(process));
 }
 
-fn write_atomic(dir: &Path, name: &str, contents: &str) {
+/// Writes `dir/name` through `name.tmp` and a rename: atomic on POSIX, so a
+/// crash leaves either the old file or the new one, never a torn one.
+pub(super) fn write_atomic(dir: &Path, name: &str, contents: &str) {
     let tmp = dir.join(format!("{name}.tmp"));
     if std::fs::write(&tmp, contents).is_ok() {
         let _ = std::fs::rename(&tmp, dir.join(name));

@@ -26,7 +26,7 @@
 //! interpreter, so each arm instantiates [`giantsan_ir::run_with`] at a
 //! concrete sanitizer type and the per-access check calls inline.
 
-use giantsan_baselines::{Asan, AsanMinusMinus, Lfp};
+use giantsan_baselines::{Asan, Lfp};
 use giantsan_core::{GiantSan, GiantSanOptions};
 use giantsan_ir::{run_with, CheckPlan, ExecConfig, Program};
 use giantsan_runtime::{NullSanitizer, RuntimeConfig, Sanitizer};
@@ -124,8 +124,7 @@ impl SessionSpec {
             Tool::GiantSan | Tool::CacheOnly | Tool::EliminationOnly => {
                 run.on(GiantSan::with_options(cfg, self.options.clone()))
             }
-            Tool::Asan => run.on(Asan::new(cfg)),
-            Tool::AsanMinusMinus => run.on(AsanMinusMinus::new(cfg)),
+            Tool::Asan | Tool::AsanMinusMinus => run.on(Asan::new(cfg)),
             Tool::Lfp => run.on(Lfp::new(cfg)),
         }
     }
@@ -182,7 +181,7 @@ mod tests {
     use super::*;
     use giantsan_ir::ProgramBuilder;
     use giantsan_runtime::RecoveryPolicy;
-    use giantsan_workloads::{traversal_program, Pattern};
+    use giantsan_workloads::{buggy_program, spec_suite, traversal_program, InjectedBug, Pattern};
 
     fn tiny() -> (Program, Vec<i64>) {
         let mut b = ProgramBuilder::new("tiny");
@@ -271,5 +270,24 @@ mod tests {
             ..SessionSpec::new(Tool::Asan)
         };
         assert!(spec.exec_config().recovery.contains_faults());
+    }
+
+    #[test]
+    fn asan_minus_minus_is_asan_under_its_own_plan() {
+        let spec = SessionSpec::new(Tool::AsanMinusMinus);
+        let w = spec_suite(1).swap_remove(0);
+        let bug = buggy_program(1, InjectedBug::OverflowNear);
+        let mut reports = 0;
+        for (prog, inputs) in [(&w.program, &w.inputs), (&bug.program, &bug.inputs)] {
+            let out = spec.run(prog, inputs);
+            reports += out.result.reports.len();
+            let mut san = Asan::new(spec.config.clone());
+            let plan = Tool::AsanMinusMinus.plan(prog);
+            let hand = giantsan_ir::run(prog, inputs, &mut san, &plan, &spec.exec_config());
+            assert_eq!(out.counters, *san.counters(), "{}", prog.name);
+            assert_eq!(out.result.digest(), hand.digest(), "{}", prog.name);
+            assert_eq!(out.result.reports, hand.reports, "{}", prog.name);
+        }
+        assert!(reports > 0, "the buggy program reports under ASan--");
     }
 }

@@ -15,8 +15,8 @@
 //! * [`ObjectTable`] — ground-truth object bounds used as an oracle when
 //!   counting false negatives/positives (a luxury real sanitizers lack);
 //! * [`World`] — the bundle of space + heap + stack + table a sanitizer runs in;
-//! * [`Sanitizer`] — the trait every tool (GiantSan, ASan, ASan--, LFP, and
-//!   the native no-op baseline) implements;
+//! * [`Sanitizer`] — the trait every runtime (GiantSan, ASan, LFP, and the
+//!   native no-op baseline) implements; ASan-- runs ASan's;
 //! * [`Counters`] — the metadata-loading / check statistics behind the
 //!   paper's ablation study (Figure 10).
 //!
@@ -48,7 +48,10 @@ pub use counters::Counters;
 pub use heap::{HeapError, SimHeap};
 pub use object::{ObjectId, ObjectInfo, ObjectState, ObjectTable};
 pub use quarantine::{Evictions, Quarantine};
-pub use recovery::{Admission, MetadataFault, RecoverLimits, RecoveryPolicy, RecoveryState};
+pub use recovery::{
+    Admission, MetadataFault, RecoveryPolicy, RecoveryState, MAX_REPORTS_PER_KIND,
+    MAX_REPORTS_PER_SITE,
+};
 pub use report::{AccessKind, CheckResult, ErrorKind, ErrorReport};
 pub use sanitizer::{CacheSlot, NullSanitizer, Sanitizer};
 pub use stack::StackSim;

@@ -23,16 +23,18 @@ pub enum RecoveryPolicy {
     /// behaviour of `halt_on_error: false`, so it is the default.
     #[default]
     Continue,
-    /// Recover mode: deduplicate per (site, kind), rate-limit per kind, and
-    /// contain the faulting access (skip it / re-poison) so the run keeps
-    /// producing trustworthy results after an error.
-    Recover(RecoverLimits),
+    /// Recover mode: deduplicate per (site, kind) up to
+    /// [`MAX_REPORTS_PER_SITE`], rate-limit per kind to
+    /// [`MAX_REPORTS_PER_KIND`], and contain the faulting access (skip it /
+    /// re-poison) so the run keeps producing trustworthy results after an
+    /// error.
+    Recover,
 }
 
 impl RecoveryPolicy {
-    /// A recover policy with the default [`RecoverLimits`].
+    /// The recover policy, [`RecoveryPolicy::Recover`].
     pub fn recover() -> Self {
-        RecoveryPolicy::Recover(RecoverLimits::default())
+        RecoveryPolicy::Recover
     }
 
     /// Whether execution stops at the first report.
@@ -42,29 +44,18 @@ impl RecoveryPolicy {
 
     /// Whether faulting accesses are contained rather than performed.
     pub fn contains_faults(&self) -> bool {
-        matches!(self, RecoveryPolicy::Recover(_))
+        matches!(self, RecoveryPolicy::Recover)
     }
 }
 
-/// Rate limits applied by [`RecoveryPolicy::Recover`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoverLimits {
-    /// Maximum reports recorded for one (site, kind) pair; further reports
-    /// from the same site are suppressed (counted, not recorded). Mirrors
-    /// ASan's one-report-per-PC dedup in recover mode.
-    pub max_reports_per_site: u32,
-    /// Maximum reports recorded per [`ErrorKind`] across all sites.
-    pub max_reports_per_kind: u32,
-}
+/// Maximum reports [`RecoveryPolicy::Recover`] records for one (site, kind)
+/// pair; further reports from the same site are suppressed (counted, not
+/// recorded). Mirrors ASan's one-report-per-PC dedup in recover mode.
+pub const MAX_REPORTS_PER_SITE: u32 = 1;
 
-impl Default for RecoverLimits {
-    fn default() -> Self {
-        RecoverLimits {
-            max_reports_per_site: 1,
-            max_reports_per_kind: 20,
-        }
-    }
-}
+/// Maximum reports [`RecoveryPolicy::Recover`] records per [`ErrorKind`]
+/// across all sites.
+pub const MAX_REPORTS_PER_KIND: u32 = 20;
 
 /// Verdict of [`RecoveryState::admit`] for one raised report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,12 +92,10 @@ impl RecoveryState {
         match policy {
             RecoveryPolicy::Halt => Admission::Halt,
             RecoveryPolicy::Continue => Admission::Record,
-            RecoveryPolicy::Recover(limits) => {
+            RecoveryPolicy::Recover => {
                 let site_count = self.per_site.entry((report.site, report.kind)).or_insert(0);
                 let kind_count = self.per_kind.entry(report.kind).or_insert(0);
-                if *site_count >= limits.max_reports_per_site
-                    || *kind_count >= limits.max_reports_per_kind
-                {
+                if *site_count >= MAX_REPORTS_PER_SITE || *kind_count >= MAX_REPORTS_PER_KIND {
                     Admission::Suppress
                 } else {
                     *site_count += 1;
@@ -185,16 +174,15 @@ mod tests {
 
     #[test]
     fn recover_rate_limits_per_kind() {
+        assert_eq!(MAX_REPORTS_PER_KIND, 20);
         let mut st = RecoveryState::new();
-        let p = RecoveryPolicy::Recover(RecoverLimits {
-            max_reports_per_site: 10,
-            max_reports_per_kind: 3,
-        });
-        for site in 0..3 {
+        let p = RecoveryPolicy::recover();
+        for site in 0..20 {
             let r = report(ErrorKind::UseAfterFree, Some(site));
-            assert_eq!(st.admit(&p, &r), Admission::Record);
+            assert_eq!(st.admit(&p, &r), Admission::Record, "site {site}");
         }
-        let r = report(ErrorKind::UseAfterFree, Some(99));
+        // The 21st distinct site finds the kind budget spent.
+        let r = report(ErrorKind::UseAfterFree, Some(20));
         assert_eq!(st.admit(&p, &r), Admission::Suppress, "kind budget spent");
         // Other kinds have their own budget.
         let r = report(ErrorKind::HeapBufferUnderflow, Some(99));

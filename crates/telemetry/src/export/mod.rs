@@ -14,8 +14,10 @@ pub use chrome::ChromeTrace;
 pub use jsonl::events_jsonl;
 pub use prom::{prometheus, service_exposition};
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes `s` for embedding in a JSON string literal: quote, backslash and
+/// every control character below U+0020 (`\n`, `\r`, `\t` by name, the rest
+/// as `\u00XX`).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -9,10 +9,12 @@
 //! trusted, so a `memcpy` writes a few bytes past a 100-byte heap buffer.
 //! The overflow stays inside LFP's 128-byte size-class slot, demonstrating
 //! the rounded-up-bound blind spot (paper §2.1); the location-based tools
-//! see the redzone.
+//! see the redzone. ASan-- is ASan's runtime under a debloated plan
+//! (`ToolProfile::asan_minus_minus`): it removes redundant checks, not the
+//! ones that guard the copy.
 
 use giantsan::analysis::{analyze, ToolProfile};
-use giantsan::baselines::{Asan, AsanMinusMinus, Lfp};
+use giantsan::baselines::{Asan, Lfp};
 use giantsan::core::GiantSan;
 use giantsan::ir::{run, ExecConfig, Expr, Program, ProgramBuilder};
 use giantsan::runtime::{RuntimeConfig, Sanitizer};
@@ -55,7 +57,7 @@ fn main() {
     let mut asan = Asan::new(cfg());
     hunt("ASan", &mut asan, &ToolProfile::asan());
 
-    let mut mm = AsanMinusMinus::new(cfg());
+    let mut mm = Asan::new(cfg());
     hunt("ASan--", &mut mm, &ToolProfile::asan_minus_minus());
 
     let mut lfp = Lfp::new(cfg());

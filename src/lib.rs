@@ -14,7 +14,7 @@
 //!   [`runtime::Sanitizer`] trait;
 //! * [`core`] — the paper's contribution: segment-folding shadow encoding,
 //!   O(1) region checks, quasi-bound history caching, anchor-based checks;
-//! * [`baselines`] — ASan, ASan--, and LFP comparators;
+//! * [`baselines`] — the ASan (also ASan--'s runtime) and LFP comparators;
 //! * [`ir`] — the mini-IR and interpreter standing in for LLVM;
 //! * [`analysis`] — static analyses and the instrumentation planner;
 //! * [`workloads`] — SPEC-like, Juliet-like, CVE, Magma-like and traversal
