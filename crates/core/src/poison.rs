@@ -8,10 +8,11 @@
 //!
 //! The writer fills the pattern run-by-run, touching each shadow byte exactly
 //! once — the same linear cost as ASan's `memset`-style poisoning — through
-//! the active [`giantsan_shadow::kernel`] backend's `write_folded_run`
-//! (word-at-a-time on the `swar` and `simd` backends).
+//! [`ShadowMemory::write_folded_run`], which runs the active
+//! [`giantsan_shadow::kernel`] backend's `write_folded_run` (word-at-a-time
+//! on the `swar` and `simd` backends).
 
-use giantsan_shadow::{kernel, Addr, ShadowMemory, SEGMENT_SIZE};
+use giantsan_shadow::{Addr, ShadowMemory, SEGMENT_SIZE};
 
 use crate::encoding::{folded, partial};
 
@@ -59,8 +60,8 @@ pub fn poison_object(shadow: &mut ShadowMemory, base: Addr, size: u64) -> u64 {
     if q > 0 {
         // The run decomposition (segment j has degree ⌊log2(q − j)⌋, so the
         // degree-d segments form one contiguous run) and the fill width both
-        // live in the kernel backend now.
-        kernel::active().write_folded_run(shadow.slice_mut(first, first + q));
+        // live in the kernel backend.
+        shadow.write_folded_run(first, first + q);
         written += q;
     }
     if rem > 0 {
@@ -115,6 +116,11 @@ mod tests {
     use crate::encoding;
     use giantsan_shadow::AddressSpace;
 
+    /// The codes of the first `n` segments.
+    fn codes(shadow: &ShadowMemory, n: u64) -> Vec<u8> {
+        (0..n).map(|s| shadow.get(s)).collect()
+    }
+
     fn fresh(segments: u64) -> (AddressSpace, ShadowMemory) {
         let space = AddressSpace::new(0x1_0000, segments * SEGMENT_SIZE);
         let shadow = ShadowMemory::new(&space, encoding::UNALLOCATED);
@@ -128,7 +134,7 @@ mod tests {
         let n = poison_object(&mut shadow, space.lo(), 68);
         assert_eq!(n, 9);
         let expect = [61, 62, 62, 62, 62, 63, 63, 64, 68];
-        assert_eq!(shadow.slice(0, 9), &expect);
+        assert_eq!(codes(&shadow, 9), expect);
         assert_eq!(shadow.get(9), encoding::UNALLOCATED);
     }
 
@@ -141,8 +147,8 @@ mod tests {
             let wb = poison_object_reference(&mut b, space.lo(), size);
             assert_eq!(wa, wb, "written count for size {size}");
             assert_eq!(
-                a.slice(0, 300),
-                b.slice(0, 300),
+                codes(&a, 300),
+                codes(&b, 300),
                 "pattern mismatch for size {size}"
             );
         }

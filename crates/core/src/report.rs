@@ -80,30 +80,15 @@ pub fn render_report(san: &GiantSan, report: &ErrorReport) -> String {
     }
 
     // Shadow window: 8 segments either side, with the faulting one marked.
-    // The mapped part of the window is borrowed once as a slice; segments
-    // outside the shadow render as "unmapped".
+    // Segments outside the shadow render as "unmapped".
     let _ = writeln!(out, "Shadow bytes around the buggy address:");
     let shadow = san.shadow();
     let fault_seg = report.addr.segment();
-    let base_seg = shadow.segment_base(0).segment();
-    let win_lo = fault_seg.saturating_sub(8);
-    let win_hi = fault_seg + 8;
-    let mapped_lo = win_lo.max(base_seg);
-    let window = if mapped_lo <= win_hi {
-        shadow
-            .view(mapped_lo - base_seg, win_hi + 1 - base_seg)
-            .mapped()
-    } else {
-        &[]
-    };
-    for seg in win_lo..=win_hi {
+    for seg in fault_seg.saturating_sub(8)..=fault_seg + 8 {
         let addr = giantsan_shadow::Addr::new(seg * SEGMENT_SIZE);
         let marker = if seg == fault_seg { "=>" } else { "  " };
-        let code = seg
-            .checked_sub(mapped_lo)
-            .and_then(|i| window.get(i as usize));
-        match code {
-            Some(&c) => {
+        match shadow.try_segment_of(addr).map(|s| shadow.get(s)) {
+            Some(c) => {
                 let _ = writeln!(out, "{marker} {addr}: {:>3}  {}", c, describe_code(c));
             }
             None => {

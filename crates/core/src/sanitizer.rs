@@ -561,7 +561,8 @@ mod tests {
         let a = s.alloc(68, Region::Heap).unwrap();
         let seg = s.shadow.segment_of(a.base);
         let expect = [61u8, 62, 62, 62, 62, 63, 63, 64, 68];
-        assert_eq!(s.shadow.slice(seg, seg + 9), &expect);
+        let codes: Vec<u8> = (seg..seg + 9).map(|i| s.shadow.get(i)).collect();
+        assert_eq!(codes, expect);
         // Redzones on both sides.
         assert_eq!(s.shadow.get(seg - 1), encoding::HEAP_LEFT_REDZONE);
         assert_eq!(s.shadow.get(seg + 9), encoding::HEAP_RIGHT_REDZONE);

@@ -1,35 +1,43 @@
-//! The backing bytes of an [`AddressSpace`](crate::AddressSpace), kept
-//! mapped between sessions when they are large.
+//! The backing bytes of an [`AddressSpace`](crate::AddressSpace) and of its
+//! [`ShadowMemory`](crate::ShadowMemory), kept mapped between sessions when
+//! the space is large.
 //!
 //! glibc serves every allocation of [`RECYCLE_MIN`] bytes or more with a
 //! fresh `mmap` and unmaps it on free (`DEFAULT_MMAP_THRESHOLD_MAX` on
 //! 64-bit), so each session of a large world paid a page fault and a page
-//! zeroing for every page it touched. Instead, a large buffer that drops is
-//! reset to zero and parked in a one-slot thread-local, and the next space
-//! of the same size on that thread takes it. A thread holds at most one
-//! parked buffer: a space of any other size frees it.
+//! zeroing for every page it touched, and every session filled its whole
+//! shadow. Instead, a large world's buffers are reset to zero when they drop
+//! and parked in a thread-local, and the next world of the same size on that
+//! thread takes them. A shadow stores each code XOR its fill byte (see
+//! [`ShadowMemory`](crate::ShadowMemory)), so a fresh shadow is all zero
+//! whatever its tool, and one parked buffer serves every tool.
+//!
+//! A thread parks at most one buffer per length. A request that finds no
+//! buffer of its length frees every parked one, so a thread keeps the
+//! buffers of one world geometry at most.
 //!
 //! Only the 4 KiB chunks written since the buffer was zero are reset. Every
 //! write marks its chunks in a dirty map *before* the bytes change, so a
 //! session that unwinds mid-write is still reset in full, and a recycled
 //! buffer is byte-for-byte a fresh one.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::ops::Deref;
 
 /// Log2 of the dirty-map granule (4 KiB).
 const CHUNK_SHIFT: u32 = 12;
 
-/// Smallest buffer that is parked on drop.
+/// Smallest address space whose buffers are parked on drop.
 pub(crate) const RECYCLE_MIN: usize = 32 << 20;
 
 thread_local! {
-    /// The all-zero buffer the last large space on this thread left behind.
-    static PARKED: Cell<Option<Vec<u8>>> = const { Cell::new(None) };
+    /// The all-zero buffers the last large world on this thread left
+    /// behind, at most one per length.
+    static PARKED: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Zero-initialised bytes; a buffer large enough to be parked also keeps one
-/// dirty flag per 4 KiB chunk.
+/// Zero-initialised bytes; a buffer that will be parked also keeps one dirty
+/// flag per 4 KiB chunk.
 #[derive(Clone)]
 pub(crate) struct Arena {
     bytes: Vec<u8>,
@@ -37,29 +45,54 @@ pub(crate) struct Arena {
 }
 
 impl Arena {
-    /// `size` zero bytes: the parked buffer if its size matches, otherwise
-    /// a fresh allocation (and a parked buffer of another size is freed).
-    pub(crate) fn zeroed(size: usize) -> Self {
-        let bytes = match PARKED.try_with(Cell::take).ok().flatten() {
-            Some(parked) if parked.len() == size => parked,
-            _ => vec![0u8; size],
-        };
-        // Only a buffer that will be parked needs a dirty map; small spaces
+    /// `size` zero bytes, parked on drop if `parks`: the parked buffer of
+    /// that size if there is one, otherwise a fresh allocation (and every
+    /// parked buffer is freed).
+    pub(crate) fn zeroed(size: usize, parks: bool) -> Self {
+        let parked = PARKED
+            .try_with(|slot| {
+                let mut slot = slot.borrow_mut();
+                match slot.iter().position(|b| b.len() == size) {
+                    Some(i) => Some(slot.swap_remove(i)),
+                    None => {
+                        slot.clear();
+                        None
+                    }
+                }
+            })
+            .ok()
+            .flatten();
+        // Only a buffer that will be parked needs a dirty map; small worlds
         // allocate nothing beyond their bytes.
-        let chunks = if size >= RECYCLE_MIN {
+        let chunks = if parks {
             size.div_ceil(1 << CHUNK_SHIFT)
         } else {
             0
         };
         Arena {
-            bytes,
+            bytes: parked.unwrap_or_else(|| vec![0u8; size]),
             dirty: vec![false; chunks],
         }
     }
 
+    /// Whether this buffer is parked when it drops.
+    pub(crate) fn parks(&self) -> bool {
+        !self.dirty.is_empty()
+    }
+
+    /// Marks the chunks of `[i, i+len)`. The first and last chunk take one
+    /// flag store each, so the short ranges of redzones and small objects
+    /// make no `memset` call; only the chunks strictly between them are
+    /// filled.
+    #[inline]
     fn mark(&mut self, i: usize, len: usize) {
-        if len > 0 && !self.dirty.is_empty() {
-            self.dirty[i >> CHUNK_SHIFT..=(i + len - 1) >> CHUNK_SHIFT].fill(true);
+        if len > 0 && self.parks() {
+            let (first, last) = (i >> CHUNK_SHIFT, (i + len - 1) >> CHUNK_SHIFT);
+            self.dirty[first] = true;
+            self.dirty[last] = true;
+            if last > first + 1 {
+                self.dirty[first + 1..last].fill(true);
+            }
         }
     }
 
@@ -76,7 +109,7 @@ impl Arena {
     #[inline]
     pub(crate) fn word_mut<const N: usize>(&mut self, i: usize) -> &mut [u8; N] {
         const { assert!(N >= 1 && N <= 1 << CHUNK_SHIFT, "not a word") };
-        if !self.dirty.is_empty() {
+        if self.parks() {
             self.dirty[i >> CHUNK_SHIFT] = true;
             self.dirty[(i + N - 1) >> CHUNK_SHIFT] = true;
         }
@@ -103,28 +136,38 @@ impl Deref for Arena {
 
 impl Drop for Arena {
     fn drop(&mut self) {
-        if self.bytes.len() < RECYCLE_MIN {
+        if !self.parks() {
             return;
         }
-        for (chunk, _) in self.dirty.iter().enumerate().filter(|(_, &d)| d) {
-            let lo = chunk << CHUNK_SHIFT;
-            let hi = (lo + (1 << CHUNK_SHIFT)).min(self.bytes.len());
-            self.bytes[lo..hi].fill(0);
+        // One `memset` per run of dirty chunks, so that glibc zeroes a long
+        // run with streaming stores.
+        let mut chunk = 0;
+        while let Some(start) = self.dirty[chunk..].iter().position(|&d| d) {
+            let start = chunk + start;
+            let end = self.dirty[start..]
+                .iter()
+                .position(|&d| !d)
+                .map_or(self.dirty.len(), |n| start + n);
+            let hi = (end << CHUNK_SHIFT).min(self.bytes.len());
+            self.bytes[start << CHUNK_SHIFT..hi].fill(0);
+            chunk = end;
         }
         let bytes = std::mem::take(&mut self.bytes);
         // During thread teardown the slot may be gone; the buffer is then
-        // simply freed.
-        let _ = PARKED.try_with(|slot| slot.set(Some(bytes)));
+        // simply freed, as is a second buffer of a length already parked.
+        let _ = PARKED.try_with(|slot| {
+            let mut slot = slot.borrow_mut();
+            if slot.iter().all(|b| b.len() != bytes.len()) {
+                slot.push(bytes);
+            }
+        });
     }
 }
 
-/// Length of the buffer parked on this thread, if any.
+/// Lengths of the buffers parked on this thread, shortest first.
 #[cfg(test)]
-pub(crate) fn parked_len() -> Option<usize> {
-    PARKED.with(|slot| {
-        let parked = slot.take();
-        let len = parked.as_ref().map(Vec::len);
-        slot.set(parked);
-        len
-    })
+pub(crate) fn parked_lens() -> Vec<usize> {
+    let mut lens: Vec<_> = PARKED.with(|slot| slot.borrow().iter().map(Vec::len).collect());
+    lens.sort_unstable();
+    lens
 }

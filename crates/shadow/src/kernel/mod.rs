@@ -40,10 +40,15 @@
 //!
 //! Backends may differ in *speed only*. For every input, all three return
 //! byte-identical answers: the same `Option<usize>` from the scanners, the
-//! same bytes from the writers. Counters never observe the scan width
-//! (semantic loads are counted by the checkers, not the kernels), so
-//! interpreter digests, golden plans, and campaign digests are identical
-//! under every backend. The differential tests compare every [`select`]
+//! same bytes from the writers. The same holds under every *key*: a
+//! [`ShadowMemory`](crate::ShadowMemory) stores each code XOR its fill byte,
+//! so the two kernels that compare or write codes by value rather than
+//! against a caller's byte, [`Kernels::first_ge_keyed`] and
+//! [`Kernels::write_folded_run_keyed`], take that byte as a key and act on
+//! `stored ^ key`; key 0 is the plain kernel. Counters never observe the
+//! scan width (semantic loads are counted by the checkers, not the
+//! kernels), so interpreter digests, golden plans, and campaign digests are
+//! identical under every backend. The differential tests compare every [`select`]
 //! table against `scalar` to enforce it.
 
 use std::sync::OnceLock;
@@ -91,10 +96,10 @@ pub struct Kernels {
     name: &'static str,
     backend: Backend,
     first_ne: fn(&[u8], u8) -> Option<usize>,
-    first_ge: fn(&[u8], u8) -> Option<usize>,
+    first_ge: fn(&[u8], u8, u8) -> Option<usize>,
     all_eq: fn(&[u8], u8) -> bool,
     fill: fn(&mut [u8], u8),
-    write_folded_run: fn(&mut [u8]),
+    write_folded_run: fn(&mut [u8], u8),
 }
 
 impl Kernels {
@@ -123,7 +128,14 @@ impl Kernels {
     /// that has no threshold restriction.
     #[inline]
     pub fn first_ge(&self, s: &[u8], threshold: u8) -> Option<usize> {
-        (self.first_ge)(s, threshold)
+        (self.first_ge)(s, threshold, 0)
+    }
+
+    /// [`Kernels::first_ge`] over bytes stored XOR `key`: the index of the
+    /// first byte `b` of `s` with `b ^ key >= threshold` (unsigned).
+    #[inline]
+    pub fn first_ge_keyed(&self, s: &[u8], threshold: u8, key: u8) -> Option<usize> {
+        (self.first_ge)(s, threshold, key)
     }
 
     /// Whether every byte of `s` equals `byte` (true for the empty slice).
@@ -144,7 +156,14 @@ impl Kernels {
     /// with the degree capped at [`codes::MAX_DEGREE`].
     #[inline]
     pub fn write_folded_run(&self, dst: &mut [u8]) {
-        (self.write_folded_run)(dst)
+        (self.write_folded_run)(dst, 0)
+    }
+
+    /// [`Kernels::write_folded_run`] for bytes stored XOR `key`: segment
+    /// `j` receives its folded code XOR `key`.
+    #[inline]
+    pub fn write_folded_run_keyed(&self, dst: &mut [u8], key: u8) {
+        (self.write_folded_run)(dst, key)
     }
 }
 

@@ -12,8 +12,8 @@ pub(super) fn first_ne(s: &[u8], byte: u8) -> Option<usize> {
     s.iter().position(|&b| b != byte)
 }
 
-pub(super) fn first_ge(s: &[u8], threshold: u8) -> Option<usize> {
-    s.iter().position(|&b| b >= threshold)
+pub(super) fn first_ge(s: &[u8], threshold: u8, key: u8) -> Option<usize> {
+    s.iter().position(|&b| b ^ key >= threshold)
 }
 
 pub(super) fn all_eq(s: &[u8], byte: u8) -> bool {
@@ -26,18 +26,20 @@ pub(super) fn fill(dst: &mut [u8], byte: u8) {
     }
 }
 
-pub(super) fn write_folded_run(dst: &mut [u8]) {
+pub(super) fn write_folded_run(dst: &mut [u8], key: u8) {
     // Per-segment, straight from Definition 1 — ignoring the run structure
     // the other backends exploit.
     let q = dst.len() as u64;
     for (j, b) in dst.iter_mut().enumerate() {
-        *b = codes::folded(codes::degree_at(q, j as u64));
+        *b = codes::folded(codes::degree_at(q, j as u64)) ^ key;
     }
     // The run decomposition must agree; debug builds cross-check it here so
     // a folded_runs bug cannot hide behind backend agreement.
     if cfg!(debug_assertions) {
         folded_runs(q, |lo, hi, code| {
-            debug_assert!(dst[lo as usize..hi as usize].iter().all(|&b| b == code));
+            debug_assert!(dst[lo as usize..hi as usize]
+                .iter()
+                .all(|&b| b ^ key == code));
         });
     }
 }

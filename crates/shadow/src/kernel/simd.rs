@@ -13,7 +13,9 @@
 //! the mask is already byte-precise so no re-scan is needed. Unsigned `>=`
 //! (which has no direct SSE/AVX compare) uses the max identity:
 //! `b >= t ⇔ max_epu8(b, t) == b`, exact for **every** threshold including
-//! `>= 128` — no sign-flip trick, no over-approximation.
+//! `>= 128` — no sign-flip trick, no over-approximation. The keyed scan
+//! XORs each loaded vector with the splatted key first, one more instruction
+//! per step.
 //!
 //! Tails shorter than a vector fall through to the `swar` loops, so the two
 //! backends trivially agree there.
@@ -31,8 +33,8 @@
 
 use core::arch::x86_64::{
     __m128i, __m256i, _mm256_cmpeq_epi8, _mm256_loadu_si256, _mm256_max_epu8, _mm256_movemask_epi8,
-    _mm256_set1_epi8, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_max_epu8, _mm_movemask_epi8,
-    _mm_set1_epi8,
+    _mm256_set1_epi8, _mm256_xor_si256, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_max_epu8,
+    _mm_movemask_epi8, _mm_set1_epi8, _mm_xor_si128,
 };
 
 use super::{swar, Backend, Kernels};
@@ -83,18 +85,19 @@ unsafe fn first_ne_avx2_impl(s: &[u8], byte: u8) -> Option<usize> {
     }
 }
 
-fn first_ge_avx2(s: &[u8], threshold: u8) -> Option<usize> {
+fn first_ge_avx2(s: &[u8], threshold: u8, key: u8) -> Option<usize> {
     // SAFETY: this table is only installed after the AVX2 CPUID probe.
-    unsafe { first_ge_avx2_impl(s, threshold) }
+    unsafe { first_ge_avx2_impl(s, threshold, key) }
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn first_ge_avx2_impl(s: &[u8], threshold: u8) -> Option<usize> {
+unsafe fn first_ge_avx2_impl(s: &[u8], threshold: u8, key: u8) -> Option<usize> {
     unsafe {
         let t = _mm256_set1_epi8(threshold as i8);
+        let k = _mm256_set1_epi8(key as i8);
         let mut i = 0usize;
         while i + 32 <= s.len() {
-            let v = _mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i);
+            let v = _mm256_xor_si256(_mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i), k);
             // b >= t (unsigned) ⇔ max_epu8(b, t) == b.
             let ge = _mm256_cmpeq_epi8(_mm256_max_epu8(v, t), v);
             let mask = _mm256_movemask_epi8(ge) as u32;
@@ -103,7 +106,7 @@ unsafe fn first_ge_avx2_impl(s: &[u8], threshold: u8) -> Option<usize> {
             }
             i += 32;
         }
-        swar::first_ge(&s[i..], threshold).map(|j| i + j)
+        swar::first_ge(&s[i..], threshold, key).map(|j| i + j)
     }
 }
 
@@ -152,18 +155,19 @@ unsafe fn first_ne_sse2_impl(s: &[u8], byte: u8) -> Option<usize> {
     }
 }
 
-fn first_ge_sse2(s: &[u8], threshold: u8) -> Option<usize> {
+fn first_ge_sse2(s: &[u8], threshold: u8, key: u8) -> Option<usize> {
     // SAFETY: SSE2 is part of the x86-64 baseline.
-    unsafe { first_ge_sse2_impl(s, threshold) }
+    unsafe { first_ge_sse2_impl(s, threshold, key) }
 }
 
 #[target_feature(enable = "sse2")]
-unsafe fn first_ge_sse2_impl(s: &[u8], threshold: u8) -> Option<usize> {
+unsafe fn first_ge_sse2_impl(s: &[u8], threshold: u8, key: u8) -> Option<usize> {
     unsafe {
         let t = _mm_set1_epi8(threshold as i8);
+        let k = _mm_set1_epi8(key as i8);
         let mut i = 0usize;
         while i + 16 <= s.len() {
-            let v = _mm_loadu_si128(s.as_ptr().add(i) as *const __m128i);
+            let v = _mm_xor_si128(_mm_loadu_si128(s.as_ptr().add(i) as *const __m128i), k);
             let ge = _mm_cmpeq_epi8(_mm_max_epu8(v, t), v);
             let mask = _mm_movemask_epi8(ge) as u32;
             if mask != 0 {
@@ -171,7 +175,7 @@ unsafe fn first_ge_sse2_impl(s: &[u8], threshold: u8) -> Option<usize> {
             }
             i += 16;
         }
-        swar::first_ge(&s[i..], threshold).map(|j| i + j)
+        swar::first_ge(&s[i..], threshold, key).map(|j| i + j)
     }
 }
 

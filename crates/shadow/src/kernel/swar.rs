@@ -78,14 +78,15 @@ pub(super) fn all_eq(s: &[u8], byte: u8) -> bool {
     chunks.remainder().iter().all(|&b| b == byte)
 }
 
-pub(super) fn first_ge(s: &[u8], threshold: u8) -> Option<usize> {
+pub(super) fn first_ge(s: &[u8], threshold: u8, key: u8) -> Option<usize> {
     if threshold == 0 {
         // Every byte qualifies.
         return if s.is_empty() { None } else { Some(0) };
     }
+    let key_word = splat(key);
     let mut chunks = s.chunks_exact(8);
     for (w, chunk) in chunks.by_ref().enumerate() {
-        let x = word(chunk);
+        let x = word(chunk) ^ key_word;
         // Word-level test, exact and false-negative-free in both arms:
         // * threshold <= 128: `b >= t` ⇔ `b > t-1`, and `has_byte_gt` is
         //   exact for n = t-1 <= 127;
@@ -98,7 +99,7 @@ pub(super) fn first_ge(s: &[u8], threshold: u8) -> Option<usize> {
             x & MSB != 0
         };
         if hit {
-            if let Some(i) = chunk.iter().position(|&b| b >= threshold) {
+            if let Some(i) = chunk.iter().position(|&b| b ^ key >= threshold) {
                 return Some(w * 8 + i);
             }
         }
@@ -107,7 +108,7 @@ pub(super) fn first_ge(s: &[u8], threshold: u8) -> Option<usize> {
     chunks
         .remainder()
         .iter()
-        .position(|&b| b >= threshold)
+        .position(|&b| b ^ key >= threshold)
         .map(|i| base + i)
 }
 
@@ -117,9 +118,9 @@ pub(super) fn fill(dst: &mut [u8], byte: u8) {
     dst.fill(byte);
 }
 
-pub(super) fn write_folded_run(dst: &mut [u8]) {
+pub(super) fn write_folded_run(dst: &mut [u8], key: u8) {
     folded_runs(dst.len() as u64, |lo, hi, code| {
-        dst[lo as usize..hi as usize].fill(code);
+        dst[lo as usize..hi as usize].fill(code ^ key);
     });
 }
 

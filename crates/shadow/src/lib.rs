@@ -15,13 +15,17 @@
 //! real `mmap` region or a `Vec<u8>`. Working in simulation additionally lets
 //! the test suite use a ground-truth oracle (see `giantsan-runtime`).
 //!
-//! Unlike a real process image, a simulated space is built and dropped once
-//! per session. A space of 32 MiB or more (glibc maps every allocation of
-//! that size fresh and unmaps it on free) keeps its bytes mapped when it
-//! drops: the 4 KiB chunks its session wrote are zeroed, and the buffer is
-//! parked for the next space of the same size on the same thread. A thread
-//! parks at most one buffer, and a space of another size frees it. Every
-//! space therefore starts all zero, as a fresh one would.
+//! Unlike a real process image, a simulated space and its shadow are built
+//! and dropped once per session. A space of 32 MiB or more (glibc maps every
+//! allocation of that size fresh and unmaps it on free) keeps its bytes
+//! mapped when it drops, and so does its shadow: the 4 KiB chunks the
+//! session wrote are zeroed, and each buffer is parked for the next world of
+//! the same size on the same thread. A shadow stores each code XOR its fill
+//! byte, so a zeroed buffer is a fresh shadow under every encoding, and one
+//! parked buffer serves GiantSan and ASan alike. A thread parks at most one
+//! buffer per length, and a request of a length not parked frees them all.
+//! Every space therefore starts all zero and every shadow all fill, as fresh
+//! ones would.
 //!
 //! # Example
 //!

@@ -44,17 +44,21 @@ pub fn slice_first_ge(s: &[u8], threshold: u8) -> Option<usize> {
 ///
 /// The view splits the requested range once, up front, into a borrowed slice
 /// of mapped shadow bytes plus a virtual fill-valued tail — after that, the
-/// scanners below touch no `Option` and no bounds check per segment.
+/// scanners below touch no `Option` and no bounds check per segment. The
+/// mapped bytes hold each code XOR the fill byte (the *key*): an equality
+/// scan compares against `byte ^ key`, and the ordered scan hands the key to
+/// the kernel.
 #[derive(Debug, Clone, Copy)]
 pub struct SegmentView<'a> {
     /// First requested segment index (shadow-relative).
     start: SegmentIndex,
-    /// Mapped part of the range.
+    /// Mapped part of the range, each code XOR `key`.
     mapped: &'a [u8],
     /// Number of requested segments past the mapped shadow.
     tail: u64,
-    /// Value that the `tail` segments read as.
-    fill: u8,
+    /// The shadow's fill byte: the key of `mapped`, and the value the
+    /// `tail` segments read as.
+    key: u8,
 }
 
 impl<'a> SegmentView<'a> {
@@ -68,54 +72,49 @@ impl<'a> SegmentView<'a> {
         self.mapped.is_empty() && self.tail == 0
     }
 
-    /// The mapped portion of the view as a raw slice.
-    pub fn mapped(&self) -> &'a [u8] {
-        self.mapped
-    }
-
     /// Whether every segment in the view reads as `byte`.
     #[inline]
     pub fn all_eq(&self, byte: u8) -> bool {
-        slice_all_eq(self.mapped, byte) && (self.tail == 0 || self.fill == byte)
+        slice_all_eq(self.mapped, byte ^ self.key) && (self.tail == 0 || self.key == byte)
     }
 
     /// Segment index (shadow-relative) of the first segment not reading as
     /// `byte`.
     #[inline]
     pub fn first_ne(&self, byte: u8) -> Option<SegmentIndex> {
-        if let Some(i) = slice_first_ne(self.mapped, byte) {
+        if let Some(i) = slice_first_ne(self.mapped, byte ^ self.key) {
             return Some(self.start + i as u64);
         }
-        (self.tail > 0 && self.fill != byte).then(|| self.start + self.mapped.len() as u64)
+        (self.tail > 0 && self.key != byte).then(|| self.start + self.mapped.len() as u64)
     }
 
     /// Segment index (shadow-relative) of the first segment reading as a
     /// value `>= threshold` (unsigned byte order).
     #[inline]
     pub fn first_ge(&self, threshold: u8) -> Option<SegmentIndex> {
-        if let Some(i) = slice_first_ge(self.mapped, threshold) {
+        if let Some(i) = kernel::active().first_ge_keyed(self.mapped, threshold, self.key) {
             return Some(self.start + i as u64);
         }
-        (self.tail > 0 && self.fill >= threshold).then(|| self.start + self.mapped.len() as u64)
+        (self.tail > 0 && self.key >= threshold).then(|| self.start + self.mapped.len() as u64)
     }
 }
 
 impl ShadowMemory {
     /// Borrows the segment range `[lo, hi)` as a [`SegmentView`].
     ///
-    /// Unlike [`ShadowMemory::slice`] this never panics: segments past the
-    /// mapped shadow are represented as a fill-valued tail, matching the
-    /// fill semantics of [`ShadowMemory::get`] — so checkers can scan ranges
-    /// derived from wild pointers. A reversed range yields an empty view.
+    /// This never panics: segments past the mapped shadow are represented as
+    /// a fill-valued tail, matching the fill semantics of
+    /// [`ShadowMemory::get`] — so checkers can scan ranges derived from wild
+    /// pointers. A reversed range yields an empty view.
     pub fn view(&self, lo: SegmentIndex, hi: SegmentIndex) -> SegmentView<'_> {
         let hi = hi.max(lo);
         let mapped_lo = lo.min(self.len());
         let mapped_hi = hi.min(self.len());
         SegmentView {
             start: lo,
-            mapped: self.slice(mapped_lo, mapped_hi),
+            mapped: self.stored(mapped_lo, mapped_hi),
             tail: hi - mapped_hi.max(lo),
-            fill: self.fill_byte(),
+            key: self.fill_byte(),
         }
     }
 
@@ -209,11 +208,11 @@ mod tests {
         let n = s.len();
         let v = s.view(n - 2, n + 3);
         assert_eq!(v.len(), 5);
-        assert_eq!(v.mapped().len(), 2);
+        assert_eq!(v.mapped.len(), 2);
         // Entirely past the end: all tail.
         let v = s.view(n + 10, n + 14);
         assert_eq!(v.len(), 4);
-        assert_eq!(v.mapped().len(), 0);
+        assert_eq!(v.mapped.len(), 0);
         assert!(v.all_eq(0xff));
         assert_eq!(v.first_ne(0xff), None);
         assert_eq!(v.first_ne(0), Some(n + 10));

@@ -4,9 +4,18 @@
 //! the shadow bytes differently (`giantsan-baselines` vs `giantsan-core`);
 //! what they share — and what lives here — is the *mapping* from application
 //! addresses to shadow bytes and bulk get/set operations over it.
+//!
+//! Each segment's code is stored XOR the shadow's fill byte, so a fresh
+//! shadow is all zero bytes whatever its encoding. A large world's shadow
+//! drops into the same thread-local parking as its address space (see the
+//! [crate docs](crate)), and the next shadow of its size, under either tool,
+//! starts from that buffer instead of writing the fill over every segment.
+//! Nothing outside this crate sees the stored form: every accessor takes and
+//! returns codes.
 
 use std::fmt;
 
+use crate::arena::Arena;
 use crate::{kernel, Addr, AddressSpace, SEGMENT_SIZE};
 
 /// Index of a segment within a [`ShadowMemory`].
@@ -34,7 +43,8 @@ pub type SegmentIndex = u64;
 pub struct ShadowMemory {
     /// Segment index of the first mapped segment (absolute `addr >> 3`).
     base_segment: u64,
-    bytes: Vec<u8>,
+    /// Each segment's code XOR `fill`.
+    bytes: Arena,
     fill: u8,
 }
 
@@ -51,12 +61,13 @@ impl fmt::Debug for ShadowMemory {
 impl ShadowMemory {
     /// Creates a shadow for `space`, with every segment set to `fill`.
     ///
-    /// `fill` is the encoding-specific "unallocated" state code.
+    /// `fill` is the encoding-specific "unallocated" state code. The shadow
+    /// of a space that is kept mapped between sessions is kept too.
     pub fn new(space: &AddressSpace, fill: u8) -> Self {
         let segments = space.size() / SEGMENT_SIZE;
         ShadowMemory {
             base_segment: space.lo().segment(),
-            bytes: vec![fill; segments as usize],
+            bytes: Arena::zeroed(segments as usize, space.parks()),
             fill,
         }
     }
@@ -111,8 +122,9 @@ impl ShadowMemory {
     ///
     /// Out-of-range indexes read as the fill byte, so checks against wild
     /// pointers see "unallocated" rather than panicking.
+    #[inline]
     pub fn get(&self, seg: SegmentIndex) -> u8 {
-        self.bytes.get(seg as usize).copied().unwrap_or(self.fill)
+        self.bytes.get(seg as usize).copied().unwrap_or(0) ^ self.fill
     }
 
     /// Writes the shadow byte of segment `seg`.
@@ -122,7 +134,21 @@ impl ShadowMemory {
     /// Panics if `seg` is out of range: poisoning, unlike checking, only ever
     /// targets memory the allocator owns.
     pub fn set(&mut self, seg: SegmentIndex, value: u8) {
-        self.bytes[seg as usize] = value;
+        *self.bytes.word_mut(seg as usize) = [value ^ self.fill];
+    }
+
+    /// The stored bytes of `[lo, hi)` for writing, marked dirty first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds or reversed.
+    fn range_mut(&mut self, lo: SegmentIndex, hi: SegmentIndex) -> &mut [u8] {
+        assert!(
+            lo <= hi && hi <= self.len(),
+            "segment range {lo}..{hi} outside a shadow of {} segments",
+            self.len()
+        );
+        self.bytes.slice_mut(lo as usize, (hi - lo) as usize)
     }
 
     /// Sets every segment in `[lo, hi)` to `value`.
@@ -131,38 +157,39 @@ impl ShadowMemory {
     ///
     /// Panics if the range is out of bounds or reversed.
     pub fn set_range(&mut self, lo: SegmentIndex, hi: SegmentIndex, value: u8) {
-        kernel::active().fill(&mut self.bytes[lo as usize..hi as usize], value);
+        let stored = value ^ self.fill;
+        kernel::active().fill(self.range_mut(lo, hi), stored);
     }
 
-    /// Returns a slice of the shadow bytes in `[lo, hi)` for bulk inspection.
+    /// Writes the §4.1 folding pattern for an object of `hi − lo` full
+    /// segments starting at `lo` (see [`kernel::Kernels::write_folded_run`]).
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds or reversed.
-    pub fn slice(&self, lo: SegmentIndex, hi: SegmentIndex) -> &[u8] {
+    pub fn write_folded_run(&mut self, lo: SegmentIndex, hi: SegmentIndex) {
+        let key = self.fill;
+        kernel::active().write_folded_run_keyed(self.range_mut(lo, hi), key);
+    }
+
+    /// The stored bytes of `[lo, hi)`, each code XOR the fill byte, for the
+    /// scanners in [`crate::scan`].
+    pub(crate) fn stored(&self, lo: SegmentIndex, hi: SegmentIndex) -> &[u8] {
         &self.bytes[lo as usize..hi as usize]
-    }
-
-    /// Returns a mutable slice of the shadow bytes in `[lo, hi)`; used by the
-    /// linear-time poisoners.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or reversed.
-    pub fn slice_mut(&mut self, lo: SegmentIndex, hi: SegmentIndex) -> &mut [u8] {
-        &mut self.bytes[lo as usize..hi as usize]
     }
 
     /// Resets the whole shadow to the fill byte.
     pub fn clear(&mut self) {
-        let fill = self.fill;
-        kernel::active().fill(&mut self.bytes, fill);
+        let len = self.len();
+        kernel::active().fill(self.range_mut(0, len), 0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::{parked_lens, RECYCLE_MIN};
+    use crate::slice_all_eq;
 
     fn shadow() -> (AddressSpace, ShadowMemory) {
         let space = AddressSpace::new(0x1_0000, 1 << 12);
@@ -211,14 +238,149 @@ mod tests {
     fn range_ops() {
         let (_, mut shadow) = shadow();
         shadow.set_range(10, 20, 0);
-        assert_eq!(shadow.slice(10, 20), &[0u8; 10][..]);
+        assert!((10..20).all(|s| shadow.get(s) == 0));
         assert_eq!(shadow.get(9), 0xfe);
         assert_eq!(shadow.get(20), 0xfe);
-        shadow.slice_mut(10, 12).copy_from_slice(&[1, 2]);
-        assert_eq!(shadow.get(10), 1);
-        assert_eq!(shadow.get(11), 2);
+        shadow.write_folded_run(10, 13);
+        let run: Vec<u8> = (10..13).map(|s| shadow.get(s)).collect();
+        let mut expect = [0u8; 3];
+        kernel::select(kernel::Backend::Scalar).write_folded_run(&mut expect);
+        assert_eq!(run, expect);
         shadow.clear();
         assert_eq!(shadow.get(10), 0xfe);
+    }
+
+    #[test]
+    fn a_fresh_shadow_stores_zeros_under_any_fill() {
+        for fill in [0, 78, 0xfe, 0xff] {
+            let space = AddressSpace::new(0x1_0000, 1 << 12);
+            let mut shadow = ShadowMemory::new(&space, fill);
+            assert!(shadow.bytes.iter().all(|&b| b == 0), "fill {fill:#x}");
+            shadow.set(3, fill);
+            shadow.set_range(4, 8, fill);
+            assert!(shadow.bytes.iter().all(|&b| b == 0), "fill {fill:#x}");
+            shadow.set(3, 0x40);
+            assert_eq!(shadow.bytes[3], 0x40 ^ fill);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a shadow")]
+    fn reversed_range_panics() {
+        let (_, mut shadow) = shadow();
+        shadow.set_range(5, 2, 0);
+    }
+
+    /// The smallest space whose shadow is parked, and that shadow's length.
+    const LARGE: u64 = RECYCLE_MIN as u64;
+    const LARGE_SEGMENTS: usize = RECYCLE_MIN / SEGMENT_SIZE as usize;
+    /// Segments per dirty-map chunk.
+    const CHUNK: u64 = 4096;
+
+    fn stores_zeros(s: &ShadowMemory) -> bool {
+        slice_all_eq(&s.bytes, 0)
+    }
+
+    /// Runs `write` on a GiantSan-filled shadow of a large space, drops it,
+    /// and checks that the next shadow of that space, ASan-filled, reuses the
+    /// buffer and reads as fresh.
+    fn recycled_after(write: impl FnOnce(&mut ShadowMemory)) {
+        let space = AddressSpace::new(0x1_0000, LARGE);
+        let mut s = ShadowMemory::new(&space, 78);
+        write(&mut s);
+        assert!(!stores_zeros(&s), "the write changed nothing");
+        let ptr = s.bytes.as_ptr();
+        drop(s);
+        assert_eq!(parked_lens(), [LARGE_SEGMENTS]);
+        let next = ShadowMemory::new(&space, 0xff);
+        assert_eq!(next.bytes.as_ptr(), ptr, "the parked shadow was not reused");
+        assert!(stores_zeros(&next));
+        assert!(next.all_eq(0, next.len(), 0xff));
+    }
+
+    #[test]
+    fn set_marks_its_chunk() {
+        recycled_after(|s| {
+            s.set(CHUNK - 1, 0);
+            s.set(CHUNK, 0);
+            s.set(s.len() - 1, 0x40);
+        });
+    }
+
+    #[test]
+    fn set_range_marks_every_chunk_it_spans() {
+        recycled_after(|s| {
+            s.set_range(CHUNK - 3, 3 * CHUNK + 3, 0);
+            s.set_range(s.len() - 5, s.len(), 0xfa);
+        });
+    }
+
+    #[test]
+    fn folded_runs_mark_every_chunk_they_span() {
+        recycled_after(|s| s.write_folded_run(2 * CHUNK - 100, 4 * CHUNK + 7));
+    }
+
+    #[test]
+    fn writes_after_a_clear_are_reset() {
+        recycled_after(|s| {
+            s.set_range(0, 2 * CHUNK, 0);
+            s.clear();
+            assert!(stores_zeros(s));
+            s.set(CHUNK + 1, 0x40);
+        });
+    }
+
+    #[test]
+    fn a_world_parks_its_space_and_its_shadow_together() {
+        let space = AddressSpace::new(0x1_0000, LARGE);
+        let shadow = ShadowMemory::new(&space, 78);
+        let ptrs = (space.bytes_ptr(), shadow.bytes.as_ptr());
+        drop(shadow);
+        drop(space);
+        assert_eq!(parked_lens(), [LARGE_SEGMENTS, RECYCLE_MIN]);
+        let space = AddressSpace::new(0x1_0000, LARGE);
+        let shadow = ShadowMemory::new(&space, 0xff);
+        assert_eq!((space.bytes_ptr(), shadow.bytes.as_ptr()), ptrs);
+        assert_eq!(parked_lens(), []);
+    }
+
+    #[test]
+    fn size_mismatch_frees_the_parked_shadow() {
+        let space = AddressSpace::new(0x1_0000, LARGE);
+        let mut shadow = ShadowMemory::new(&space, 78);
+        shadow.set(7, 0);
+        drop((space, shadow));
+        assert_eq!(parked_lens(), [LARGE_SEGMENTS, RECYCLE_MIN]);
+        let other = AddressSpace::new(0x1_0000, LARGE + 4096);
+        assert_eq!(parked_lens(), [], "a space of another size frees both");
+        let shadow = ShadowMemory::new(&other, 0xff);
+        assert!(stores_zeros(&shadow));
+        drop((other, shadow));
+        let n = RECYCLE_MIN + 4096;
+        assert_eq!(parked_lens(), [n / SEGMENT_SIZE as usize, n]);
+        let small = AddressSpace::new(0x1_0000, 4096);
+        assert_eq!(parked_lens(), []);
+        drop(ShadowMemory::new(&small, 78));
+        assert_eq!(parked_lens(), [], "a small space's shadow is not parked");
+    }
+
+    #[test]
+    fn session_unwinding_mid_write_leaves_the_next_shadow_fresh() {
+        let unwound = std::panic::catch_unwind(|| {
+            let space = AddressSpace::new(0x1_0000, LARGE);
+            let mut s = ShadowMemory::new(&space, 78);
+            s.set_range(100, CHUNK + 100, 0);
+            s.write_folded_run(3 * CHUNK - 8, 3 * CHUNK + 8);
+            // Poisoning past the end panics with the shadow still live.
+            let len = s.len();
+            s.set(len, 0);
+        });
+        assert!(unwound.is_err());
+        assert_eq!(parked_lens(), [LARGE_SEGMENTS, RECYCLE_MIN]);
+        let space = AddressSpace::new(0x1_0000, LARGE);
+        let next = ShadowMemory::new(&space, 78);
+        assert!(stores_zeros(&next));
+        assert!(next.all_eq(0, next.len(), 78));
     }
 
     #[test]

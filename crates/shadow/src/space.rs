@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::arena::Arena;
+use crate::arena::{Arena, RECYCLE_MIN};
 use crate::{align_up, Addr, SEGMENT_SIZE};
 
 /// Error raised when an operation touches bytes outside the space.
@@ -38,8 +38,8 @@ impl std::error::Error for SpaceError {}
 /// corrupt *simulated* data only, while remaining observable to sanitizers.
 ///
 /// A space of 32 MiB or more keeps its bytes mapped for the next space of
-/// its size on the same thread (see the [crate docs](crate)); every new
-/// space still starts all zero.
+/// its size on the same thread, and its shadow does the same (see the
+/// [crate docs](crate)); every new space still starts all zero.
 ///
 /// # Example
 ///
@@ -84,8 +84,20 @@ impl AddressSpace {
         let size = align_up(size, SEGMENT_SIZE);
         AddressSpace {
             base,
-            bytes: Arena::zeroed(size as usize),
+            bytes: Arena::zeroed(size as usize, size as usize >= RECYCLE_MIN),
         }
+    }
+
+    /// Address of the first backing byte, to tell a recycled buffer apart.
+    #[cfg(test)]
+    pub(crate) fn bytes_ptr(&self) -> *const u8 {
+        self.bytes.as_ptr()
+    }
+
+    /// Whether this space's bytes, and those of its shadow, are parked for
+    /// the next world of its size when they drop.
+    pub(crate) fn parks(&self) -> bool {
+        self.bytes.parks()
     }
 
     /// Lowest mapped address.
@@ -258,7 +270,7 @@ fn unsupported_width(width: u32) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::{parked_len, RECYCLE_MIN};
+    use crate::arena::parked_lens;
     use crate::slice_all_eq;
 
     fn space() -> AddressSpace {
@@ -379,10 +391,10 @@ mod tests {
     fn recycled(dirty: AddressSpace) -> AddressSpace {
         let (ptr, size) = (dirty.bytes.as_ptr(), dirty.size());
         drop(dirty);
-        assert_eq!(parked_len(), Some(size as usize));
+        assert_eq!(parked_lens(), [size as usize]);
         let next = AddressSpace::new(0x1_0000, size);
         assert_eq!(next.bytes.as_ptr(), ptr, "the parked buffer was not reused");
-        assert_eq!(parked_len(), None);
+        assert_eq!(parked_lens(), []);
         assert!(all_zero(&next));
         next
     }
@@ -412,21 +424,21 @@ mod tests {
         let mut s = AddressSpace::new(0x1_0000, LARGE);
         s.write_u64(s.lo(), 7).unwrap();
         drop(s);
-        assert_eq!(parked_len(), Some(RECYCLE_MIN));
+        assert_eq!(parked_lens(), [RECYCLE_MIN]);
         let other = AddressSpace::new(0x1_0000, LARGE + 4096);
-        assert_eq!(parked_len(), None);
+        assert_eq!(parked_lens(), []);
         assert!(all_zero(&other));
         drop(other);
-        assert_eq!(parked_len(), Some(RECYCLE_MIN + 4096));
+        assert_eq!(parked_lens(), [RECYCLE_MIN + 4096]);
         let _small = AddressSpace::new(0x1_0000, 4096);
-        assert_eq!(parked_len(), None);
+        assert_eq!(parked_lens(), []);
     }
 
     #[test]
     fn small_spaces_are_not_parked() {
         let s = AddressSpace::new(0x1_0000, LARGE - 8);
         drop(s);
-        assert_eq!(parked_len(), None);
+        assert_eq!(parked_lens(), []);
     }
 
     #[test]
@@ -440,7 +452,7 @@ mod tests {
             s.write_uint(lo, 1, 3).unwrap();
         });
         assert!(unwound.is_err());
-        assert_eq!(parked_len(), Some(RECYCLE_MIN));
+        assert_eq!(parked_lens(), [RECYCLE_MIN]);
         let next = AddressSpace::new(0x1_0000, LARGE);
         assert!(all_zero(&next));
     }

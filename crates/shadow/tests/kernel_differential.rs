@@ -15,7 +15,11 @@
 //!   must match the byte-wise ground truth (mirroring
 //!   `first_ge_handles_thresholds_above_128` in spirit);
 //! * the bulk writers (`fill`, `write_folded_run`), byte-compared across
-//!   backends.
+//!   backends;
+//! * the keyed kernels a [`ShadowMemory`] scans and poisons through
+//!   (`first_ge_keyed`, `write_folded_run_keyed`) under the fill bytes of
+//!   both encodings and key 0: each backend against scalar, and the decoded
+//!   bytes (`stored ^ key`) against the unkeyed kernel.
 
 use proptest::prelude::*;
 
@@ -35,6 +39,15 @@ fn lens() -> Vec<usize> {
 const EDGE_BYTES: [u8; 12] = [
     0x00, 0x01, 0x40, 0x4e, 0x7f, 0x80, 0x81, 0xc8, 0xc9, 0xfe, 0xff, 0x48,
 ];
+
+/// Keys a shadow stores its codes under: none, GiantSan's fill byte (78) and
+/// ASan's (0xff).
+const KEYS: [u8; 3] = [0, 78, 0xff];
+
+/// `bytes` with every byte XOR `key`.
+fn xor(bytes: &[u8], key: u8) -> Vec<u8> {
+    bytes.iter().map(|&b| b ^ key).collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -81,6 +94,46 @@ proptest! {
         }
     }
 
+    /// The keyed ordered scan agrees across backends under every key and
+    /// threshold, and equals the unkeyed scan of the decoded bytes; the
+    /// thresholds of 128 and above are each checked on every case.
+    #[test]
+    fn keyed_first_ge_agrees_and_decodes(
+        len in prop::sample::select(lens()),
+        base in prop::sample::select(EDGE_BYTES.to_vec()),
+        write_at in prop::collection::vec(0usize..256, 0..12),
+        write_val in prop::collection::vec(0u8..=255, 12),
+        probe in 0u8..=255,
+    ) {
+        let mut stored = vec![base; len];
+        if len > 0 {
+            for (&i, &v) in write_at.iter().zip(write_val.iter()) {
+                stored[i % len] = v;
+            }
+        }
+        let scalar = kernel::select(Backend::Scalar);
+        let thresholds = (128u8..=255).step_by(9).chain([0x80, 0xfe, 0xff, probe]);
+        for key in KEYS {
+            let decoded = xor(&stored, key);
+            for t in thresholds.clone() {
+                let expect = scalar.first_ge(&decoded, t);
+                for backend in Backend::ALL {
+                    let k = kernel::select(backend);
+                    prop_assert_eq!(
+                        k.first_ge_keyed(&stored, t, key),
+                        scalar.first_ge_keyed(&stored, t, key),
+                        "{} len={} key={:#x} threshold={:#x}", k.name(), len, key, t
+                    );
+                    prop_assert_eq!(
+                        k.first_ge_keyed(&stored, t, key),
+                        expect,
+                        "decoded {} len={} key={:#x} threshold={:#x}", k.name(), len, key, t
+                    );
+                }
+            }
+        }
+    }
+
     /// Write kernels produce byte-identical output across backends for every
     /// length (fill) and run shape (write_folded_run).
     #[test]
@@ -103,11 +156,28 @@ proptest! {
             k.write_folded_run(&mut out);
             prop_assert_eq!(&out, &expect_run, "folded run {} len={}", k.name(), len);
         }
+        for key in KEYS {
+            let mut expect_keyed = vec![garbage; len];
+            scalar.write_folded_run_keyed(&mut expect_keyed, key);
+            prop_assert_eq!(
+                &xor(&expect_keyed, key), &expect_run,
+                "scalar folded run decoded under key {:#x}, len={}", key, len
+            );
+            for backend in [Backend::Swar, Backend::Simd] {
+                let k = kernel::select(backend);
+                let mut out = vec![garbage; len];
+                k.write_folded_run_keyed(&mut out, key);
+                prop_assert_eq!(
+                    &out, &expect_keyed,
+                    "keyed folded run {} key={:#x} len={}", k.name(), key, len
+                );
+            }
+        }
     }
 
     /// ShadowMemory-level scans on ranges running past the mapped shadow:
     /// the fill-byte tail is stitched on above the kernels, so every
-    /// backend's answer on the mapped bytes plus the tail — and the active
+    /// backend's answer on the mapped codes plus the tail — and the active
     /// table's own `ShadowMemory` answer — must match the ground truth.
     #[test]
     fn fill_tails_survive_every_backend(
@@ -138,19 +208,20 @@ proptest! {
             s.all_eq(lo, hi, probe),
         );
         prop_assert_eq!(active, expect, "active lo={} hi={} probe={:#x}", lo, hi, probe);
-        let mapped = s.view(lo, hi).mapped();
-        let tail = lo + mapped.len() as u64..hi;
+        let mapped_hi = hi.min(segments).max(lo);
+        let mapped: Vec<u8> = (lo..mapped_hi).map(|i| s.get(i)).collect();
+        let tail = mapped_hi..hi;
         for backend in Backend::ALL {
             let k = kernel::select(backend);
             let at = |i: usize| lo + i as u64;
             let got = (
-                k.first_ne(mapped, probe)
+                k.first_ne(&mapped, probe)
                     .map(at)
                     .or_else(|| tail.clone().find(|&i| s.get(i) != probe)),
-                k.first_ge(mapped, probe)
+                k.first_ge(&mapped, probe)
                     .map(at)
                     .or_else(|| tail.clone().find(|&i| s.get(i) >= probe)),
-                k.all_eq(mapped, probe) && tail.clone().all(|i| s.get(i) == probe),
+                k.all_eq(&mapped, probe) && tail.clone().all(|i| s.get(i) == probe),
             );
             prop_assert_eq!(
                 got, expect,

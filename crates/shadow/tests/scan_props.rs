@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 
+use giantsan_shadow::kernel::{self, Backend};
 use giantsan_shadow::{AddressSpace, ShadowMemory};
 
 /// Builds a shadow of `segments` segments with `fill`, then plants `writes`
@@ -68,6 +69,47 @@ proptest! {
             s.all_eq(lo, hi, probe),
             ref_all_eq(&s, lo, hi, probe),
             "all_eq segs={} lo={} hi={} probe={:#x}", segments, lo, hi, probe
+        );
+    }
+
+    /// A shadow stores each code XOR its fill byte, so it poisons and scans
+    /// through the keyed kernels. Under no key and under both encodings'
+    /// fill bytes, a folded run written through the shadow reads back as the
+    /// unkeyed kernel's codes, the segments around it keep theirs, and
+    /// `first_ge` at thresholds of 128 and above matches the byte-wise
+    /// reference.
+    #[test]
+    fn keyed_shadows_write_and_scan_codes(
+        segments in 1u64..96,
+        fill in prop::sample::select(vec![0u8, 78, 0xff]),
+        writes in prop::collection::vec(0u64..96, 0..24),
+        values in prop::collection::vec(0u8..=255, 24),
+        run_lo in 0u64..96,
+        run_len in 0u64..96,
+        lo in 0u64..112,
+        len in 0u64..112,
+        threshold in 128u8..=255,
+    ) {
+        let planted: Vec<(u64, u8)> = writes
+            .iter()
+            .zip(values.iter())
+            .map(|(&i, &v)| (i, v))
+            .collect();
+        let mut s = shadow_with(segments, fill, &planted);
+        let before: Vec<u8> = (0..segments).map(|i| s.get(i)).collect();
+        let run_lo = run_lo % segments;
+        let run_hi = (run_lo + run_len).min(segments);
+        s.write_folded_run(run_lo, run_hi);
+        let mut expect = before;
+        kernel::select(Backend::Scalar)
+            .write_folded_run(&mut expect[run_lo as usize..run_hi as usize]);
+        let got: Vec<u8> = (0..segments).map(|i| s.get(i)).collect();
+        prop_assert_eq!(got, expect, "fill={:#x} run {}..{}", fill, run_lo, run_hi);
+        let hi = lo + len;
+        prop_assert_eq!(
+            s.first_ge(lo, hi, threshold),
+            ref_first_ge(&s, lo, hi, threshold),
+            "fill={:#x} lo={} hi={} threshold={:#x}", fill, lo, hi, threshold
         );
     }
 

@@ -7,13 +7,15 @@
 //! 4-worker pool and require identical records and byte-identical rendered
 //! exports.
 
+use giantsan::baselines::asan::{codes as asan_codes, Asan};
+use giantsan::core::{encoding, GiantSan};
 use giantsan::harness::campaign::{records_digest, Campaign};
 use giantsan::harness::experiments::{table2, table3, table4, table5, trace};
 use giantsan::harness::{
     csv, BatchRunner, Record, SessionSpec, Study, StudyOpts, StudyRegistry, Tool,
 };
 use giantsan::ir::{Expr, Program, ProgramBuilder};
-use giantsan::runtime::Counters;
+use giantsan::runtime::{Counters, RuntimeConfig};
 use giantsan::workloads::fuzz::{buggy_program, InjectedBug};
 
 /// Every record of `study` at `opts`, run monolithically on `runner`.
@@ -173,13 +175,35 @@ fn stale_byte_probe() -> Program {
     b.build()
 }
 
+/// Builds a default GiantSan world, then a default ASan one, on this thread
+/// and checks that every shadow segment of each reads as its tool's fill
+/// byte. Both tools take the shadow buffer the last large world left
+/// behind, so this covers the handoff in each direction.
+fn assert_fresh_shadows(after: &str) {
+    let giantsan = GiantSan::new(RuntimeConfig::default());
+    let shadow = giantsan.shadow();
+    assert!(
+        shadow.view(0, shadow.len()).all_eq(encoding::UNALLOCATED),
+        "GiantSan's shadow after {after} is not fresh"
+    );
+    drop(giantsan);
+    let asan = Asan::new(RuntimeConfig::default());
+    let shadow = asan.shadow();
+    assert!(
+        shadow.view(0, shadow.len()).all_eq(asan_codes::UNALLOCATED),
+        "ASan's shadow after {after} is not fresh"
+    );
+}
+
 /// A session in a recycled arena behaves exactly like one in a fresh arena.
 ///
 /// `RuntimeConfig::default()` worlds are large enough that a dropped
-/// session's address space is reset and reused by the next session on the
-/// same thread. Every injected bug's wild stores land in that space (under
-/// Native nothing stops them). Each session is followed by the
-/// [`stale_byte_probe`], which must read only zeros. The same sessions run
+/// session's address space and shadow are reset and reused by the next
+/// session on the same thread, whatever its tool. Every injected bug's wild
+/// stores land in that space (under Native nothing stops them). Each session
+/// is followed by the [`stale_byte_probe`], which must read only zeros, and
+/// by a fresh GiantSan and a fresh ASan world whose shadows must read only
+/// their fill bytes ([`assert_fresh_shadows`]). The same sessions run
 /// forward, then backward on the same thread (so each follows a different
 /// session), then forward on a fresh thread, whose first arena is fresh;
 /// every result digest and counter must agree.
@@ -206,6 +230,7 @@ fn recycled_arenas_are_indistinguishable_from_fresh_ones() {
                     fp.program.name,
                     tool.name()
                 );
+                assert_fresh_shadows(&format!("{} under {}", fp.program.name, tool.name()));
                 (o.result.digest(), o.counters)
             })
             .collect();
