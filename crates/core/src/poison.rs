@@ -9,8 +9,7 @@
 //! The writer fills the pattern run-by-run, touching each shadow byte exactly
 //! once — the same linear cost as ASan's `memset`-style poisoning — through
 //! [`ShadowMemory::write_folded_run`], which runs the active
-//! [`giantsan_shadow::kernel`] backend's `write_folded_run` (word-at-a-time
-//! on the `swar` and `simd` backends).
+//! [`giantsan_shadow::kernel`]'s `write_folded_run` (one `memset` per run).
 
 use giantsan_shadow::{Addr, ShadowMemory, SEGMENT_SIZE};
 
@@ -60,7 +59,7 @@ pub fn poison_object(shadow: &mut ShadowMemory, base: Addr, size: u64) -> u64 {
     if q > 0 {
         // The run decomposition (segment j has degree ⌊log2(q − j)⌋, so the
         // degree-d segments form one contiguous run) and the fill width both
-        // live in the kernel backend.
+        // live in the shadow kernel.
         shadow.write_folded_run(first, first + q);
         written += q;
     }

@@ -213,8 +213,8 @@ impl ServiceMetrics {
             ],
         );
         // Build identity: which binary produced these numbers. The kernel
-        // label reports the runtime-dispatched shadow backend, the heap
-        // label the default allocator backend jobs execute under.
+        // label names the shadow kernel, the heap label the default
+        // allocator backend jobs execute under.
         let heap = match giantsan_runtime::RuntimeConfig::default().heap_backend {
             giantsan_runtime::HeapBackend::FreeList => "freelist",
         };

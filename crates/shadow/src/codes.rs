@@ -80,8 +80,8 @@ pub const fn partial(k: u32) -> u8 {
 /// `⌊log2(q − j)⌋`, capped at [`MAX_DEGREE`] (paper §4.1 Figure 5).
 ///
 /// This is the one shared definition of the canonical poisoning pattern:
-/// `giantsan-core::poison` delegates here, and the [`crate::kernel`]
-/// backends' `write_folded_run` kernels are all verified against it.
+/// `giantsan-core::poison` delegates here, and both [`crate::kernel`]
+/// tables' `write_folded_run` are verified against it.
 ///
 /// # Panics
 ///

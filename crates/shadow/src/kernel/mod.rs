@@ -1,6 +1,5 @@
 //! Shadow kernels: the byte-granular scan and bulk-write loops every check
-//! and every poisoning operation bottoms out in, with three selectable
-//! backends behind one dispatch table.
+//! and every poisoning operation bottoms out in.
 //!
 //! Segment folding makes region *checks* O(log n), but each folded check —
 //! and every blame scan, validator sweep, ASan guardian walk, and
@@ -13,32 +12,26 @@
 //!   surface (redzone/freed poisoning and the §4.1 folding pattern written
 //!   on every allocation).
 //!
-//! # Backends
+//! # One kernel and its reference
 //!
-//! | backend  | step width | notes |
-//! |----------|------------|-------|
-//! | `scalar` | 1 byte     | the reference the others are tested against |
-//! | `swar`   | 8 bytes    | SIMD-within-a-register `u64` predicates |
-//! | `simd`   | 16/32 bytes| explicit `core::arch` SSE2/AVX2 scans, portable fallback elsewhere |
+//! | table    | step width | role |
+//! |----------|------------|------|
+//! | `swar`   | 64-byte blocks, then 8-byte words | [`active()`]: every caller scans and writes through it |
+//! | `scalar` | 1 byte     | [`scalar()`]: the reference the tests compare `swar` against |
 //!
-//! Every `simd` table writes with the `swar` writers; the `simd` module docs
-//! give the measurement behind that.
-//!
-//! # Dispatch
-//!
-//! The active table is the `simd` backend, resolved **once**, on first use,
-//! by a `OnceLock`'d CPUID probe that picks the widest variant the host
-//! supports (AVX2 → SSE2 → portable fallback, which reuses the SWAR loops).
-//! There is no user override: `scalar` is the reference the others are
-//! tested against, `swar` the portable path, and [`select`] hands out any
-//! table explicitly for tests and benchmarks. A [`Kernels`] is a table of
-//! plain function pointers — no trait objects — so every hot-path call is
-//! one predictable indirect call, and the functions behind it are
-//! monomorphic and fully optimised.
+//! The `swar` scans skip clean 64-byte blocks with a byte fold that the
+//! compiler vectorises to the target's baseline vector ISA, then locate the
+//! hit with `u64` word predicates (the `swar` module docs). That is the
+//! shape of compiler-rt's `mem_is_zero`, which the paper's ASan checks a
+//! region with. It is portable, safe Rust and the same on every host: there
+//! is no CPUID probe and no override, so a measurement names one kernel
+//! (DESIGN §15). A [`Kernels`] is a table of plain function pointers — no
+//! trait objects — and the functions behind it are monomorphic and fully
+//! optimised.
 //!
 //! # The digest-invariance contract
 //!
-//! Backends may differ in *speed only*. For every input, all three return
+//! The two tables may differ in *speed only*. For every input, both return
 //! byte-identical answers: the same `Option<usize>` from the scanners, the
 //! same bytes from the writers. The same holds under every *key*: a
 //! [`ShadowMemory`](crate::ShadowMemory) stores each code XOR its fill byte,
@@ -47,54 +40,19 @@
 //! [`Kernels::write_folded_run_keyed`], take that byte as a key and act on
 //! `stored ^ key`; key 0 is the plain kernel. Counters never observe the
 //! scan width (semantic loads are counted by the checkers, not the
-//! kernels), so interpreter digests, golden plans, and campaign digests are
-//! identical under every backend. The differential tests compare every [`select`]
-//! table against `scalar` to enforce it.
-
-use std::sync::OnceLock;
+//! kernels), so interpreter digests, golden plans, and campaign digests do
+//! not depend on it. The differential tests compare [`active()`] against
+//! [`scalar()`] to enforce it.
 
 use crate::codes;
 
 mod scalar;
-#[cfg(target_arch = "x86_64")]
-mod simd;
 mod swar;
 
-pub use swar::has_byte_gt;
-
-/// A selectable kernel backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Byte-at-a-time reference loops.
-    Scalar,
-    /// `u64` SIMD-within-a-register loops (eight bytes per step).
-    Swar,
-    /// Explicit SSE2/AVX2 kernels where the host supports them, otherwise a
-    /// portable fallback equivalent to [`Backend::Swar`].
-    Simd,
-}
-
-impl Backend {
-    /// Every backend, in reference-to-widest order.
-    pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Swar, Backend::Simd];
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Backend::Scalar => "scalar",
-            Backend::Swar => "swar",
-            Backend::Simd => "simd",
-        })
-    }
-}
-
-/// The kernel dispatch table: one function pointer per hot loop, resolved
-/// once at startup (see the module docs) so the hot path never re-probes.
+/// A kernel dispatch table: one function pointer per hot loop.
 #[derive(Debug, Clone, Copy)]
 pub struct Kernels {
     name: &'static str,
-    backend: Backend,
     first_ne: fn(&[u8], u8) -> Option<usize>,
     first_ge: fn(&[u8], u8, u8) -> Option<usize>,
     all_eq: fn(&[u8], u8) -> bool,
@@ -103,15 +61,10 @@ pub struct Kernels {
 }
 
 impl Kernels {
-    /// Identity label for telemetry (`scalar`, `swar`, `simd-avx2`,
-    /// `simd-sse2`, or `simd-portable`).
+    /// Identity label for telemetry and host fingerprints (`swar` for
+    /// [`active()`], `scalar` for the reference).
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// The backend this table belongs to.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Index of the first byte of `s` not equal to `byte`.
@@ -122,10 +75,9 @@ impl Kernels {
 
     /// Index of the first byte of `s` that is `>= threshold` (unsigned).
     ///
-    /// Exact for *every* threshold, including `>= 128`: the SWAR backend
-    /// routes word predicates whose `n > 127` precondition would be violated
-    /// to a byte loop, and the SIMD backends use an unsigned-max compare
-    /// that has no threshold restriction.
+    /// Exact for *every* threshold, including `>= 128`: the SWAR word test
+    /// routes thresholds its `n <= 127` identity cannot express to a sign-bit
+    /// over-approximation settled byte by byte.
     #[inline]
     pub fn first_ge(&self, s: &[u8], threshold: u8) -> Option<usize> {
         (self.first_ge)(s, threshold, 0)
@@ -145,7 +97,7 @@ impl Kernels {
     }
 
     /// Sets every byte of `dst` to `byte` (redzone / freed / unallocated
-    /// poisoning, shadow clears).
+    /// poisoning).
     #[inline]
     pub fn fill(&self, dst: &mut [u8], byte: u8) {
         (self.fill)(dst, byte)
@@ -169,7 +121,6 @@ impl Kernels {
 
 static SCALAR: Kernels = Kernels {
     name: "scalar",
-    backend: Backend::Scalar,
     first_ne: scalar::first_ne,
     first_ge: scalar::first_ge,
     all_eq: scalar::all_eq,
@@ -179,7 +130,6 @@ static SCALAR: Kernels = Kernels {
 
 static SWAR: Kernels = Kernels {
     name: "swar",
-    backend: Backend::Swar,
     first_ne: swar::first_ne,
     first_ge: swar::first_ge,
     all_eq: swar::all_eq,
@@ -187,62 +137,24 @@ static SWAR: Kernels = Kernels {
     write_folded_run: swar::write_folded_run,
 };
 
-/// Fallback `simd` table for hosts with no supported vector extension: the
-/// SWAR loops under the `simd` identity, so the `simd` backend exists (and
-/// names itself honestly) everywhere.
-static SIMD_PORTABLE: Kernels = Kernels {
-    name: "simd-portable",
-    backend: Backend::Simd,
-    first_ne: swar::first_ne,
-    first_ge: swar::first_ge,
-    all_eq: swar::all_eq,
-    fill: swar::fill,
-    write_folded_run: swar::write_folded_run,
-};
-
-/// Resolves the `simd` backend for this host, once: the CPUID probe behind
-/// the module-level dispatch rules.
-fn simd_resolved() -> &'static Kernels {
-    static RESOLVED: OnceLock<&'static Kernels> = OnceLock::new();
-    RESOLVED.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return &simd::AVX2;
-            }
-            if std::arch::is_x86_feature_detected!("sse2") {
-                return &simd::SSE2;
-            }
-        }
-        &SIMD_PORTABLE
-    })
-}
-
-/// Returns the kernel table of an explicit backend, independent of the
-/// process-wide selection. `Backend::Simd` resolves to the widest variant
-/// the host supports. Differential tests compare backends through this
-/// without touching global state.
-pub fn select(backend: Backend) -> &'static Kernels {
-    match backend {
-        Backend::Scalar => &SCALAR,
-        Backend::Swar => &SWAR,
-        Backend::Simd => simd_resolved(),
-    }
-}
-
-/// The process-wide active kernel table: the CPUID-resolved `simd`
-/// backend (see the module docs). The first call runs the probe; later
-/// calls are one atomic load.
+/// The kernel table every caller scans and writes through: `swar`, on every
+/// host (see the module docs).
 #[inline]
 pub fn active() -> &'static Kernels {
-    simd_resolved()
+    &SWAR
+}
+
+/// The byte-at-a-time reference table, for tests that check [`active()`]
+/// against it.
+pub fn scalar() -> &'static Kernels {
+    &SCALAR
 }
 
 /// Decomposes the §4.1 folding pattern for `q` full segments into its
 /// constant-code runs, highest degree first: segment `j` has degree
 /// `⌊log2(q − j)⌋` (capped), so the degree-`d` segments are exactly those
-/// with `q − j ∈ [2^d, 2^{d+1})` — a contiguous run. Shared by every
-/// backend's [`Kernels::write_folded_run`]; only the fill width differs.
+/// with `q − j ∈ [2^d, 2^{d+1})` — a contiguous run. The `swar` writer
+/// fills each run; debug builds cross-check the `scalar` writer against it.
 fn folded_runs(q: u64, mut emit: impl FnMut(u64, u64, u8)) {
     if q == 0 {
         return;
@@ -269,50 +181,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn select_returns_the_requested_backend() {
-        for b in Backend::ALL {
-            let k = select(b);
-            assert_eq!(k.backend(), b, "{}", k.name());
-        }
-        assert_eq!(select(Backend::Scalar).name(), "scalar");
-        assert_eq!(select(Backend::Swar).name(), "swar");
-        assert!(select(Backend::Simd).name().starts_with("simd"));
-    }
-
-    #[test]
-    fn active_is_the_resolved_simd_table() {
-        assert!(std::ptr::eq(active(), select(Backend::Simd)));
+    fn active_is_the_swar_table() {
+        assert!(std::ptr::eq(active(), &SWAR));
+        assert_eq!(active().name(), "swar");
+        assert_eq!(scalar().name(), "scalar");
     }
 
     #[test]
     fn every_backend_agrees_on_dense_patterns() {
-        // Cross-backend parity on deliberately adversarial shapes: hits at
-        // every lane offset of the widest (32-byte) step, lengths around
-        // every width boundary, thresholds on both sides of 128.
-        let kernels: Vec<_> = Backend::ALL.iter().map(|&b| select(b)).collect();
-        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100] {
-            for hit in 0..len {
-                let mut v = vec![0x40u8; len];
-                v[hit] = 0xfe;
-                for k in &kernels {
-                    assert_eq!(k.first_ne(&v, 0x40), Some(hit), "{} len={len}", k.name());
-                    assert_eq!(k.first_ge(&v, 0x41), Some(hit), "{} len={len}", k.name());
-                    assert_eq!(k.first_ge(&v, 0xfe), Some(hit), "{} len={len}", k.name());
-                    assert_eq!(k.first_ge(&v, 0xff), None, "{} len={len}", k.name());
-                    assert!(!k.all_eq(&v, 0x40), "{} len={len}", k.name());
+        // Parity on deliberately adversarial shapes: a hit at every offset,
+        // lengths around the 8-byte word and the 64-byte block, the fill
+        // bytes of both encodings as keys, and codes (hence thresholds) on
+        // both sides of 128. Every other byte decodes to 0x40.
+        let lens = [
+            0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 127, 128, 129, 193,
+        ];
+        for len in lens {
+            for key in [0u8, 78, 0xff] {
+                let clean = vec![0x40 ^ key; len];
+                for hit in 0..len {
+                    for code in [0x41u8, 0x80, 0xc8, 0xfe] {
+                        let mut v = clean.clone();
+                        v[hit] = code ^ key;
+                        for k in [&SCALAR, &SWAR] {
+                            let at = format!("{} len={len} key={key:#x} hit={hit}", k.name());
+                            assert_eq!(k.first_ne(&v, 0x40 ^ key), Some(hit), "{at}");
+                            assert!(!k.all_eq(&v, 0x40 ^ key), "{at}");
+                            assert_eq!(k.first_ge_keyed(&v, 0x41, key), Some(hit), "{at}");
+                            assert_eq!(k.first_ge_keyed(&v, code, key), Some(hit), "{at}");
+                            assert_eq!(k.first_ge_keyed(&v, code + 1, key), None, "{at}");
+                        }
+                    }
                 }
-            }
-            let v = vec![0x40u8; len];
-            for k in &kernels {
-                assert_eq!(k.first_ne(&v, 0x40), None, "{}", k.name());
-                assert_eq!(k.first_ge(&v, 0x41), None, "{}", k.name());
-                assert!(k.all_eq(&v, 0x40), "{}", k.name());
-                assert_eq!(
-                    k.first_ge(&v, 0),
-                    if len == 0 { None } else { Some(0) },
-                    "{}: threshold 0 admits every byte",
-                    k.name()
-                );
+                for k in [&SCALAR, &SWAR] {
+                    let at = format!("{} len={len} key={key:#x}", k.name());
+                    assert_eq!(k.first_ne(&clean, 0x40 ^ key), None, "{at}");
+                    assert!(k.all_eq(&clean, 0x40 ^ key), "{at}");
+                    assert_eq!(k.first_ge_keyed(&clean, 0x41, key), None, "{at}");
+                    assert_eq!(k.first_ge_keyed(&clean, 0xff, key), None, "{at}");
+                    assert_eq!(
+                        k.first_ge_keyed(&clean, 0, key),
+                        (len > 0).then_some(0),
+                        "{at}: threshold 0 admits every byte"
+                    );
+                }
             }
         }
     }
@@ -322,15 +234,13 @@ mod tests {
         for q in [0usize, 1, 2, 3, 7, 8, 9, 31, 32, 68, 127, 128, 1000] {
             let mut reference = vec![0u8; q];
             SCALAR.write_folded_run(&mut reference);
-            for b in [Backend::Swar, Backend::Simd] {
+            let mut out = vec![0u8; q];
+            SWAR.write_folded_run(&mut out);
+            assert_eq!(out, reference, "q={q}");
+            for k in [&SCALAR, &SWAR] {
                 let mut out = vec![0u8; q];
-                select(b).write_folded_run(&mut out);
-                assert_eq!(out, reference, "{b} q={q}");
-            }
-            for b in Backend::ALL {
-                let mut out = vec![0u8; q];
-                select(b).fill(&mut out, 0x4e);
-                assert!(out.iter().all(|&x| x == 0x4e), "{b} fill q={q}");
+                k.fill(&mut out, 0x4e);
+                assert!(out.iter().all(|&x| x == 0x4e), "{} fill q={q}", k.name());
             }
         }
     }

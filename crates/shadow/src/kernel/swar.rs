@@ -1,18 +1,29 @@
-//! The `swar` backend: SIMD-within-a-register, eight bytes per `u64` step.
+//! The `swar` kernel: clean 64-byte blocks skipped by a vectorisable fold,
+//! then SIMD-within-a-register, eight bytes per `u64` step.
 //!
-//! This is PR 1's scan discipline (the same as production ASan's
-//! `mem_is_zero` word loop), now one backend among three. The word loops use
-//! exact SWAR predicates from the classic bit-twiddling repertoire: each
-//! predicate is a word-level boolean ("does this word contain a hit?"), and
-//! the hit word is then re-scanned by byte to extract the exact index. That
-//! split keeps the fast path branch-light without giving up byte-precise
-//! answers, and sidesteps the borrow-propagation subtleties of per-byte SWAR
-//! masks.
+//! Each scan runs in two stages. The *block prefix* folds every whole
+//! 64-byte block into one boolean (`first_ne`, `all_eq`: every byte equals
+//! the probe; `first_ge`: the largest decoded byte is below the threshold)
+//! and skips the blocks with no hit. The fold has no early exit and no
+//! index bookkeeping, so the compiler vectorises it to the target's
+//! baseline vector ISA (SSE2 on x86-64) with no intrinsics and no feature
+//! detection. This is the shape of compiler-rt's `mem_is_zero`, an OR
+//! reduction over a whole region, which ASan's `__asan_region_is_poisoned`
+//! checks a region with. The *word loop* then starts at the first block with
+//! a hit (or at the tail) and locates it exactly, with exact SWAR predicates
+//! from the classic bit-twiddling repertoire: each predicate is a
+//! word-level boolean ("does this word contain a hit?"), and the hit word is
+//! re-scanned by byte to extract the index. That split keeps the fast path
+//! branch-light without giving up byte-precise answers, and sidesteps the
+//! borrow-propagation subtleties of per-byte SWAR masks.
 //!
 //! Endianness: words are loaded with `from_le_bytes`, so `trailing_zeros`
 //! maps to the lowest-indexed byte on any host.
 
 use super::folded_runs;
+
+/// Width of a block the prefix skips whole: one cache line.
+const BLOCK: usize = 64;
 
 /// `0x0101…01`: a 1 in every byte lane.
 const LSB: u64 = u64::from_le_bytes([1; 8]);
@@ -31,6 +42,20 @@ fn splat(byte: u8) -> u64 {
     LSB * byte as u64
 }
 
+/// Length of the longest prefix of `s` made of whole [`BLOCK`]s that
+/// `clean` accepts: the bytes a scan may skip without looking further.
+#[inline]
+fn clean_prefix(s: &[u8], clean: impl Fn(&[u8; BLOCK]) -> bool) -> usize {
+    let (blocks, _) = s.as_chunks::<BLOCK>();
+    blocks.iter().take_while(|b| clean(b)).count() * BLOCK
+}
+
+/// Whether every byte of `block` equals `byte`.
+#[inline]
+fn block_all_eq(block: &[u8; BLOCK], byte: u8) -> bool {
+    block.iter().fold(true, |all, &b| all & (b == byte))
+}
+
 /// Exact word-level boolean: does `x` contain a byte strictly greater than
 /// `n`?
 ///
@@ -39,7 +64,7 @@ fn splat(byte: u8) -> u64 {
 /// included. (Earlier revisions only `debug_assert!`ed the precondition,
 /// leaving release builds one unguarded call away from false negatives.)
 #[inline]
-pub fn has_byte_gt(x: u64, n: u8) -> bool {
+fn has_byte_gt(x: u64, n: u8) -> bool {
     if n >= 128 {
         // wrapping_add(splat(127 - n)) underflows its precondition; fall
         // back to the exact byte comparison.
@@ -49,6 +74,11 @@ pub fn has_byte_gt(x: u64, n: u8) -> bool {
 }
 
 pub(super) fn first_ne(s: &[u8], byte: u8) -> Option<usize> {
+    let skip = clean_prefix(s, |b| block_all_eq(b, byte));
+    first_ne_words(&s[skip..], byte).map(|i| skip + i)
+}
+
+fn first_ne_words(s: &[u8], byte: u8) -> Option<usize> {
     let pattern = splat(byte);
     let mut chunks = s.chunks_exact(8);
     for (w, chunk) in chunks.by_ref().enumerate() {
@@ -68,6 +98,8 @@ pub(super) fn first_ne(s: &[u8], byte: u8) -> Option<usize> {
 pub(super) fn all_eq(s: &[u8], byte: u8) -> bool {
     // A dedicated loop (rather than `first_ne(..).is_none()`) lets the
     // compiler drop the index bookkeeping entirely.
+    let skip = clean_prefix(s, |b| block_all_eq(b, byte));
+    let s = &s[skip..];
     let pattern = splat(byte);
     let mut chunks = s.chunks_exact(8);
     for chunk in chunks.by_ref() {
@@ -83,6 +115,13 @@ pub(super) fn first_ge(s: &[u8], threshold: u8, key: u8) -> Option<usize> {
         // Every byte qualifies.
         return if s.is_empty() { None } else { Some(0) };
     }
+    let skip = clean_prefix(s, |b| {
+        b.iter().fold(0, |max, &x| max.max(x ^ key)) < threshold
+    });
+    first_ge_words(&s[skip..], threshold, key).map(|i| skip + i)
+}
+
+fn first_ge_words(s: &[u8], threshold: u8, key: u8) -> Option<usize> {
     let key_word = splat(key);
     let mut chunks = s.chunks_exact(8);
     for (w, chunk) in chunks.by_ref().enumerate() {

@@ -51,7 +51,7 @@ mod shadow;
 mod space;
 
 pub use addr::{align_down, align_up, Addr, SEGMENT_SHIFT, SEGMENT_SIZE};
-pub use kernel::{Backend, Kernels};
-pub use scan::{slice_all_eq, slice_first_ge, slice_first_ne, SegmentView};
+pub use kernel::Kernels;
+pub use scan::SegmentView;
 pub use shadow::{SegmentIndex, ShadowMemory};
 pub use space::{AddressSpace, SpaceError};

@@ -1,43 +1,20 @@
-//! Shadow scanning entry points, dispatching to the active [`crate::kernel`]
-//! backend.
+//! Shadow scanning entry points over the active [`crate::kernel`] table.
 //!
 //! Region checks, blame scans, and shadow validation all reduce to three
 //! questions over a segment range: *is every shadow byte equal to X*, *where
 //! is the first byte different from X*, and *where is the first byte ≥ X*.
 //! Answering them through [`ShadowMemory::get`] costs a bounds check, an
 //! `Option`, and a fill-byte fallback per segment. This module answers them
-//! over borrowed slices — at whatever step width the resolved kernel backend
-//! provides (1, 8, 16, or 32 bytes) — while preserving the fill-byte
-//! semantics for ranges that run past the mapped shadow.
+//! over borrowed slices, a 64-byte block and then a word at a time, while
+//! preserving the fill-byte semantics for ranges that run past the mapped
+//! shadow.
 //!
 //! The loops themselves live in [`crate::kernel`]; this module contributes
 //! the [`SegmentView`] split of a requested range into mapped bytes plus a
-//! virtual fill-valued tail, and the free-function wrappers the rest of the
-//! workspace scans through.
+//! virtual fill-valued tail.
 
 use crate::kernel;
 use crate::shadow::{SegmentIndex, ShadowMemory};
-
-/// Index of the first byte of `s` not equal to `byte`, scanning at the
-/// active kernel backend's step width.
-#[inline]
-pub fn slice_first_ne(s: &[u8], byte: u8) -> Option<usize> {
-    kernel::active().first_ne(s, byte)
-}
-
-/// Whether every byte of `s` equals `byte` (true for the empty slice).
-#[inline]
-pub fn slice_all_eq(s: &[u8], byte: u8) -> bool {
-    kernel::active().all_eq(s, byte)
-}
-
-/// Index of the first byte of `s` that is `>= threshold` (unsigned),
-/// scanning at the active kernel backend's step width. Exact for every
-/// threshold, including `>= 128`.
-#[inline]
-pub fn slice_first_ge(s: &[u8], threshold: u8) -> Option<usize> {
-    kernel::active().first_ge(s, threshold)
-}
 
 /// A borrowed view of the segment range `[lo, hi)` of a [`ShadowMemory`],
 /// with the part beyond the mapped shadow (if any) reading as the fill byte.
@@ -75,14 +52,15 @@ impl<'a> SegmentView<'a> {
     /// Whether every segment in the view reads as `byte`.
     #[inline]
     pub fn all_eq(&self, byte: u8) -> bool {
-        slice_all_eq(self.mapped, byte ^ self.key) && (self.tail == 0 || self.key == byte)
+        kernel::active().all_eq(self.mapped, byte ^ self.key)
+            && (self.tail == 0 || self.key == byte)
     }
 
     /// Segment index (shadow-relative) of the first segment not reading as
     /// `byte`.
     #[inline]
     pub fn first_ne(&self, byte: u8) -> Option<SegmentIndex> {
-        if let Some(i) = slice_first_ne(self.mapped, byte ^ self.key) {
+        if let Some(i) = kernel::active().first_ne(self.mapped, byte ^ self.key) {
             return Some(self.start + i as u64);
         }
         (self.tail > 0 && self.key != byte).then(|| self.start + self.mapped.len() as u64)
@@ -168,38 +146,6 @@ mod tests {
             s.set(i as u64, b);
         }
         s
-    }
-
-    #[test]
-    fn slice_scanners_match_naive_on_patterns() {
-        // Mismatches planted at every offset relative to the 8-byte word
-        // boundary, including head/tail remainders.
-        for len in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 31, 64] {
-            for hit in 0..len {
-                let mut v = vec![0x40u8; len];
-                v[hit] = 0x4e;
-                assert_eq!(slice_first_ne(&v, 0x40), Some(hit), "len={len} hit={hit}");
-                assert_eq!(slice_first_ge(&v, 0x4e), Some(hit));
-                assert!(!slice_all_eq(&v, 0x40));
-            }
-            let v = vec![0x40u8; len];
-            assert_eq!(slice_first_ne(&v, 0x40), None);
-            assert_eq!(slice_first_ge(&v, 0x41), None);
-            assert!(slice_all_eq(&v, 0x40));
-        }
-    }
-
-    #[test]
-    fn first_ge_handles_thresholds_above_128() {
-        let v = [0u8, 10, 127, 128, 200, 250, 255, 3];
-        assert_eq!(slice_first_ge(&v, 0), Some(0));
-        assert_eq!(slice_first_ge(&v, 1), Some(1));
-        assert_eq!(slice_first_ge(&v, 128), Some(3));
-        assert_eq!(slice_first_ge(&v, 129), Some(4));
-        assert_eq!(slice_first_ge(&v, 201), Some(5));
-        assert_eq!(slice_first_ge(&v, 251), Some(6));
-        assert_eq!(slice_first_ge(&v, 255), Some(6));
-        assert_eq!(slice_first_ge(&[1u8; 16], 2), None);
     }
 
     #[test]

@@ -177,19 +177,12 @@ impl ShadowMemory {
     pub(crate) fn stored(&self, lo: SegmentIndex, hi: SegmentIndex) -> &[u8] {
         &self.bytes[lo as usize..hi as usize]
     }
-
-    /// Resets the whole shadow to the fill byte.
-    pub fn clear(&mut self) {
-        let len = self.len();
-        kernel::active().fill(self.range_mut(0, len), 0);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arena::{parked_lens, RECYCLE_MIN};
-    use crate::slice_all_eq;
 
     fn shadow() -> (AddressSpace, ShadowMemory) {
         let space = AddressSpace::new(0x1_0000, 1 << 12);
@@ -244,10 +237,11 @@ mod tests {
         shadow.write_folded_run(10, 13);
         let run: Vec<u8> = (10..13).map(|s| shadow.get(s)).collect();
         let mut expect = [0u8; 3];
-        kernel::select(kernel::Backend::Scalar).write_folded_run(&mut expect);
+        kernel::scalar().write_folded_run(&mut expect);
         assert_eq!(run, expect);
-        shadow.clear();
-        assert_eq!(shadow.get(10), 0xfe);
+        let len = shadow.len();
+        shadow.set_range(0, len, 0xfe);
+        assert!(shadow.all_eq(0, len, 0xfe));
     }
 
     #[test]
@@ -278,7 +272,7 @@ mod tests {
     const CHUNK: u64 = 4096;
 
     fn stores_zeros(s: &ShadowMemory) -> bool {
-        slice_all_eq(&s.bytes, 0)
+        kernel::active().all_eq(&s.bytes, 0)
     }
 
     /// Runs `write` on a GiantSan-filled shadow of a large space, drops it,
@@ -321,10 +315,10 @@ mod tests {
     }
 
     #[test]
-    fn writes_after_a_clear_are_reset() {
+    fn writes_after_a_refill_are_reset() {
         recycled_after(|s| {
             s.set_range(0, 2 * CHUNK, 0);
-            s.clear();
+            s.set_range(0, 2 * CHUNK, 78);
             assert!(stores_zeros(s));
             s.set(CHUNK + 1, 0x40);
         });

@@ -271,7 +271,7 @@ fn unsupported_width(width: u32) -> ! {
 mod tests {
     use super::*;
     use crate::arena::parked_lens;
-    use crate::slice_all_eq;
+    use crate::kernel;
 
     fn space() -> AddressSpace {
         AddressSpace::new(0x1_0000, 4096)
@@ -383,7 +383,7 @@ mod tests {
     const LARGE: u64 = RECYCLE_MIN as u64;
 
     fn all_zero(s: &AddressSpace) -> bool {
-        slice_all_eq(&s.bytes, 0)
+        kernel::active().all_eq(&s.bytes, 0)
     }
 
     /// Drops `dirty` and returns the next space of its size, asserting that

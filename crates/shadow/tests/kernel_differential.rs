@@ -1,41 +1,41 @@
-//! Differential property tests: `simd` vs `swar` vs `scalar` kernel
-//! backends on random shadow patterns.
+//! Differential property tests: the active `swar` kernel against the
+//! `scalar` reference on random shadow patterns.
 //!
-//! The backend contract says the three tables may differ in speed only —
-//! for every input they must return byte-identical answers. These tests pit
-//! all backends (obtained explicitly via [`kernel::select`], independent of
-//! the process-wide dispatch) against each other and against the scalar
-//! reference:
+//! The kernel contract says the two tables may differ in speed only — for
+//! every input they must return byte-identical answers. These tests pit
+//! [`kernel::active`] against [`kernel::scalar`]:
 //!
-//! * raw slices of arbitrary bytes, with lengths straddling every step
-//!   width (1/8/16/32) and thresholds on both sides of 128 — the range
-//!   where the SWAR `has_byte_gt` identity needs its byte-loop fallback;
-//! * [`ShadowMemory`] ranges reaching past the mapped shadow, where every
-//!   backend's answer on the mapped bytes, stitched to the fill-byte tail,
-//!   must match the byte-wise ground truth (mirroring
-//!   `first_ge_handles_thresholds_above_128` in spirit);
-//! * the bulk writers (`fill`, `write_folded_run`), byte-compared across
-//!   backends;
+//! * raw slices of arbitrary bytes, with lengths straddling the 8-byte word
+//!   and the 64-byte block the `swar` scans skip whole, and thresholds on
+//!   both sides of 128 — the range where the SWAR word test falls back to
+//!   a sign-bit over-approximation;
+//! * [`ShadowMemory`] ranges reaching past the mapped shadow, where each
+//!   table's answer on the mapped bytes, stitched to the fill-byte tail,
+//!   must match the byte-wise ground truth;
+//! * the bulk writers (`fill`, `write_folded_run`), byte-compared;
 //! * the keyed kernels a [`ShadowMemory`] scans and poisons through
 //!   (`first_ge_keyed`, `write_folded_run_keyed`) under the fill bytes of
-//!   both encodings and key 0: each backend against scalar, and the decoded
+//!   both encodings and key 0: `swar` against `scalar`, and the decoded
 //!   bytes (`stored ^ key`) against the unkeyed kernel.
+//!
+//! The block prefix is vectorised only in optimised builds, so run these
+//! with `--release` as well.
 
 use proptest::prelude::*;
 
-use giantsan_shadow::kernel::{self, Backend};
+use giantsan_shadow::kernel;
 use giantsan_shadow::{AddressSpace, ShadowMemory};
 
-/// Slice lengths straddling every backend's step width (1/8/16/32 bytes).
+/// Slice lengths straddling the 8-byte word and the 64-byte block.
 fn lens() -> Vec<usize> {
     vec![
         0, 1, 2, 5, 7, 8, 9, 15, 16, 17, 23, 31, 32, 33, 40, 47, 48, 63, 64, 65, 100, 127, 128,
-        129, 200,
+        129, 191, 192, 193, 200,
     ]
 }
 
 /// Probe/fill bytes hitting both sides of the 0x80 sign bit and the
-/// saturation edges the SWAR identity and `max_epu8` care about.
+/// saturation edges of the SWAR identity and the block fold.
 const EDGE_BYTES: [u8; 12] = [
     0x00, 0x01, 0x40, 0x4e, 0x7f, 0x80, 0x81, 0xc8, 0xc9, 0xfe, 0xff, 0x48,
 ];
@@ -52,9 +52,9 @@ fn xor(bytes: &[u8], key: u8) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Scan kernels agree across all three backends on random slices —
-    /// including thresholds >= 128, where swar must route around its
-    /// `has_byte_gt` precondition and simd's `max_epu8` compare is exact.
+    /// Scan kernels agree with the reference on random slices — including
+    /// thresholds >= 128, where the SWAR word test cannot use its
+    /// `has_byte_gt` identity.
     #[test]
     fn scan_kernels_agree_on_random_slices(
         len in prop::sample::select(lens()),
@@ -69,32 +69,29 @@ proptest! {
                 s[i % len] = v;
             }
         }
-        let scalar = kernel::select(Backend::Scalar);
-        for backend in [Backend::Swar, Backend::Simd] {
-            let k = kernel::select(backend);
-            // The random probe plus every edge byte as a threshold: the
-            // edge list guarantees the >= 128 territory is hit every case.
-            for p in EDGE_BYTES.iter().copied().chain([probe]) {
-                prop_assert_eq!(
-                    k.first_ne(&s, p),
-                    scalar.first_ne(&s, p),
-                    "first_ne {} len={} probe={:#x}", k.name(), len, p
-                );
-                prop_assert_eq!(
-                    k.first_ge(&s, p),
-                    scalar.first_ge(&s, p),
-                    "first_ge {} len={} probe={:#x}", k.name(), len, p
-                );
-                prop_assert_eq!(
-                    k.all_eq(&s, p),
-                    scalar.all_eq(&s, p),
-                    "all_eq {} len={} probe={:#x}", k.name(), len, p
-                );
-            }
+        let (scalar, k) = (kernel::scalar(), kernel::active());
+        // The random probe plus every edge byte as a threshold: the edge
+        // list guarantees the >= 128 territory is hit every case.
+        for p in EDGE_BYTES.iter().copied().chain([probe]) {
+            prop_assert_eq!(
+                k.first_ne(&s, p),
+                scalar.first_ne(&s, p),
+                "first_ne len={} probe={:#x}", len, p
+            );
+            prop_assert_eq!(
+                k.first_ge(&s, p),
+                scalar.first_ge(&s, p),
+                "first_ge len={} probe={:#x}", len, p
+            );
+            prop_assert_eq!(
+                k.all_eq(&s, p),
+                scalar.all_eq(&s, p),
+                "all_eq len={} probe={:#x}", len, p
+            );
         }
     }
 
-    /// The keyed ordered scan agrees across backends under every key and
+    /// The keyed ordered scan agrees with the reference under every key and
     /// threshold, and equals the unkeyed scan of the decoded bytes; the
     /// thresholds of 128 and above are each checked on every case.
     #[test]
@@ -111,51 +108,41 @@ proptest! {
                 stored[i % len] = v;
             }
         }
-        let scalar = kernel::select(Backend::Scalar);
         let thresholds = (128u8..=255).step_by(9).chain([0x80, 0xfe, 0xff, probe]);
         for key in KEYS {
             let decoded = xor(&stored, key);
             for t in thresholds.clone() {
-                let expect = scalar.first_ge(&decoded, t);
-                for backend in Backend::ALL {
-                    let k = kernel::select(backend);
-                    prop_assert_eq!(
-                        k.first_ge_keyed(&stored, t, key),
-                        scalar.first_ge_keyed(&stored, t, key),
-                        "{} len={} key={:#x} threshold={:#x}", k.name(), len, key, t
-                    );
+                let expect = kernel::scalar().first_ge(&decoded, t);
+                for k in [kernel::scalar(), kernel::active()] {
                     prop_assert_eq!(
                         k.first_ge_keyed(&stored, t, key),
                         expect,
-                        "decoded {} len={} key={:#x} threshold={:#x}", k.name(), len, key, t
+                        "{} len={} key={:#x} threshold={:#x}", k.name(), len, key, t
                     );
                 }
             }
         }
     }
 
-    /// Write kernels produce byte-identical output across backends for every
-    /// length (fill) and run shape (write_folded_run).
+    /// Write kernels produce byte-identical output to the reference for
+    /// every length (fill) and run shape (write_folded_run).
     #[test]
     fn write_kernels_agree_on_every_length(
         len in prop::sample::select(lens()),
         value in 0u8..=255,
         garbage in 0u8..=255,
     ) {
-        let scalar = kernel::select(Backend::Scalar);
+        let (scalar, k) = (kernel::scalar(), kernel::active());
         let mut expect_fill = vec![garbage; len];
         scalar.fill(&mut expect_fill, value);
         let mut expect_run = vec![garbage; len];
         scalar.write_folded_run(&mut expect_run);
-        for backend in [Backend::Swar, Backend::Simd] {
-            let k = kernel::select(backend);
-            let mut out = vec![garbage; len];
-            k.fill(&mut out, value);
-            prop_assert_eq!(&out, &expect_fill, "fill {} len={}", k.name(), len);
-            let mut out = vec![garbage; len];
-            k.write_folded_run(&mut out);
-            prop_assert_eq!(&out, &expect_run, "folded run {} len={}", k.name(), len);
-        }
+        let mut out = vec![garbage; len];
+        k.fill(&mut out, value);
+        prop_assert_eq!(&out, &expect_fill, "fill len={}", len);
+        let mut out = vec![garbage; len];
+        k.write_folded_run(&mut out);
+        prop_assert_eq!(&out, &expect_run, "folded run len={}", len);
         for key in KEYS {
             let mut expect_keyed = vec![garbage; len];
             scalar.write_folded_run_keyed(&mut expect_keyed, key);
@@ -163,24 +150,21 @@ proptest! {
                 &xor(&expect_keyed, key), &expect_run,
                 "scalar folded run decoded under key {:#x}, len={}", key, len
             );
-            for backend in [Backend::Swar, Backend::Simd] {
-                let k = kernel::select(backend);
-                let mut out = vec![garbage; len];
-                k.write_folded_run_keyed(&mut out, key);
-                prop_assert_eq!(
-                    &out, &expect_keyed,
-                    "keyed folded run {} key={:#x} len={}", k.name(), key, len
-                );
-            }
+            let mut out = vec![garbage; len];
+            k.write_folded_run_keyed(&mut out, key);
+            prop_assert_eq!(
+                &out, &expect_keyed,
+                "keyed folded run key={:#x} len={}", key, len
+            );
         }
     }
 
     /// ShadowMemory-level scans on ranges running past the mapped shadow:
-    /// the fill-byte tail is stitched on above the kernels, so every
-    /// backend's answer on the mapped codes plus the tail — and the active
-    /// table's own `ShadowMemory` answer — must match the ground truth.
+    /// the fill-byte tail is stitched on above the kernels, so each table's
+    /// answer on the mapped codes plus the tail — and the shadow's own
+    /// answer — must match the ground truth.
     #[test]
-    fn fill_tails_survive_every_backend(
+    fn fill_tails_survive_every_kernel(
         segments in 1u64..64,
         fill in prop::sample::select(EDGE_BYTES.to_vec()),
         write_at in prop::collection::vec(0u64..64, 0..12),
@@ -211,8 +195,7 @@ proptest! {
         let mapped_hi = hi.min(segments).max(lo);
         let mapped: Vec<u8> = (lo..mapped_hi).map(|i| s.get(i)).collect();
         let tail = mapped_hi..hi;
-        for backend in Backend::ALL {
-            let k = kernel::select(backend);
+        for k in [kernel::scalar(), kernel::active()] {
             let at = |i: usize| lo + i as u64;
             let got = (
                 k.first_ne(&mapped, probe)
@@ -225,22 +208,19 @@ proptest! {
             );
             prop_assert_eq!(
                 got, expect,
-                "{} lo={} hi={} probe={:#x}", backend, lo, hi, probe
+                "{} lo={} hi={} probe={:#x}", k.name(), lo, hi, probe
             );
         }
     }
 }
 
-/// Deterministic pin of the worked threshold example across every backend —
-/// the kernel-level mirror of `scan.rs`'s
-/// `first_ge_handles_thresholds_above_128`.
+/// Deterministic pin of the worked threshold example on both tables.
 #[test]
 fn thresholds_above_128_agree_everywhere() {
     let mut v = vec![0u8, 10, 127, 128, 200, 250, 255, 3];
-    v.extend(std::iter::repeat_n(0x40, 40)); // push past SSE2/AVX2 widths
+    v.extend(std::iter::repeat_n(0x40, 120)); // push past the first block
     v.push(0xff);
-    for backend in Backend::ALL {
-        let k = kernel::select(backend);
+    for k in [kernel::scalar(), kernel::active()] {
         assert_eq!(k.first_ge(&v, 0), Some(0), "{}", k.name());
         assert_eq!(k.first_ge(&v, 1), Some(1), "{}", k.name());
         assert_eq!(k.first_ge(&v, 128), Some(3), "{}", k.name());
@@ -249,6 +229,7 @@ fn thresholds_above_128_agree_everywhere() {
         assert_eq!(k.first_ge(&v, 251), Some(6), "{}", k.name());
         assert_eq!(k.first_ge(&v, 255), Some(6), "{}", k.name());
         assert_eq!(k.first_ge(&v[7..8], 255), None, "{}", k.name());
-        assert_eq!(k.first_ge(&[1u8; 48], 2), None, "{}", k.name());
+        assert_eq!(k.first_ge(&v[7..], 0x41), Some(121), "{}", k.name());
+        assert_eq!(k.first_ge(&[1u8; 200], 2), None, "{}", k.name());
     }
 }

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use giantsan_shadow::kernel::{self, Backend};
+use giantsan_shadow::kernel;
 use giantsan_shadow::{AddressSpace, ShadowMemory};
 
 /// Builds a shadow of `segments` segments with `fill`, then plants `writes`
@@ -101,8 +101,7 @@ proptest! {
         let run_hi = (run_lo + run_len).min(segments);
         s.write_folded_run(run_lo, run_hi);
         let mut expect = before;
-        kernel::select(Backend::Scalar)
-            .write_folded_run(&mut expect[run_lo as usize..run_hi as usize]);
+        kernel::scalar().write_folded_run(&mut expect[run_lo as usize..run_hi as usize]);
         let got: Vec<u8> = (0..segments).map(|i| s.get(i)).collect();
         prop_assert_eq!(got, expect, "fill={:#x} run {}..{}", fill, run_lo, run_hi);
         let hi = lo + len;

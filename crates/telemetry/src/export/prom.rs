@@ -29,10 +29,9 @@ fn hist_exposition(out: &mut String, name: &str, help: &str, h: &Log2Hist) {
     let _ = writeln!(out, "{name}_count {}", h.count);
 }
 
-/// Renders the exposition: an info gauge naming the shadow-kernel backend
-/// the run executed under (`kernel`, e.g. `swar` or `simd-avx2` — the
-/// telemetry crate does not depend on `giantsan-shadow`, so callers pass the
-/// resolved name), one counter series per `(name, value)` pair in `counters`
+/// Renders the exposition: an info gauge naming the shadow kernel the run
+/// executed under (`kernel`, `swar` on every host — the telemetry crate does
+/// not depend on `giantsan-shadow`, so callers pass the name), one counter series per `(name, value)` pair in `counters`
 /// (names are emitted verbatim, prefixed `giantsan_`), the four
 /// deterministic histograms, the per-site path mix, and the dropped-event
 /// count (so a truncated trace can never read as a complete one).

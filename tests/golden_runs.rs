@@ -11,8 +11,8 @@
 //! pinned too: the `trace_digest.txt` and `trace_span_digest.txt` that
 //! `repro trace --workload figure8 --tool giantsan` writes must reproduce
 //! their files under `tests/golden/`, and `trace_metrics_digest.txt` pins the
-//! FNV-1a of its `trace_metrics.prom` without the host-dependent
-//! `giantsan_kernel_info` line.
+//! FNV-1a of its `trace_metrics.prom` without the `giantsan_kernel_info`
+//! line, so the digest pins what the run did and not the kernel's name.
 //!
 //! Whole studies are pinned as well: `study_digests.txt` holds
 //! `campaign::records_digest` of every cell payload of the studies that
@@ -159,8 +159,8 @@ fn figure8_trace_matches_golden_digest() {
             "traced Figure-8 GiantSan run drifted from tests/golden/{name}"
         );
     }
-    // The exposition minus its one host-dependent line (the kernel backend
-    // CPUID resolved), digested like the event stream.
+    // The exposition minus its kernel-name line, digested like the event
+    // stream.
     let prom: String = artifact("trace_metrics.prom")
         .lines()
         .filter(|l| !l.starts_with("giantsan_kernel_info{"))
