@@ -7,10 +7,10 @@
 //! what gives the benchmark comparisons their shape.
 
 use giantsan_runtime::{
-    AccessKind, Allocation, CheckResult, Counters, ErrorKind, ErrorReport, FreeOutcome, HeapError,
-    ObjectInfo, Region, RuntimeConfig, Sanitizer, World,
+    AccessKind, Allocation, CheckResult, Counters, ErrorKind, ErrorReport, HeapError,
+    MetadataFault, Region, RuntimeConfig, Sanitizer, ShadowCodes, ShadowedWorld, World,
 };
-use giantsan_shadow::{align_up, Addr, ShadowMemory, SEGMENT_SIZE};
+use giantsan_shadow::{Addr, SegmentIndex, ShadowMemory, SEGMENT_SIZE};
 
 /// ASan shadow state codes (the classic byte values).
 pub mod codes {
@@ -32,6 +32,33 @@ pub mod codes {
     /// Returns `true` for k-partial codes (1..=7).
     pub const fn is_partial(code: u8) -> bool {
         code >= 1 && code <= 7
+    }
+}
+
+/// ASan's lifecycle codes: a user region of `GOOD` segments and a `k`-partial
+/// tail, and dead stack slots poisoned as stack redzone.
+#[derive(Debug)]
+struct AsanCodes;
+
+impl ShadowCodes for AsanCodes {
+    const HEAP_LEFT: u8 = codes::HEAP_LEFT;
+    const HEAP_RIGHT: u8 = codes::HEAP_RIGHT;
+    const STACK: u8 = codes::STACK;
+    const GLOBAL: u8 = codes::GLOBAL;
+    const FREED: u8 = codes::FREED;
+    const UNALLOCATED: u8 = codes::UNALLOCATED;
+    const DEAD_STACK: u8 = codes::STACK;
+
+    fn poison_user(shadow: &mut ShadowMemory, first: SegmentIndex, size: u64) -> u64 {
+        let q = size / SEGMENT_SIZE;
+        let rem = (size % SEGMENT_SIZE) as u8;
+        if q > 0 {
+            shadow.set_range(first, first + q, codes::GOOD);
+        }
+        if rem > 0 {
+            shadow.set(first + q, rem);
+        }
+        q + u64::from(rem > 0)
     }
 }
 
@@ -65,43 +92,20 @@ pub fn classify(code: u8) -> ErrorKind {
 /// ```
 #[derive(Debug)]
 pub struct Asan {
-    world: World,
-    shadow: ShadowMemory,
-    counters: Counters,
+    rt: ShadowedWorld<AsanCodes>,
 }
 
 impl Asan {
     /// Creates an ASan instance over a fresh world.
     pub fn new(config: RuntimeConfig) -> Self {
-        let world = World::new(config);
-        let shadow = ShadowMemory::new(world.space(), codes::UNALLOCATED);
         Asan {
-            world,
-            shadow,
-            counters: Counters::default(),
+            rt: ShadowedWorld::new(config),
         }
     }
 
     /// Read-only view of the shadow (tests and diagnostics).
     pub fn shadow(&self) -> &ShadowMemory {
-        &self.shadow
-    }
-
-    fn redzone_code(region: Region, left: bool) -> u8 {
-        match (region, left) {
-            (Region::Heap, true) => codes::HEAP_LEFT,
-            (Region::Heap, false) => codes::HEAP_RIGHT,
-            (Region::Stack, _) => codes::STACK,
-            (Region::Global, _) => codes::GLOBAL,
-        }
-    }
-
-    #[inline]
-    fn load(&self, addr: Addr) -> u8 {
-        match self.shadow.try_segment_of(addr) {
-            Some(seg) => self.shadow.get(seg),
-            None => codes::UNALLOCATED,
-        }
+        &self.rt.shadow
     }
 
     /// Number of addressable bytes segment code `v` exposes within itself.
@@ -116,63 +120,11 @@ impl Asan {
         }
     }
 
-    fn poison_segments(&mut self, start: Addr, len: u64, code: u8) {
-        if len == 0 {
-            return;
-        }
-        let lo = self.shadow.segment_of(start);
-        let hi = lo + len / SEGMENT_SIZE;
-        self.shadow.set_range(lo, hi, code);
-        self.counters.shadow_stores += hi - lo;
-    }
-
-    fn poison_allocation(&mut self, info: &ObjectInfo) {
-        let rz = info.base - info.block_start;
-        let user_len = align_up(info.size.max(1), SEGMENT_SIZE);
-        self.poison_segments(info.block_start, rz, Self::redzone_code(info.region, true));
-        // User region: zeros for whole segments, k for a trailing partial.
-        let q = info.size / SEGMENT_SIZE;
-        let rem = (info.size % SEGMENT_SIZE) as u8;
-        self.poison_segments(info.base, q * SEGMENT_SIZE, codes::GOOD);
-        if rem > 0 {
-            let seg = self.shadow.segment_of(info.base) + q;
-            self.shadow.set(seg, rem);
-            self.counters.shadow_stores += 1;
-        }
-        let right_start = info.base + user_len;
-        self.poison_segments(
-            right_start,
-            info.block_len - rz - user_len,
-            Self::redzone_code(info.region, false),
-        );
-    }
-
-    /// Poisons a fresh allocation's redzones and user region.
-    fn poison_new(&mut self, a: &Allocation) {
-        let info = self
-            .world
-            .objects()
-            .get(a.id)
-            .expect("fresh allocation must be registered")
-            .clone();
-        self.poison_allocation(&info);
-    }
-
-    /// Marks a freed block as freed and resets the blocks the quarantine
-    /// evicted to unallocated.
-    fn poison_freed(&mut self, outcome: &FreeOutcome) {
-        let freed = &outcome.freed;
-        self.poison_segments(freed.block_start, freed.block_len, codes::FREED);
-        for info in &outcome.recycled {
-            self.poison_segments(info.block_start, info.block_len, codes::UNALLOCATED);
-        }
-    }
-
     fn report(&mut self, addr: Addr, code: u8, len: u64, kind: AccessKind) -> ErrorReport {
-        self.counters.reports += 1;
+        self.rt.counters.reports += 1;
         let classified = if codes::is_partial(code) {
             // Partial violation: the following redzone identifies the region.
-            let next = self.load(addr + SEGMENT_SIZE);
+            let next = self.rt.code_at(addr + SEGMENT_SIZE);
             if next > 7 {
                 classify(next)
             } else {
@@ -191,69 +143,39 @@ impl Sanitizer for Asan {
     }
 
     fn world(&self) -> &World {
-        &self.world
+        &self.rt.world
     }
 
     fn world_mut(&mut self) -> &mut World {
-        &mut self.world
+        &mut self.rt.world
     }
 
     fn counters(&self) -> &Counters {
-        &self.counters
+        &self.rt.counters
     }
 
     fn counters_mut(&mut self) -> &mut Counters {
-        &mut self.counters
+        &mut self.rt.counters
     }
 
     fn alloc(&mut self, size: u64, region: Region) -> Result<Allocation, HeapError> {
-        let a = self.world.alloc(size, region)?;
-        self.counters.allocs += 1;
-        if region == Region::Stack {
-            self.counters.stack_allocs += 1;
-        }
-        self.poison_new(&a);
-        Ok(a)
+        self.rt.alloc(size, region)
     }
 
     fn free(&mut self, base: Addr) -> CheckResult {
-        self.counters.frees += 1;
-        match self.world.free(base) {
-            Ok(outcome) => {
-                self.poison_freed(&outcome);
-                Ok(())
-            }
-            Err(report) => {
-                self.counters.reports += 1;
-                Err(report)
-            }
-        }
+        self.rt.free(base)
     }
 
     fn realloc(&mut self, base: Addr, new_size: u64) -> Result<Allocation, ErrorReport> {
-        match self.world.realloc(base, new_size) {
-            Ok((a, outcome)) => {
-                self.counters.allocs += 1;
-                self.counters.frees += 1;
-                self.poison_new(&a);
-                self.poison_freed(&outcome);
-                Ok(a)
-            }
-            Err(report) => {
-                self.counters.reports += 1;
-                Err(report)
-            }
-        }
+        self.rt.realloc(base, new_size)
     }
 
     fn push_frame(&mut self) {
-        self.world.push_frame();
+        self.rt.world.push_frame();
     }
 
     fn pop_frame(&mut self) {
-        for info in self.world.pop_frame() {
-            self.poison_segments(info.block_start, info.block_len, codes::STACK);
-        }
+        self.rt.pop_frame();
     }
 
     #[inline]
@@ -262,9 +184,9 @@ impl Sanitizer for Asan {
         debug_assert!(width <= 8);
         let off = addr.segment_offset();
         if off + width as u64 <= SEGMENT_SIZE {
-            self.counters.shadow_loads += 1;
-            self.counters.fast_checks += 1;
-            let v = self.load(addr);
+            self.rt.counters.shadow_loads += 1;
+            self.rt.counters.fast_checks += 1;
+            let v = self.rt.code_at(addr);
             if v != codes::GOOD && off + width as u64 > Self::exposed(v) {
                 return Err(self.report(addr, v, width as u64, kind));
             }
@@ -280,34 +202,36 @@ impl Sanitizer for Asan {
     fn check_region(&mut self, lo: Addr, hi: Addr, kind: AccessKind) -> CheckResult {
         // The guardian function: one shadow byte guards at most 8 bytes, so
         // the whole range must be swept — the `Θ(N)` cost column of Table 1.
-        // The sweep runs word-wide (eight guardians per `u64` step, like
-        // production ASan's `mem_is_zero`), while `shadow_loads` still counts
-        // one load per segment *semantically* walked, exactly as the
-        // byte-at-a-time reference does: the encoding's cost model is the
-        // experiment, the scan width is plumbing.
+        // The sweep skips clean 64-byte blocks of guardians at a time, then
+        // locates the first bad one a word at a time, like production ASan's
+        // `mem_is_zero`; `shadow_loads` still counts one load per segment
+        // *semantically* walked, exactly as the byte-at-a-time reference
+        // does: the encoding's cost model is the experiment, the scan width
+        // is plumbing.
         if lo >= hi {
             return Ok(());
         }
-        self.counters.slow_checks += 1;
-        if self.shadow.try_segment_of(lo).is_none() && lo < self.shadow.segment_base(0) {
+        self.rt.counters.slow_checks += 1;
+        let shadow = &self.rt.shadow;
+        if shadow.try_segment_of(lo).is_none() && lo < shadow.segment_base(0) {
             // Below the shadowed space: unallocated from the first byte.
-            self.counters.shadow_loads += 1;
+            self.rt.counters.shadow_loads += 1;
             return Err(self.report(lo, codes::UNALLOCATED, hi - lo, kind));
         }
-        let lo_seg = self.shadow.segment_of(lo);
+        let lo_seg = shadow.segment_of(lo);
         let last_seg = lo_seg + (Addr::new(hi.raw() - 1).segment() - lo.segment());
-        match self.shadow.first_ne(lo_seg, last_seg + 1, codes::GOOD) {
+        match shadow.first_ne(lo_seg, last_seg + 1, codes::GOOD) {
             None => {
                 // Every guardian is GOOD: the walk visits each one and passes.
-                self.counters.shadow_loads += last_seg - lo_seg + 1;
+                self.rt.counters.shadow_loads += last_seg - lo_seg + 1;
                 Ok(())
             }
             Some(s) => {
                 // The walk stops at the first non-GOOD guardian.
-                self.counters.shadow_loads += s - lo_seg + 1;
-                let v = self.shadow.get(s);
+                self.rt.counters.shadow_loads += s - lo_seg + 1;
+                let v = shadow.get(s);
                 let exposed = Self::exposed(v);
-                let seg_base = self.shadow.segment_base(s);
+                let seg_base = shadow.segment_base(s);
                 let first = if s == lo_seg { lo } else { seg_base };
                 if first - seg_base >= exposed {
                     return Err(self.report(first, v, hi - lo, kind));
@@ -323,41 +247,19 @@ impl Sanitizer for Asan {
     }
 
     fn contain(&mut self, report: &ErrorReport) {
-        // Heal the flat shadow from the ground-truth object table, mirroring
-        // GiantSan's containment so recover-mode comparisons stay fair.
-        let addr = report.addr;
-        if let Some(info) = self.world.objects().live_block_containing(addr).cloned() {
-            self.poison_allocation(&info);
-        } else if let Some(info) = self.world.objects().dead_block_containing(addr).cloned() {
-            self.poison_segments(info.block_start, info.block_len, codes::FREED);
-        } else if let Some(seg) = self.shadow.try_segment_of(addr) {
-            self.shadow.set(seg, codes::UNALLOCATED);
-            self.counters.shadow_stores += 1;
-        }
+        self.rt.contain(report.addr);
     }
 
-    fn inject_metadata_fault(
-        &mut self,
-        addr: Addr,
-        fault: giantsan_runtime::MetadataFault,
-    ) -> bool {
-        let Some(seg) = self.shadow.try_segment_of(addr) else {
-            return false;
-        };
+    fn inject_metadata_fault(&mut self, addr: Addr, fault: MetadataFault) -> bool {
         match fault {
-            giantsan_runtime::MetadataFault::BitFlip { bit } => {
-                let cur = self.shadow.get(seg);
-                self.shadow.set(seg, cur ^ (1 << (bit & 7)));
-                true
-            }
+            MetadataFault::BitFlip { bit } => self.rt.flip_bit(addr, bit),
             // ASan's flat encoding has no folded codes to downgrade.
-            giantsan_runtime::MetadataFault::FoldDowngrade => false,
+            MetadataFault::FoldDowngrade => false,
         }
     }
 
     fn shadow_probe(&self, addr: Addr) -> Option<u8> {
-        // Read-only telemetry peek; never counts as a shadow load.
-        self.shadow.try_segment_of(addr).map(|s| self.shadow.get(s))
+        self.rt.shadow_probe(addr)
     }
 }
 
@@ -370,11 +272,11 @@ impl Asan {
         if lo >= hi {
             return Ok(());
         }
-        self.counters.slow_checks += 1;
+        self.rt.counters.slow_checks += 1;
         let mut a = lo;
         while a < hi {
-            self.counters.shadow_loads += 1;
-            let v = self.load(a);
+            self.rt.counters.shadow_loads += 1;
+            let v = self.rt.code_at(a);
             let exposed = Self::exposed(v);
             let off = a.segment_offset();
             if off >= exposed {
@@ -407,12 +309,12 @@ mod tests {
     fn shadow_poisoning_matches_asan_layout() {
         let mut s = san();
         let a = s.alloc(20, Region::Heap).unwrap();
-        let seg = s.shadow.segment_of(a.base);
-        assert_eq!(s.shadow.get(seg - 1), codes::HEAP_LEFT);
-        assert_eq!(s.shadow.get(seg), 0);
-        assert_eq!(s.shadow.get(seg + 1), 0);
-        assert_eq!(s.shadow.get(seg + 2), 4); // 20 = 2*8 + 4
-        assert_eq!(s.shadow.get(seg + 3), codes::HEAP_RIGHT);
+        let seg = s.shadow().segment_of(a.base);
+        assert_eq!(s.shadow().get(seg - 1), codes::HEAP_LEFT);
+        assert_eq!(s.shadow().get(seg), 0);
+        assert_eq!(s.shadow().get(seg + 1), 0);
+        assert_eq!(s.shadow().get(seg + 2), 4); // 20 = 2*8 + 4
+        assert_eq!(s.shadow().get(seg + 3), codes::HEAP_RIGHT);
     }
 
     #[test]

@@ -321,8 +321,15 @@ const fn align_down_u(v: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::encoding::{self, UNALLOCATED};
-    use crate::poison::{poison_object, poison_range};
+    use crate::poison::poison_object;
     use giantsan_shadow::AddressSpace;
+
+    /// Sets the segments of the aligned range `[start, start + len)` to
+    /// `code`.
+    fn poison_range(shadow: &mut ShadowMemory, start: Addr, len: u64, code: u8) {
+        let lo = shadow.segment_of(start);
+        shadow.set_range(lo, lo + len / 8, code);
+    }
 
     /// Builds a shadow with one object of `size` bytes at offset 64, with
     /// 16-byte redzones around it.

@@ -8,12 +8,13 @@
 //!
 //! The writer fills the pattern run-by-run, touching each shadow byte exactly
 //! once — the same linear cost as ASan's `memset`-style poisoning — through
-//! [`ShadowMemory::write_folded_run`], which runs the active
-//! [`giantsan_shadow::kernel`]'s `write_folded_run` (one `memset` per run).
+//! [`ShadowMemory::write_folded_run`] (one `fill` per run), as GiantSan's
+//! [`ShadowCodes::poison_user`] in [`giantsan_runtime::ShadowedWorld`].
 
-use giantsan_shadow::{Addr, ShadowMemory, SEGMENT_SIZE};
+use giantsan_runtime::ShadowCodes;
+use giantsan_shadow::{Addr, SegmentIndex, ShadowMemory, SEGMENT_SIZE};
 
-use crate::encoding::{folded, partial};
+use crate::encoding::{self, folded, partial};
 
 /// Computes the folding degree of segment `j` out of `q` good segments:
 /// `⌊log2(q − j)⌋`, capped at [`crate::encoding::MAX_DEGREE`].
@@ -36,6 +37,36 @@ use crate::encoding::{folded, partial};
 /// ```
 pub use giantsan_shadow::codes::degree_at;
 
+/// GiantSan's lifecycle codes: those of [`crate::encoding`], a folded user
+/// region, and dead stack slots reading as unallocated.
+#[derive(Debug)]
+pub(crate) struct GiantSanCodes;
+
+impl ShadowCodes for GiantSanCodes {
+    const HEAP_LEFT: u8 = encoding::HEAP_LEFT_REDZONE;
+    const HEAP_RIGHT: u8 = encoding::HEAP_RIGHT_REDZONE;
+    const STACK: u8 = encoding::STACK_REDZONE;
+    const GLOBAL: u8 = encoding::GLOBAL_REDZONE;
+    const FREED: u8 = encoding::FREED;
+    const UNALLOCATED: u8 = encoding::UNALLOCATED;
+    const DEAD_STACK: u8 = encoding::UNALLOCATED;
+
+    fn poison_user(shadow: &mut ShadowMemory, first: SegmentIndex, size: u64) -> u64 {
+        let q = size / SEGMENT_SIZE;
+        let rem = (size % SEGMENT_SIZE) as u32;
+        if q > 0 {
+            // The run decomposition (segment j has degree ⌊log2(q − j)⌋, so
+            // the degree-d segments form one contiguous run) and the fill
+            // width both live in the shadow kernel.
+            shadow.write_folded_run(first, first + q);
+        }
+        if rem > 0 {
+            shadow.set(first + q, partial(rem));
+        }
+        q + u64::from(rem > 0)
+    }
+}
+
 /// Poisons the shadow of an object's user region `[base, base + size)` with
 /// the canonical folding pattern.
 ///
@@ -48,46 +79,8 @@ pub use giantsan_shadow::codes::degree_at;
 /// Panics if `base` is not segment aligned.
 pub fn poison_object(shadow: &mut ShadowMemory, base: Addr, size: u64) -> u64 {
     assert!(base.is_segment_aligned(), "object base must be 8-aligned");
-    if size == 0 {
-        return 0;
-    }
     let first = shadow.segment_of(base);
-    let q = size / SEGMENT_SIZE;
-    let rem = (size % SEGMENT_SIZE) as u32;
-    let mut written = 0;
-
-    if q > 0 {
-        // The run decomposition (segment j has degree ⌊log2(q − j)⌋, so the
-        // degree-d segments form one contiguous run) and the fill width both
-        // live in the shadow kernel.
-        shadow.write_folded_run(first, first + q);
-        written += q;
-    }
-    if rem > 0 {
-        shadow.set(first + q, partial(rem));
-        written += 1;
-    }
-    written
-}
-
-/// Sets every segment overlapping `[start, start + len)` to `code`
-/// (redzones, freed, unallocated). Returns shadow bytes written.
-///
-/// `start` and `len` must be segment aligned, which holds for all block and
-/// redzone boundaries produced by the runtime.
-///
-/// # Panics
-///
-/// Panics if the range is not segment aligned.
-pub fn poison_range(shadow: &mut ShadowMemory, start: Addr, len: u64, code: u8) -> u64 {
-    assert!(start.is_segment_aligned() && len.is_multiple_of(SEGMENT_SIZE));
-    if len == 0 {
-        return 0;
-    }
-    let lo = shadow.segment_of(start);
-    let hi = lo + len / SEGMENT_SIZE;
-    shadow.set_range(lo, hi, code);
-    hi - lo
+    GiantSanCodes::poison_user(shadow, first, size)
 }
 
 /// Reference (quadratic) poisoner used by tests to validate
@@ -112,7 +105,6 @@ pub fn poison_object_reference(shadow: &mut ShadowMemory, base: Addr, size: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoding;
     use giantsan_shadow::AddressSpace;
 
     /// The codes of the first `n` segments.
@@ -204,18 +196,6 @@ mod tests {
                 assert!(2u64 << d > q - j, "q={q} j={j} claim not tight");
             }
         }
-    }
-
-    #[test]
-    fn poison_range_sets_codes() {
-        let (space, mut shadow) = fresh(16);
-        let n = poison_range(&mut shadow, space.lo() + 16, 32, encoding::FREED);
-        assert_eq!(n, 4);
-        assert_eq!(shadow.get(1), encoding::UNALLOCATED);
-        assert_eq!(shadow.get(2), encoding::FREED);
-        assert_eq!(shadow.get(5), encoding::FREED);
-        assert_eq!(shadow.get(6), encoding::UNALLOCATED);
-        assert_eq!(poison_range(&mut shadow, space.lo(), 0, encoding::FREED), 0);
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! * [`ObjectTable`] — ground-truth object bounds used as an oracle when
 //!   counting false negatives/positives (a luxury real sanitizers lack);
 //! * [`World`] — the bundle of space + heap + stack + table a sanitizer runs in;
+//! * [`ShadowedWorld`] — a world and its shadow, poisoned through the one
+//!   lifecycle GiantSan and ASan share over their [`ShadowCodes`];
 //! * [`Sanitizer`] — the trait every runtime (GiantSan, ASan, LFP, and the
 //!   native no-op baseline) implements; ASan-- runs ASan's;
 //! * [`Counters`] — the metadata-loading / check statistics behind the
@@ -40,6 +42,7 @@ mod quarantine;
 mod recovery;
 mod report;
 mod sanitizer;
+mod shadowed;
 mod stack;
 mod world;
 
@@ -54,5 +57,6 @@ pub use recovery::{
 };
 pub use report::{AccessKind, CheckResult, ErrorKind, ErrorReport};
 pub use sanitizer::{CacheSlot, NullSanitizer, Sanitizer};
+pub use shadowed::{ShadowCodes, ShadowedWorld};
 pub use stack::StackSim;
 pub use world::{Allocation, FreeOutcome, Region, World};

@@ -84,18 +84,10 @@ pub trait Sanitizer: Send {
     /// Reallocates a heap object, maintaining metadata for the new block,
     /// the copied contents, and the quarantined old block.
     ///
-    /// The default performs the move through the world and maintains no
-    /// shadow (correct only for tools without shadow state).
-    ///
     /// # Errors
     ///
     /// Returns the same reports as [`Sanitizer::free`] for invalid bases.
-    fn realloc(&mut self, base: Addr, new_size: u64) -> Result<Allocation, ErrorReport> {
-        let (a, _outcome) = self.world_mut().realloc(base, new_size)?;
-        self.counters_mut().allocs += 1;
-        self.counters_mut().frees += 1;
-        Ok(a)
-    }
+    fn realloc(&mut self, base: Addr, new_size: u64) -> Result<Allocation, ErrorReport>;
 
     /// Enters a stack frame.
     fn push_frame(&mut self);
@@ -161,21 +153,17 @@ pub trait Sanitizer: Send {
         false
     }
 
-    /// Extra bookkeeping cost hook for stack allocations; LFP overrides this
-    /// to model its stack-simulation penalty (§5.2).
+    /// Extra bookkeeping hook for stack allocations.
     fn note_stack_alloc(&mut self) {
         self.counters_mut().stack_allocs += 1;
     }
 
     /// Containment hook, called by the interpreter under
     /// [`crate::RecoveryPolicy::Recover`] after `report` was recorded and
-    /// the faulting access skipped. Tools with shadow metadata override this
-    /// to *heal*: re-derive the shadow encoding around the faulting address
-    /// from the ground-truth object table, so one corrupted or stale byte
-    /// cannot cascade into a storm of follow-on reports.
-    ///
-    /// The default (for tools without shadow state) does nothing — skipping
-    /// the access is the whole containment.
+    /// the faulting access skipped. The shadow tools heal their shadow from
+    /// the object table ([`crate::ShadowedWorld::contain`]); the default,
+    /// for tools without shadow state, does nothing — skipping the access
+    /// is the whole containment.
     fn contain(&mut self, _report: &ErrorReport) {}
 
     /// Applies a deterministic [`MetadataFault`] to this tool's shadow

@@ -56,10 +56,11 @@ pub struct FreeOutcome {
 /// The full simulated runtime environment.
 ///
 /// Layout (low to high addresses): global arena, heap arena, stack arena.
-/// All sanitizers share this structure; they differ only in how they poison
-/// shadow memory and perform checks. The world enforces the paper's 8-byte
-/// alignment strategy: every user base address is segment aligned, so no two
-/// objects share a segment (§2, footnote 2).
+/// All sanitizers share this structure, and the shadow tools (GiantSan, ASan)
+/// share one poisoning lifecycle over it, [`crate::ShadowedWorld`]: they
+/// differ only in their shadow codes and checks. The world enforces the
+/// paper's 8-byte alignment strategy: every user base address is segment
+/// aligned, so no two objects share a segment (§2, footnote 2).
 ///
 /// # Example
 ///

@@ -16,7 +16,10 @@
 //! * the keyed kernels a [`ShadowMemory`] scans and poisons through
 //!   (`first_ge_keyed`, `write_folded_run_keyed`) under the fill bytes of
 //!   both encodings and key 0: `swar` against `scalar`, and the decoded
-//!   bytes (`stored ^ key`) against the unkeyed kernel.
+//!   bytes (`stored ^ key`) against the unkeyed kernel;
+//! * one hit after a clean prefix of whole blocks, at a uniformly drawn
+//!   offset of the next block, so a kernel that misreads any one offset of
+//!   a 64-byte block fails about one case in 64.
 //!
 //! The block prefix is vectorised only in optimised builds, so run these
 //! with `--release` as well.
@@ -156,6 +159,38 @@ proptest! {
                 &out, &expect_keyed,
                 "keyed folded run key={:#x} len={}", key, len
             );
+        }
+    }
+
+    /// A single hit at a uniform offset of the block after a clean prefix:
+    /// every scan must find it (or, for `all_eq`, see it), exactly where the
+    /// byte-wise ground truth puts it, under every key a shadow stores its
+    /// codes with.
+    #[test]
+    fn one_hit_after_clean_blocks_is_found(
+        blocks in 0usize..4,
+        at in 0usize..64,
+        tail in 0usize..72,
+        key in prop::sample::select(KEYS.to_vec()),
+        hit in 1u8..=255,
+    ) {
+        // Decoded, the slice is all zeros except `hit` at `pos`.
+        let pos = blocks * 64 + at;
+        let mut stored = vec![key; blocks * 64 + 64 + tail];
+        stored[pos] = hit ^ key;
+        for k in [kernel::scalar(), kernel::active()] {
+            prop_assert_eq!(k.first_ne(&stored, key), Some(pos), "{} first_ne", k.name());
+            prop_assert!(!k.all_eq(&stored, key), "{} all_eq", k.name());
+            prop_assert_eq!(
+                k.first_ge_keyed(&stored, hit, key), Some(pos),
+                "{} first_ge_keyed threshold={:#x}", k.name(), hit
+            );
+            if hit < u8::MAX {
+                prop_assert_eq!(
+                    k.first_ge_keyed(&stored, hit + 1, key), None,
+                    "{} first_ge_keyed threshold={:#x}", k.name(), hit + 1
+                );
+            }
         }
     }
 

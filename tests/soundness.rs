@@ -8,6 +8,12 @@ use giantsan::core::{check_region, check_region_bytewise, encoding, poison, Gian
 use giantsan::runtime::{AccessKind, CacheSlot, Region, RuntimeConfig, Sanitizer};
 use giantsan::shadow::{AddressSpace, ShadowMemory};
 
+/// Sets the segments of the aligned range `[start, start + len)` to `code`.
+fn poison_range(shadow: &mut ShadowMemory, start: giantsan::shadow::Addr, len: u64, code: u8) {
+    let lo = shadow.segment_of(start);
+    shadow.set_range(lo, lo + len / 8, code);
+}
+
 /// Builds a shadow holding several objects with redzones, returning their
 /// (base, size) list.
 fn layout(sizes: &[u64]) -> (ShadowMemory, Vec<(giantsan::shadow::Addr, u64)>) {
@@ -16,12 +22,12 @@ fn layout(sizes: &[u64]) -> (ShadowMemory, Vec<(giantsan::shadow::Addr, u64)>) {
     let mut objects = Vec::new();
     let mut cursor = space.lo() + 64;
     for &size in sizes {
-        poison::poison_range(&mut shadow, cursor, 16, encoding::HEAP_LEFT_REDZONE);
+        poison_range(&mut shadow, cursor, 16, encoding::HEAP_LEFT_REDZONE);
         cursor += 16;
         poison::poison_object(&mut shadow, cursor, size);
         objects.push((cursor, size));
         let user = giantsan::shadow::align_up(size.max(1), 8);
-        poison::poison_range(&mut shadow, cursor + user, 16, encoding::HEAP_RIGHT_REDZONE);
+        poison_range(&mut shadow, cursor + user, 16, encoding::HEAP_RIGHT_REDZONE);
         cursor += user + 16;
     }
     (shadow, objects)
