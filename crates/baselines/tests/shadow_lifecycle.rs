@@ -10,7 +10,8 @@
 use giantsan_baselines::Asan;
 use giantsan_core::GiantSan;
 use giantsan_runtime::{
-    Counters, ErrorKind, ErrorReport, MetadataFault, ObjectInfo, Region, RuntimeConfig, Sanitizer,
+    AccessKind, Counters, ErrorKind, ErrorReport, MetadataFault, ObjectInfo, Region, RuntimeConfig,
+    Sanitizer,
 };
 use giantsan_shadow::{codes, Addr, ShadowMemory, SEGMENT_SIZE};
 
@@ -225,8 +226,51 @@ fn run<S: Sanitizer>(mut san: S, shadow: fn(&S) -> &ShadowMemory, e: &Encoding) 
     assert_eq!(*san.counters(), want);
 }
 
+/// Checks one byte at `addr`, which must fail, and returns the report.
+fn report_at<S: Sanitizer>(san: &mut S, addr: Addr) -> ErrorReport {
+    san.check_access(addr, 1, AccessKind::Read)
+        .expect_err("a dead block is not addressable")
+}
+
+/// Containment over a dead block writes back the code its lifecycle wrote:
+/// a check before and after it reports the same kind.
+fn contain_keeps_dead_codes<S: Sanitizer>(
+    mut san: S,
+    shadow: fn(&S) -> &ShadowMemory,
+    e: &Encoding,
+) {
+    let block =
+        |san: &S, info: &ObjectInfo| codes_at(shadow(san), info.block_start, segments(info));
+    let fill = |n: u64, code: u8| vec![code; n as usize];
+    san.push_frame();
+    let slot = san.alloc(24, Region::Stack).unwrap().base;
+    san.pop_frame();
+    let quarantined = san.alloc(13, Region::Heap).unwrap().base;
+    let evicted = san.alloc(8, Region::Heap).unwrap().base;
+    san.free(evicted).unwrap();
+    san.free(quarantined).unwrap();
+    for (base, code) in [
+        (slot, e.dead_stack),
+        (quarantined, e.freed),
+        (evicted, e.unallocated),
+    ] {
+        let i = info(&san, base);
+        assert_eq!(block(&san, &i), fill(segments(&i), code));
+        let before = report_at(&mut san, base);
+        san.contain(&before);
+        assert_eq!(block(&san, &i), fill(segments(&i), code), "{:?}", i.state);
+        assert_eq!(report_at(&mut san, base).kind, before.kind, "{:?}", i.state);
+    }
+}
+
 #[test]
 fn one_lifecycle_script_under_both_encodings() {
     run(GiantSan::new(config()), GiantSan::shadow, &GIANTSAN);
     run(Asan::new(config()), Asan::shadow, &ASAN);
+}
+
+#[test]
+fn containment_keeps_the_code_of_a_dead_block_under_both_encodings() {
+    contain_keeps_dead_codes(GiantSan::new(config()), GiantSan::shadow, &GIANTSAN);
+    contain_keeps_dead_codes(Asan::new(config()), Asan::shadow, &ASAN);
 }

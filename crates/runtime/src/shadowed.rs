@@ -8,8 +8,8 @@ use std::marker::PhantomData;
 use giantsan_shadow::{align_up, Addr, SegmentIndex, ShadowMemory, SEGMENT_SIZE};
 
 use crate::{
-    Allocation, CheckResult, Counters, ErrorReport, FreeOutcome, HeapError, ObjectInfo, Region,
-    RuntimeConfig, World,
+    Allocation, CheckResult, Counters, ErrorReport, FreeOutcome, HeapError, ObjectInfo,
+    ObjectState, Region, RuntimeConfig, World,
 };
 
 /// The codes an encoding gives each lifecycle state, and how it writes a
@@ -147,13 +147,19 @@ impl<E: ShadowCodes> ShadowedWorld<E> {
 
     /// Heals the shadow around `addr` from the object table, so one corrupt
     /// or stale code cannot cascade into follow-on reports: a live block is
-    /// poisoned afresh, a dead one freed, any other segment unallocated.
+    /// poisoned afresh, a dead one with the code its free, eviction or frame
+    /// pop wrote, any other segment unallocated.
     pub fn contain(&mut self, addr: Addr) {
         let objects = self.world.objects();
         self.counters.shadow_stores += if let Some(info) = objects.live_block_containing(addr) {
             poison_object::<E>(&mut self.shadow, info)
         } else if let Some(info) = objects.dead_block_containing(addr) {
-            poison_block(&mut self.shadow, info, E::FREED)
+            let code = match (info.state, info.region) {
+                (ObjectState::Recycled, Region::Stack) => E::DEAD_STACK,
+                (ObjectState::Recycled, _) => E::UNALLOCATED,
+                _ => E::FREED,
+            };
+            poison_block(&mut self.shadow, info, code)
         } else if let Some(seg) = self.shadow.try_segment_of(addr) {
             self.shadow.set(seg, E::UNALLOCATED);
             1

@@ -16,32 +16,42 @@
 //! buffer of its length frees every parked one, so a thread keeps the
 //! buffers of one world geometry at most.
 //!
-//! Only the 4 KiB chunks written since the buffer was zero are reset. Every
-//! write marks its chunks in a dirty map *before* the bytes change, so a
-//! session that unwinds mid-write is still reset in full, and a recycled
-//! buffer is byte-for-byte a fresh one.
+//! Only the 64-byte lines written since the buffer was zero are reset. The
+//! dirty map keeps one `u64` per 4 KiB chunk, one bit per line. Every write
+//! marks its lines *before* the bytes change, so a session that unwinds
+//! mid-write is still reset in full, and a recycled buffer is byte-for-byte
+//! a fresh one. The map is all zero again after the reset and parks with
+//! its buffer.
 
 use std::cell::RefCell;
 use std::ops::Deref;
 
-/// Log2 of the dirty-map granule (4 KiB).
-const CHUNK_SHIFT: u32 = 12;
+/// Log2 of the dirty granule, one cache line (64 B).
+const LINE_SHIFT: u32 = 6;
+/// Log2 of the bytes one map word covers (4 KiB: 64 lines).
+const CHUNK_SHIFT: u32 = LINE_SHIFT + 6;
 
 /// Smallest address space whose buffers are parked on drop.
 pub(crate) const RECYCLE_MIN: usize = 32 << 20;
 
-thread_local! {
-    /// The all-zero buffers the last large world on this thread left
-    /// behind, at most one per length.
-    static PARKED: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+/// An all-zero buffer and its all-zero dirty map.
+struct Parked {
+    bytes: Vec<u8>,
+    dirty: Vec<u64>,
 }
 
-/// Zero-initialised bytes; a buffer that will be parked also keeps one dirty
-/// flag per 4 KiB chunk.
+thread_local! {
+    /// The buffers the last large world on this thread left behind, at
+    /// most one per length.
+    static PARKED: RefCell<Vec<Parked>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Zero-initialised bytes; a buffer that will be parked also keeps a dirty
+/// map, one bit per 64-byte line.
 #[derive(Clone)]
 pub(crate) struct Arena {
     bytes: Vec<u8>,
-    dirty: Vec<bool>,
+    dirty: Vec<u64>,
 }
 
 impl Arena {
@@ -52,7 +62,7 @@ impl Arena {
         let parked = PARKED
             .try_with(|slot| {
                 let mut slot = slot.borrow_mut();
-                match slot.iter().position(|b| b.len() == size) {
+                match slot.iter().position(|p| p.bytes.len() == size) {
                     Some(i) => Some(slot.swap_remove(i)),
                     None => {
                         slot.clear();
@@ -64,15 +74,16 @@ impl Arena {
             .flatten();
         // Only a buffer that will be parked needs a dirty map; small worlds
         // allocate nothing beyond their bytes.
-        let chunks = if parks {
-            size.div_ceil(1 << CHUNK_SHIFT)
+        let Parked { bytes, mut dirty } = parked.unwrap_or_else(|| Parked {
+            bytes: vec![0; size],
+            dirty: Vec::new(),
+        });
+        if parks {
+            dirty.resize(size.div_ceil(1 << CHUNK_SHIFT), 0);
         } else {
-            0
-        };
-        Arena {
-            bytes: parked.unwrap_or_else(|| vec![0u8; size]),
-            dirty: vec![false; chunks],
+            dirty = Vec::new();
         }
+        Arena { bytes, dirty }
     }
 
     /// Whether this buffer is parked when it drops.
@@ -80,38 +91,54 @@ impl Arena {
         !self.dirty.is_empty()
     }
 
-    /// Marks the chunks of `[i, i+len)`. The first and last chunk take one
-    /// flag store each, so the short ranges of redzones and small objects
-    /// make no `memset` call; only the chunks strictly between them are
-    /// filled.
+    /// Marks the lines of `[i, i+len)`. The first and last chunk each take
+    /// one OR of an edge mask, so the short ranges of redzones and small
+    /// objects make no `memset` call; only the map words strictly between
+    /// them are filled.
     #[inline]
     fn mark(&mut self, i: usize, len: usize) {
         if len > 0 && self.parks() {
-            let (first, last) = (i >> CHUNK_SHIFT, (i + len - 1) >> CHUNK_SHIFT);
-            self.dirty[first] = true;
-            self.dirty[last] = true;
-            if last > first + 1 {
-                self.dirty[first + 1..last].fill(true);
+            let (first, last) = (i >> LINE_SHIFT, (i + len - 1) >> LINE_SHIFT);
+            let (lo, hi) = (first >> 6, last >> 6);
+            let from_first = !0u64 << (first & 63);
+            let to_last = !0u64 >> (63 - (last & 63));
+            if lo == hi {
+                self.dirty[lo] |= from_first & to_last;
+            } else {
+                self.dirty[lo] |= from_first;
+                self.dirty[hi] |= to_last;
+                if hi > lo + 1 {
+                    self.dirty[lo + 1..hi].fill(!0);
+                }
             }
         }
     }
 
-    /// The bytes `[i, i+len)` for writing, their chunks marked dirty first.
+    /// Marks the line holding byte `i`.
+    #[inline]
+    fn mark_line(&mut self, i: usize) {
+        let line = i >> LINE_SHIFT;
+        self.dirty[line >> 6] |= 1 << (line & 63);
+    }
+
+    /// The bytes `[i, i+len)` for writing, their lines marked dirty first.
     pub(crate) fn slice_mut(&mut self, i: usize, len: usize) -> &mut [u8] {
         self.mark(i, len);
         &mut self.bytes[i..i + len]
     }
 
     /// [`Arena::slice_mut`] for one load/store width: `N` is at most a
-    /// chunk, so the word touches only its first and last chunk. Two flag
-    /// stores and a fixed-size copy keep the interpreter's store path as
-    /// short as it was without the dirty map.
+    /// line, so the word touches its first line and, only if it straddles
+    /// a line boundary, the next. One OR in the common case and a
+    /// fixed-size copy keep the interpreter's store path short.
     #[inline]
     pub(crate) fn word_mut<const N: usize>(&mut self, i: usize) -> &mut [u8; N] {
-        const { assert!(N >= 1 && N <= 1 << CHUNK_SHIFT, "not a word") };
+        const { assert!(N >= 1 && N <= 1 << LINE_SHIFT, "not a word") };
         if self.parks() {
-            self.dirty[i >> CHUNK_SHIFT] = true;
-            self.dirty[(i + N - 1) >> CHUNK_SHIFT] = true;
+            self.mark_line(i);
+            if (i & ((1 << LINE_SHIFT) - 1)) + N > 1 << LINE_SHIFT {
+                self.mark_line(i + N - 1);
+            }
         }
         self.bytes[i..]
             .first_chunk_mut()
@@ -122,6 +149,50 @@ impl Arena {
     pub(crate) fn copy_within(&mut self, src: usize, dst: usize, len: usize) {
         self.mark(dst, len);
         self.bytes.copy_within(src..src + len, dst);
+    }
+
+    /// Zeroes every dirty line and clears the map: one `memset` per run of
+    /// fully dirty chunks, so that glibc zeroes a long run with streaming
+    /// stores, and one per run of dirty lines inside any other chunk.
+    fn reset(&mut self) {
+        let (bytes, dirty) = (&mut self.bytes[..], &mut self.dirty[..]);
+        let len = bytes.len();
+        let mut c = 0;
+        while c < dirty.len() {
+            // Most of a session's map is clean; skip it eight words at a time.
+            if let Some(eight) = dirty.get(c..c + 8) {
+                if eight.iter().fold(0, |acc, &w| acc | w) == 0 {
+                    c += 8;
+                    continue;
+                }
+            }
+            let mut w = std::mem::take(&mut dirty[c]);
+            let base = c << CHUNK_SHIFT;
+            c += 1;
+            if w == !0 {
+                while c < dirty.len() && dirty[c] == !0 {
+                    dirty[c] = 0;
+                    c += 1;
+                }
+                bytes[base..(c << CHUNK_SHIFT).min(len)].fill(0);
+                continue;
+            }
+            while w != 0 {
+                let skip = w.trailing_zeros();
+                let run = (w >> skip).trailing_ones();
+                let start = base + ((skip as usize) << LINE_SHIFT);
+                let end = start + ((run as usize) << LINE_SHIFT);
+                bytes[start..end.min(len)].fill(0);
+                // Adding the lowest set bit carries through the lowest run.
+                w &= w.wrapping_add(w & w.wrapping_neg());
+            }
+        }
+    }
+
+    /// Address of the dirty map, to tell a recycled map apart.
+    #[cfg(test)]
+    pub(crate) fn map_ptr(&self) -> *const u64 {
+        self.dirty.as_ptr()
     }
 }
 
@@ -139,35 +210,36 @@ impl Drop for Arena {
         if !self.parks() {
             return;
         }
-        // One `memset` per run of dirty chunks, so that glibc zeroes a long
-        // run with streaming stores.
-        let mut chunk = 0;
-        while let Some(start) = self.dirty[chunk..].iter().position(|&d| d) {
-            let start = chunk + start;
-            let end = self.dirty[start..]
-                .iter()
-                .position(|&d| !d)
-                .map_or(self.dirty.len(), |n| start + n);
-            let hi = (end << CHUNK_SHIFT).min(self.bytes.len());
-            self.bytes[start << CHUNK_SHIFT..hi].fill(0);
-            chunk = end;
-        }
-        let bytes = std::mem::take(&mut self.bytes);
+        self.reset();
+        let parked = Parked {
+            bytes: std::mem::take(&mut self.bytes),
+            dirty: std::mem::take(&mut self.dirty),
+        };
         // During thread teardown the slot may be gone; the buffer is then
         // simply freed, as is a second buffer of a length already parked.
         let _ = PARKED.try_with(|slot| {
             let mut slot = slot.borrow_mut();
-            if slot.iter().all(|b| b.len() != bytes.len()) {
-                slot.push(bytes);
+            if slot.iter().all(|p| p.bytes.len() != parked.bytes.len()) {
+                slot.push(parked);
             }
         });
     }
 }
 
-/// Lengths of the buffers parked on this thread, shortest first.
+/// Lengths of the buffers parked on this thread, shortest first. Asserts
+/// that each parked map covers its buffer and is all zero.
 #[cfg(test)]
 pub(crate) fn parked_lens() -> Vec<usize> {
-    let mut lens: Vec<_> = PARKED.with(|slot| slot.borrow().iter().map(Vec::len).collect());
+    let mut lens: Vec<_> = PARKED.with(|slot| {
+        slot.borrow()
+            .iter()
+            .map(|p| {
+                assert_eq!(p.dirty.len(), p.bytes.len().div_ceil(1 << CHUNK_SHIFT));
+                assert!(p.dirty.iter().all(|&w| w == 0), "a parked map is dirty");
+                p.bytes.len()
+            })
+            .collect()
+    });
     lens.sort_unstable();
     lens
 }

@@ -18,7 +18,7 @@
 //! Unlike a real process image, a simulated space and its shadow are built
 //! and dropped once per session. A space of 32 MiB or more (glibc maps every
 //! allocation of that size fresh and unmaps it on free) keeps its bytes
-//! mapped when it drops, and so does its shadow: the 4 KiB chunks the
+//! mapped when it drops, and so does its shadow: the 64-byte lines the
 //! session wrote are zeroed, and each buffer is parked for the next world of
 //! the same size on the same thread. A shadow stores each code XOR its fill
 //! byte, so a zeroed buffer is a fresh shadow under every encoding, and one

@@ -268,7 +268,8 @@ mod tests {
     /// The smallest space whose shadow is parked, and that shadow's length.
     const LARGE: u64 = RECYCLE_MIN as u64;
     const LARGE_SEGMENTS: usize = RECYCLE_MIN / SEGMENT_SIZE as usize;
-    /// Segments per dirty-map chunk.
+    /// Segments per dirty line, and per dirty-map word.
+    const LINE: u64 = 64;
     const CHUNK: u64 = 4096;
 
     fn stores_zeros(s: &ShadowMemory) -> bool {
@@ -283,11 +284,12 @@ mod tests {
         let mut s = ShadowMemory::new(&space, 78);
         write(&mut s);
         assert!(!stores_zeros(&s), "the write changed nothing");
-        let ptr = s.bytes.as_ptr();
+        let (ptr, map) = (s.bytes.as_ptr(), s.bytes.map_ptr());
         drop(s);
         assert_eq!(parked_lens(), [LARGE_SEGMENTS]);
         let next = ShadowMemory::new(&space, 0xff);
         assert_eq!(next.bytes.as_ptr(), ptr, "the parked shadow was not reused");
+        assert_eq!(next.bytes.map_ptr(), map, "the parked map was not reused");
         assert!(stores_zeros(&next));
         assert!(next.all_eq(0, next.len(), 0xff));
     }
@@ -298,6 +300,41 @@ mod tests {
             s.set(CHUNK - 1, 0);
             s.set(CHUNK, 0);
             s.set(s.len() - 1, 0x40);
+        });
+    }
+
+    #[test]
+    fn set_marks_the_lines_on_both_sides_of_a_line_boundary() {
+        recycled_after(|s| {
+            s.set(LINE - 1, 0);
+            s.set(LINE, 0);
+            s.set(5 * LINE + 17, 0x40);
+        });
+    }
+
+    #[test]
+    fn ranges_starting_and_ending_mid_line() {
+        recycled_after(|s| {
+            s.set_range(LINE + 5, 4 * LINE + 9, 0);
+            s.write_folded_run(CHUNK - 70, CHUNK + 70);
+        });
+    }
+
+    #[test]
+    fn a_one_line_range() {
+        recycled_after(|s| {
+            s.set_range(2 * LINE + 3, 2 * LINE + 20, 0);
+            s.write_folded_run(9 * LINE, 10 * LINE);
+        });
+    }
+
+    #[test]
+    fn a_chunk_with_a_full_run_and_a_partial_run() {
+        recycled_after(|s| {
+            // Chunk 1 holds line 2 and lines 50–63; chunk 2 is whole and
+            // chunk 3 holds line 0.
+            s.set(CHUNK + 2 * LINE, 0x40);
+            s.set_range(CHUNK + 50 * LINE + 1, 3 * CHUNK + 10, 0);
         });
     }
 
@@ -347,7 +384,15 @@ mod tests {
         assert_eq!(parked_lens(), [LARGE_SEGMENTS, RECYCLE_MIN]);
         let other = AddressSpace::new(0x1_0000, LARGE + 4096);
         assert_eq!(parked_lens(), [], "a space of another size frees both");
-        let shadow = ShadowMemory::new(&other, 0xff);
+        let mut shadow = ShadowMemory::new(&other, 0xff);
+        assert!(stores_zeros(&shadow));
+        // The last chunk holds 512 segments: eight lines.
+        let len = shadow.len();
+        shadow.set_range(len - 600, len, 0);
+        let (ptr, map) = (shadow.bytes.as_ptr(), shadow.bytes.map_ptr());
+        drop(shadow);
+        let shadow = ShadowMemory::new(&other, 78);
+        assert_eq!((shadow.bytes.as_ptr(), shadow.bytes.map_ptr()), (ptr, map));
         assert!(stores_zeros(&shadow));
         drop((other, shadow));
         let n = RECYCLE_MIN + 4096;

@@ -387,16 +387,91 @@ mod tests {
     }
 
     /// Drops `dirty` and returns the next space of its size, asserting that
-    /// it reuses `dirty`'s buffer and is all zero.
+    /// it reuses `dirty`'s buffer and dirty map and is all zero.
     fn recycled(dirty: AddressSpace) -> AddressSpace {
-        let (ptr, size) = (dirty.bytes.as_ptr(), dirty.size());
+        assert!(!all_zero(&dirty), "the writes changed nothing");
+        let (ptr, map, size) = (dirty.bytes.as_ptr(), dirty.bytes.map_ptr(), dirty.size());
         drop(dirty);
         assert_eq!(parked_lens(), [size as usize]);
         let next = AddressSpace::new(0x1_0000, size);
         assert_eq!(next.bytes.as_ptr(), ptr, "the parked buffer was not reused");
+        assert_eq!(next.bytes.map_ptr(), map, "the parked map was not reused");
         assert_eq!(parked_lens(), []);
         assert!(all_zero(&next));
         next
+    }
+
+    /// Runs `write` on a large space, then checks that the next space
+    /// reuses its buffer and reads all zero.
+    fn recycled_after(write: impl FnOnce(&mut AddressSpace, Addr)) {
+        let mut s = AddressSpace::new(0x1_0000, LARGE);
+        let lo = s.lo();
+        write(&mut s, lo);
+        recycled(s);
+    }
+
+    /// Bytes per dirty line, and per dirty-map word.
+    const LINE: u64 = 64;
+    const CHUNK: u64 = 4096;
+
+    #[test]
+    fn a_word_straddling_two_lines_marks_both() {
+        recycled_after(|s, lo| {
+            s.write_u64(lo + LINE - 4, u64::MAX).unwrap();
+            s.write_uint(lo + 3 * LINE - 1, 0xffff, 2).unwrap();
+        });
+    }
+
+    #[test]
+    fn a_word_straddling_a_chunk_boundary_marks_both_chunks() {
+        recycled_after(|s, lo| {
+            s.write_u64(lo + CHUNK - 4, u64::MAX).unwrap();
+            s.write_uint(lo + 2 * CHUNK - 2, 0xffff_ffff, 4).unwrap();
+        });
+    }
+
+    #[test]
+    fn ranges_starting_and_ending_mid_line() {
+        recycled_after(|s, lo| {
+            s.fill(lo + 100, 0xab, 300).unwrap();
+            // Mid-line at both ends, across a chunk boundary.
+            s.write(lo + CHUNK - 90, &[0x5a; 200]).unwrap();
+            // Mid-line at both ends, over whole chunks.
+            s.fill(lo + 5 * CHUNK + 10, 1, 3 * CHUNK + 50).unwrap();
+        });
+    }
+
+    #[test]
+    fn a_one_line_range() {
+        recycled_after(|s, lo| {
+            s.fill(lo + 2 * LINE + 2, 0xcd, 20).unwrap();
+            s.write(lo + 7 * LINE, &[7; LINE as usize]).unwrap();
+        });
+    }
+
+    #[test]
+    fn a_copy_into_a_straddling_destination() {
+        recycled_after(|s, lo| {
+            let src = lo + (1 << 20);
+            s.fill(src, 0xee, 200).unwrap();
+            s.copy(lo + 78 * LINE + 48, src, 50).unwrap();
+            s.copy(lo + 3 * CHUNK - 100, src, 200).unwrap();
+        });
+    }
+
+    #[test]
+    fn a_chunk_with_a_full_run_and_a_partial_run() {
+        recycled_after(|s, lo| {
+            // Chunk 2 holds line 3 and lines 40–63; chunks 3 and 4 are whole
+            // and chunk 5 holds lines 0–1.
+            let c2 = lo + 2 * CHUNK;
+            s.write_uint(c2 + 3 * LINE + 5, 0xff, 1).unwrap();
+            s.fill(c2 + 40 * LINE + 10, 0x11, 3 * CHUNK - 40 * LINE + 90)
+                .unwrap();
+            // The last chunk whole, the one below it from line 63 on.
+            let hi = s.hi();
+            s.fill(hi - CHUNK - 30, 0x22, CHUNK + 30).unwrap();
+        });
     }
 
     #[test]
@@ -405,7 +480,7 @@ mod tests {
         let (lo, hi) = (s.lo(), s.hi());
         s.write_uint(lo, 0xff, 1).unwrap();
         s.write_uint(hi - 1, 0xff, 1).unwrap();
-        // Straddles the first 4 KiB chunk boundary.
+        // Straddles the first dirty-map chunk boundary.
         s.write_u64(lo + 4092, u64::MAX).unwrap();
         s.write(lo + 3 * 4096 - 5, &[0x5a; 10]).unwrap();
         // Spans three chunks, then is copied across two others.
@@ -425,11 +500,17 @@ mod tests {
         s.write_u64(s.lo(), 7).unwrap();
         drop(s);
         assert_eq!(parked_lens(), [RECYCLE_MIN]);
-        let other = AddressSpace::new(0x1_0000, LARGE + 4096);
+        // The buffer and its map park and leave together.
+        let mut other = AddressSpace::new(0x1_0000, LARGE + 72);
         assert_eq!(parked_lens(), []);
         assert!(all_zero(&other));
+        // The last chunk holds 72 bytes: a line and a part of one.
+        let hi = other.hi();
+        other.write_uint(hi - 1, 0xff, 1).unwrap();
+        other.fill(hi - 100, 0x33, 100).unwrap();
+        let other = recycled(other);
         drop(other);
-        assert_eq!(parked_lens(), [RECYCLE_MIN + 4096]);
+        assert_eq!(parked_lens(), [RECYCLE_MIN + 72]);
         let _small = AddressSpace::new(0x1_0000, 4096);
         assert_eq!(parked_lens(), []);
     }
