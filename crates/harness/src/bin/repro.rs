@@ -11,6 +11,7 @@
 //! repro plan   [--scale N] [--format json]  planner provenance + per-pass statistics
 //! repro memory [--scale N]          memory-overhead study
 //! repro density [--scale N]         achieved protection-density study
+//! repro fuzz   [--scale N] [--seed S]  differential fuzzing: 50 x N seeds, FP/divergence/miss matrix
 //! repro faults [--seed S] [--format json]   fault-injection campaign (detected/recovered/missed/crashed)
 //! repro trace  [--workload W] [--tool T] end-to-end telemetry trace -> JSONL + Chrome + Prometheus
 //! repro echo   [--scale N] [--rounds N]  many tiny sessions (the service load-test study)
@@ -136,7 +137,7 @@ const ALL: [&str; 10] = [
 fn usage() -> String {
     format!(
         "usage: repro <table2|fig10|table3|table4|table5|fig11|ablation|plan|memory|density\
-         |echo|faults|trace|all> {}\n       repro merge DIR [--format text|json] \
+         |fuzz|echo|faults|trace|all> {}\n       repro merge DIR [--format text|json] \
          [--out-dir DIR]\n       repro serve {}",
         cli::FLAG_USAGE,
         serve::FLAG_USAGE

@@ -567,8 +567,8 @@ fn blob_name(shard: usize) -> String {
 
 /// The canonical FNV-1a digest of a record list: the hash of the records
 /// rendered exactly as shard-blob lines, in cell order. This is the digest
-/// the service reports per job and `loadgen` verifies against a serial run —
-/// equality proves zero lost, duplicated, or altered cells.
+/// the service reports per job and `tests/serve.rs` checks against a serial
+/// run — equality proves zero lost, duplicated, or altered cells.
 pub fn records_digest(records: &[Record]) -> u64 {
     let mut h = Fnv1a::new();
     for r in records {

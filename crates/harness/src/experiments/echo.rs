@@ -5,8 +5,8 @@
 //! fuzz-generated memory-safe programs (seeded from `--seed` and the cell
 //! index) under `--tool` and digesting the interpreter results. Cells cost
 //! microseconds-to-milliseconds, so thousands of submissions saturate the
-//! admission queue without each one monopolising a worker — exactly the
-//! regime `loadgen hammer` measures. Because every payload is a pure
+//! admission queue without each one monopolising a worker — the regime the
+//! service's saturation test drives. Because every payload is a pure
 //! function of `(seed, index, rounds, tool)`, lost or duplicated cells shift
 //! the job digest, which is what the chaos drill checks.
 

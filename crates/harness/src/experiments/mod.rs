@@ -6,6 +6,7 @@ pub mod echo;
 pub mod fault_study;
 pub mod fig10;
 pub mod fig11;
+pub mod fuzz;
 pub mod memory;
 pub mod plan;
 pub mod table2;

@@ -15,6 +15,7 @@
 //! | Table 4 (CVE detection) | [`experiments::table4::Table4Entry`] | `repro table4` |
 //! | Table 5 (Magma redzones) | [`experiments::table5::Table5Entry`] | `repro table5` |
 //! | Figure 11 (traversals) | [`experiments::fig11::Fig11Entry`] | `repro fig11` |
+//! | Differential fuzzing (FP/divergence/miss matrix) | [`experiments::fuzz::FuzzEntry`] | `repro fuzz` |
 //! | Fault-injection campaign | [`experiments::fault_study::FaultsEntry`] | `repro faults` |
 //! | Telemetry trace (JSONL + Chrome + Prometheus) | [`experiments::trace::TraceEntry`] | `repro trace` |
 //!

@@ -474,6 +474,107 @@ mod tests {
     }
 
     #[test]
+    fn past_saturation_every_shed_submission_retries_to_completion() {
+        // One worker behind a one-slot queue: the clients' first
+        // submissions land together, and at most two of them fit. A client
+        // resubmits a shed job after a short fixed delay (not the 1 s
+        // Retry-After) until it is admitted; every admitted job must then
+        // complete, and no request may see a 5xx.
+        const CLIENTS: usize = 4;
+        const JOBS_PER_CLIENT: usize = 6;
+        let dir = tmpdir("saturation");
+        let srv = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            data_dir: dir.clone(),
+            queue_capacity: 1,
+            workers: 1,
+            threads_per_job: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = srv.addr();
+        let shed = &AtomicUsize::new(0);
+        let start = &std::sync::Barrier::new(CLIENTS);
+        let ids: Vec<String> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut ids = Vec::new();
+                        for j in 0..JOBS_PER_CLIENT {
+                            let body = format!(
+                                r#"{{"study":"echo","params":{{"scale":4,"rounds":2,"seed":"{:#x}"}}}}"#,
+                                c * JOBS_PER_CLIENT + j
+                            );
+                            let submit = format!(
+                                "POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                                body.len()
+                            );
+                            loop {
+                                match request(addr, &submit) {
+                                    (202, resp) => {
+                                        let id = crate::json::Json::parse(&resp)
+                                            .unwrap()
+                                            .get("id")
+                                            .and_then(crate::json::Json::as_str)
+                                            .unwrap()
+                                            .to_string();
+                                        ids.push(id);
+                                        break;
+                                    }
+                                    (429, _) => {
+                                        shed.fetch_add(1, Ordering::Relaxed);
+                                        std::thread::sleep(Duration::from_millis(5));
+                                    }
+                                    (st, resp) => panic!("submission answered {st}: {resp}"),
+                                }
+                            }
+                        }
+                        ids
+                    })
+                })
+                .collect();
+            clients
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect()
+        });
+        let shed = shed.load(Ordering::Relaxed);
+        assert!(shed > 0, "the clients never crossed saturation");
+        assert_eq!(ids.len(), CLIENTS * JOBS_PER_CLIENT);
+        let t0 = std::time::Instant::now();
+        for id in &ids {
+            loop {
+                let (st, body) = request(
+                    addr,
+                    &format!("GET /v1/jobs/{id} HTTP/1.1\r\nHost: x\r\n\r\n"),
+                );
+                assert_eq!(st, 200, "{body}");
+                if body.contains("\"completed\"") {
+                    break;
+                }
+                assert!(
+                    t0.elapsed() < Duration::from_secs(60),
+                    "job {id} never completed: {body}"
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+        let (st, metrics) = request(addr, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert_eq!(st, 200);
+        for line in [
+            format!("giantsan_serve_jobs_completed_total {}", ids.len()),
+            format!("giantsan_serve_shed_queue_full_total {shed}"),
+            "giantsan_serve_responses_5xx_total 0".to_string(),
+        ] {
+            assert!(metrics.contains(&line), "missing `{line}`:\n{metrics}");
+        }
+        srv.stop();
+        srv.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn malformed_requests_get_4xx_not_hangs() {
         let dir = tmpdir("malformed");
         let srv = Server::start(ServeConfig {

@@ -98,7 +98,7 @@ impl Router {
             ("POST", "/admin/drain") => {
                 // Instance-scoped, not the global signal flag: a drain of
                 // this server must not tear down other instances in the
-                // same process (tests, embedded loadgen).
+                // same process (the in-process tests run several).
                 self.shared.draining.store(true, Ordering::SeqCst);
                 self.shared.queue.close();
                 Response::text(202, "draining\n")

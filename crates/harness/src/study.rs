@@ -230,6 +230,7 @@ impl StudyRegistry {
                 Box::new(plan::PlanEntry),
                 Box::new(memory::MemoryEntry),
                 Box::new(density::DensityEntry),
+                Box::new(fuzz::FuzzEntry),
                 Box::new(echo::EchoEntry),
                 Box::new(fault_study::FaultsEntry),
                 Box::new(trace::TraceEntry),

@@ -33,6 +33,11 @@ fn success_exits_zero() {
     let out = repro(&["echo", "--scale", "2", "--rounds", "1"]);
     assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("campaign digest"));
+    // The differential fuzz study exits 0 only when no tool reports a false
+    // positive or diverges and GiantSan and CacheOnly miss nothing.
+    let out = repro(&["fuzz"]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("fuzzing clean"));
 }
 
 #[test]

@@ -10,9 +10,10 @@
 //!   follow from the geometry (e.g. far overflows land inside a live
 //!   neighbour and are invisible to instruction-level checks).
 //!
-//! The harness binary `fuzz` drives these across many seeds and reports a
-//! per-tool false-negative/false-positive matrix; `tests/differential.rs`
-//! and `tests/bug_injection.rs` assert the invariants per seed.
+//! The harness study `repro fuzz` drives these across many seeds and
+//! reports a per-tool false-negative/false-positive matrix;
+//! `tests/differential.rs` and `tests/bug_injection.rs` assert the
+//! invariants per seed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -23,6 +23,9 @@
 //! `density`, at the options of `every_study_is_thread_count_invariant`),
 //! and of the detection and planner studies (`table3`, `table4`, `plan`, at
 //! the same options), whose buggy programs drive the crash and halt paths.
+//! `echo` is pinned at the parameters of the README's service example, and
+//! `fuzz` at its 50 seeds of safe and buggy programs. Each line is the
+//! `repro` command whose records it digests.
 //!
 //! To regenerate after an *intentional* behaviour change (requires
 //! justification in review): `GOLDEN_REGEN=1 cargo test --test golden_runs`.
@@ -33,6 +36,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use giantsan::harness::campaign::records_digest;
+use giantsan::harness::cli::parse_opts;
 use giantsan::harness::experiments::trace::TraceEntry;
 use giantsan::harness::{
     BatchRunner, Campaign, RunOutcome, SessionSpec, Study, StudyOpts, StudyRegistry, Tool,
@@ -178,38 +182,28 @@ fn figure8_trace_matches_golden_digest() {
 fn study_records_match_golden_digests() {
     let registry = StudyRegistry::builtin();
     let mut doc = String::new();
-    let default_rounds = StudyOpts::default().rounds;
-    for (name, div, rounds) in [
-        ("memory", 10, default_rounds),
-        ("ablation", 10, default_rounds),
-        ("table5", 60, default_rounds),
-        ("table2", 120, 1),
-        ("fig10", 120, 1),
-        ("fig11", 120, 1),
-        ("density", 120, 1),
-        ("table3", 120, 1),
-        ("table4", 120, 1),
-        ("plan", 120, 1),
+    for command in [
+        "memory --div 10",
+        "ablation --div 10",
+        "table5 --div 60",
+        "table2 --div 120 --rounds 1",
+        "fig10 --div 120 --rounds 1",
+        "fig11 --div 120 --rounds 1",
+        "density --div 120 --rounds 1",
+        "table3 --div 120 --rounds 1",
+        "table4 --div 120 --rounds 1",
+        "plan --div 120 --rounds 1",
+        "echo --scale 64 --rounds 4 --seed 0x5eed",
+        "fuzz --scale 1",
     ] {
-        let opts = StudyOpts {
-            div,
-            rounds,
-            ..StudyOpts::default()
-        };
+        let (name, flags) = command.split_once(' ').unwrap();
+        let flags: Vec<String> = flags.split(' ').map(String::from).collect();
+        let opts = parse_opts(&flags).expect("valid flags").study;
         let study = registry.get(name).expect("registered study");
         let records = Campaign::new(study, opts)
             .unwrap()
             .run_all(&BatchRunner::default());
-        let rounds_flag = if rounds == default_rounds {
-            String::new()
-        } else {
-            format!(" --rounds {rounds}")
-        };
-        let _ = writeln!(
-            doc,
-            "{name} --div {div}{rounds_flag} digest={:#018x}",
-            records_digest(&records)
-        );
+        let _ = writeln!(doc, "{command} digest={:#018x}", records_digest(&records));
     }
     let path = golden("study_digests.txt");
     if std::env::var_os("GOLDEN_REGEN").is_some() {
