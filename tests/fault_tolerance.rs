@@ -49,6 +49,26 @@ fn fault_campaign_digest_is_thread_invariant() {
     assert_eq!(studies[0].digest(), studies[2].digest());
 }
 
+/// `repro faults --seed 0xg1an75an` reproduces the committed
+/// `tests/golden/faults_digest.txt` byte for byte: every fault of the
+/// campaign fires at the same allocation ordinal with the same effect.
+#[test]
+fn fault_campaign_matches_the_golden_digest() {
+    let seed = giantsan::harness::cli::parse_seed("0xg1an75an");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/faults_digest.txt"
+    );
+    let want = std::fs::read_to_string(path).unwrap();
+    let study = fault_study(2, seed);
+    assert_eq!(study.harness_panics, 0);
+    assert_eq!(
+        study.digest_artifact(),
+        want,
+        "repro faults --seed 0xg1an75an drifted from tests/golden/faults_digest.txt"
+    );
+}
+
 /// The full CI matrix holds at least 1000 injected-fault cells.
 #[test]
 fn full_matrix_meets_the_campaign_floor() {
