@@ -1,5 +1,4 @@
-//! Deterministic fault injection: seeded fault plans and the injecting
-//! sanitizer wrapper.
+//! Deterministic fault injection: seeded fault plans.
 //!
 //! A [`FaultPlan`] is pure data attached to a [`crate::SessionSpec`]: it
 //! names which faults to inject (shadow bit flips, folded-code downgrades,
@@ -9,64 +8,14 @@
 //! pair injects the identical fault schedule at any `--threads N` — the
 //! property the `repro faults` campaign's digest check locks down.
 //!
-//! Injection happens in [`FaultySanitizer`], a generic wrapper that keeps
-//! the interpreter monomorphized: wrapping a concrete tool instantiates the
-//! whole interpreter loop at `FaultySanitizer<Tool>`, so clean-run dispatch
-//! is untouched.
+//! The plan is applied entirely when a session is built: the quarantine cap
+//! goes into the session's `RuntimeConfig`, and the step budget and the
+//! armed events go into its [`giantsan_ir::ExecConfig`], whose `Alloc` and
+//! `Realloc` steps fire the allocation-triggered events. No wrapper stands
+//! between the interpreter and the tool, so a faulty run executes the same
+//! monomorphized interpreter as a clean one.
 
-use giantsan_runtime::{
-    AccessKind, Allocation, CacheSlot, CheckResult, Counters, ErrorReport, HeapError,
-    MetadataFault, Region, Sanitizer, World,
-};
-use giantsan_shadow::Addr;
-
-/// One fault to inject, triggered by an allocation event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Flip `bit` of the shadow byte covering `base + byte_offset` of the
-    /// triggering allocation (models metadata corruption).
-    ShadowBitFlip {
-        /// Offset into the triggering allocation whose covering shadow byte
-        /// is corrupted.
-        byte_offset: u64,
-        /// Bit index to flip, `0..8`.
-        bit: u8,
-    },
-    /// Downgrade the folded code covering `base + byte_offset` to its
-    /// unfolded form (GiantSan loses folding performance but stays sound;
-    /// flat-encoding tools have nothing to downgrade).
-    FoldDowngrade {
-        /// Offset into the triggering allocation whose covering code is
-        /// downgraded.
-        byte_offset: u64,
-    },
-    /// Fail the triggering allocation with out-of-memory.
-    AllocOom,
-    /// Run the whole session with the quarantine capped at `cap` bytes,
-    /// forcing early recycling (temporal-detection pressure).
-    QuarantineExhaustion {
-        /// Quarantine byte capacity forced on the session.
-        cap: u64,
-    },
-    /// Run the interpreter with at most `max_steps` statements.
-    StepBudget {
-        /// Statement budget forced on the execution.
-        max_steps: u64,
-    },
-}
-
-/// A [`FaultKind`] armed at the `alloc_index`-th allocation of the run
-/// (0-based, counting every `alloc` the program performs).
-///
-/// Session-wide kinds ([`FaultKind::QuarantineExhaustion`],
-/// [`FaultKind::StepBudget`]) ignore the index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Which fault to inject.
-    pub kind: FaultKind,
-    /// Allocation ordinal that triggers it.
-    pub alloc_index: u64,
-}
+pub use giantsan_runtime::{FaultEvent, FaultKind};
 
 /// A deterministic, seedable schedule of faults for one session.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -128,169 +77,23 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A sanitizer wrapper that injects the faults of a [`FaultPlan`] while
-/// delegating every real operation to the wrapped tool.
-///
-/// Allocation-triggered faults fire when the matching allocation ordinal is
-/// reached: OOM replaces the allocation's result, metadata faults corrupt
-/// the tool's shadow right after the allocation succeeds (via
-/// [`Sanitizer::inject_metadata_fault`]). Session-wide faults (quarantine
-/// cap, step budget) are applied by [`crate::SessionSpec`] at session/exec
-/// construction instead.
-#[derive(Debug)]
-pub struct FaultySanitizer<S> {
-    inner: S,
-    events: Vec<FaultEvent>,
-    allocs_seen: u64,
-    injected: u64,
-}
-
-impl<S: Sanitizer> FaultySanitizer<S> {
-    /// Wraps `inner`, arming the allocation-triggered events of `plan`.
-    pub fn new(inner: S, plan: &FaultPlan) -> Self {
-        FaultySanitizer {
-            inner,
-            events: plan.events.clone(),
-            allocs_seen: 0,
-            injected: 0,
-        }
-    }
-
-    /// Number of faults that actually fired so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-}
-
-impl<S: Sanitizer> Sanitizer for FaultySanitizer<S> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn world(&self) -> &World {
-        self.inner.world()
-    }
-
-    fn world_mut(&mut self) -> &mut World {
-        self.inner.world_mut()
-    }
-
-    fn counters(&self) -> &Counters {
-        self.inner.counters()
-    }
-
-    fn counters_mut(&mut self) -> &mut Counters {
-        self.inner.counters_mut()
-    }
-
-    fn alloc(&mut self, size: u64, region: Region) -> Result<Allocation, HeapError> {
-        let ordinal = self.allocs_seen;
-        self.allocs_seen += 1;
-        if self
-            .events
-            .iter()
-            .any(|e| e.alloc_index == ordinal && matches!(e.kind, FaultKind::AllocOom))
-        {
-            self.injected += 1;
-            return Err(HeapError::OutOfMemory { requested: size });
-        }
-        let a = self.inner.alloc(size, region)?;
-        for i in 0..self.events.len() {
-            let e = self.events[i];
-            if e.alloc_index != ordinal {
-                continue;
-            }
-            let fired = match e.kind {
-                FaultKind::ShadowBitFlip { byte_offset, bit } => self
-                    .inner
-                    .inject_metadata_fault(a.base + byte_offset, MetadataFault::BitFlip { bit }),
-                FaultKind::FoldDowngrade { byte_offset } => self
-                    .inner
-                    .inject_metadata_fault(a.base + byte_offset, MetadataFault::FoldDowngrade),
-                _ => false,
-            };
-            self.injected += fired as u64;
-        }
-        Ok(a)
-    }
-
-    fn free(&mut self, base: Addr) -> CheckResult {
-        self.inner.free(base)
-    }
-
-    fn realloc(&mut self, base: Addr, new_size: u64) -> Result<Allocation, ErrorReport> {
-        self.allocs_seen += 1;
-        self.inner.realloc(base, new_size)
-    }
-
-    fn push_frame(&mut self) {
-        self.inner.push_frame();
-    }
-
-    fn pop_frame(&mut self) {
-        self.inner.pop_frame();
-    }
-
-    fn check_access(&mut self, addr: Addr, width: u32, kind: AccessKind) -> CheckResult {
-        self.inner.check_access(addr, width, kind)
-    }
-
-    fn check_region(&mut self, lo: Addr, hi: Addr, kind: AccessKind) -> CheckResult {
-        self.inner.check_region(lo, hi, kind)
-    }
-
-    fn check_anchored(
-        &mut self,
-        anchor: Addr,
-        access_lo: Addr,
-        access_hi: Addr,
-        kind: AccessKind,
-    ) -> CheckResult {
-        self.inner
-            .check_anchored(anchor, access_lo, access_hi, kind)
-    }
-
-    fn cached_check(
-        &mut self,
-        slot: &mut CacheSlot,
-        base: Addr,
-        offset: i64,
-        width: u32,
-        kind: AccessKind,
-    ) -> CheckResult {
-        self.inner.cached_check(slot, base, offset, width, kind)
-    }
-
-    fn loop_final_check(&mut self, slot: &CacheSlot, base: Addr, kind: AccessKind) -> CheckResult {
-        self.inner.loop_final_check(slot, base, kind)
-    }
-
-    fn supports_caching(&self) -> bool {
-        self.inner.supports_caching()
-    }
-
-    fn note_stack_alloc(&mut self) {
-        self.inner.note_stack_alloc();
-    }
-
-    fn contain(&mut self, report: &ErrorReport) {
-        self.inner.contain(report);
-    }
-
-    fn inject_metadata_fault(&mut self, addr: Addr, fault: MetadataFault) -> bool {
-        self.inner.inject_metadata_fault(addr, fault)
-    }
-
-    fn shadow_probe(&self, addr: Addr) -> Option<u8> {
-        self.inner.shadow_probe(addr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use giantsan_core::GiantSan;
+    use crate::{RunOutcome, SessionSpec, Tool};
+    use giantsan_ir::{Expr, Program, ProgramBuilder, PtrId, Termination};
     use giantsan_runtime::RuntimeConfig;
+
+    /// Runs `program` on `inputs` under GiantSan at
+    /// [`RuntimeConfig::small`] with `plan` armed (or no plan).
+    fn run_under(program: &Program, inputs: &[i64], plan: Option<FaultPlan>) -> RunOutcome {
+        SessionSpec {
+            config: RuntimeConfig::small(),
+            faults: plan,
+            ..SessionSpec::new(Tool::GiantSan)
+        }
+        .run(program, inputs)
+    }
 
     #[test]
     fn splitmix_is_deterministic() {
@@ -303,50 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn oom_fires_at_the_armed_ordinal() {
-        let plan = FaultPlan::new(1).with_event(FaultKind::AllocOom, 1);
-        let mut f = FaultySanitizer::new(GiantSan::new(RuntimeConfig::small()), &plan);
-        assert!(f.alloc(8, Region::Heap).is_ok());
-        assert!(f.alloc(8, Region::Heap).is_err());
-        assert!(f.alloc(8, Region::Heap).is_ok());
-        assert_eq!(f.injected(), 1);
-        // The failed allocation never reached the tool's counters.
-        assert_eq!(f.counters().allocs, 2);
-    }
-
-    #[test]
-    fn bit_flip_corrupts_and_check_fails_closed() {
-        let plan = FaultPlan::new(2).with_event(
-            FaultKind::ShadowBitFlip {
-                byte_offset: 0,
-                bit: 3,
-            },
-            0,
-        );
-        let mut f = FaultySanitizer::new(GiantSan::new(RuntimeConfig::small()), &plan);
-        let a = f.alloc(64, Region::Heap).unwrap();
-        assert_eq!(f.injected(), 1);
-        // The flipped code makes the first segment claim less (or garbage);
-        // a full-object check must not pass silently *and* must not panic.
-        let _ = f.check_region(a.base, a.base + 64, AccessKind::Read);
-    }
-
-    #[test]
-    fn fold_downgrade_is_sound() {
-        let plan = FaultPlan::new(3).with_event(FaultKind::FoldDowngrade { byte_offset: 0 }, 0);
-        let mut f = FaultySanitizer::new(GiantSan::new(RuntimeConfig::small()), &plan);
-        let a = f.alloc(256, Region::Heap).unwrap();
-        assert_eq!(f.injected(), 1);
-        // Losing a fold never admits an invalid access (sound direction)...
-        assert!(f
-            .check_region(a.base, a.base + 257, AccessKind::Read)
-            .is_err());
-        // ...and the segment still admits accesses it genuinely covers: the
-        // downgraded code claims exactly its own 8 bytes.
-        assert!(f.check_access(a.base, 8, AccessKind::Read).is_ok());
-    }
-
-    #[test]
     fn plan_level_overrides_pick_smallest() {
         let plan = FaultPlan::new(4)
             .with_event(FaultKind::StepBudget { max_steps: 500 }, 0)
@@ -355,5 +114,120 @@ mod tests {
         assert_eq!(plan.step_budget(), Some(100));
         assert_eq!(plan.quarantine_cap(), Some(64));
         assert_eq!(FaultPlan::new(0).step_budget(), None);
+    }
+
+    /// A crash with the reason an armed OOM leaves for a `size`-byte
+    /// request.
+    fn oom_crash(size: u64) -> Termination {
+        Termination::Crashed {
+            reason: format!("allocation failure: simulated heap exhausted serving {size} bytes"),
+        }
+    }
+
+    #[test]
+    fn oom_fires_at_the_armed_ordinal() {
+        let mut b = ProgramBuilder::new("three-allocs");
+        b.alloc_heap(8i64);
+        b.alloc_global(16i64);
+        b.alloc_heap(24i64);
+        let prog = b.build();
+        for tool in Tool::ALL {
+            let run = |plan| {
+                SessionSpec {
+                    config: RuntimeConfig::small(),
+                    faults: Some(plan),
+                    ..SessionSpec::new(tool)
+                }
+                .run(&prog, &[])
+            };
+            // The global allocation is ordinal 1: it fails with the user
+            // size and never reaches the tool's counters.
+            let out = run(FaultPlan::new(1).with_event(FaultKind::AllocOom, 1));
+            assert_eq!(out.result.termination, oom_crash(16), "{tool:?}");
+            assert_eq!(out.result.steps, 2, "{tool:?}");
+            assert_eq!(out.counters.allocs, 1, "{tool:?}");
+            // An ordinal past the last allocation never fires.
+            let out = run(FaultPlan::new(1).with_event(FaultKind::AllocOom, 3));
+            assert_eq!(out.result.termination, Termination::Finished, "{tool:?}");
+            assert_eq!(out.counters.allocs, 3, "{tool:?}");
+        }
+    }
+
+    #[test]
+    fn realloc_takes_an_ordinal_but_never_fires() {
+        // alloc (ordinal 0) -> realloc (1) -> alloc (2).
+        let mut b = ProgramBuilder::new("alloc-realloc-alloc");
+        let p = b.alloc_heap(16i64);
+        b.store(p, 0i64, 8, 5i64);
+        b.realloc(p, 32i64);
+        b.load_discard(p, 0i64, 8);
+        b.alloc_heap(24i64);
+        let prog = b.build();
+        let oom_at = |ordinal| Some(FaultPlan::new(5).with_event(FaultKind::AllocOom, ordinal));
+        // Armed at 2, the run crashes at the second `alloc`, after the
+        // realloc completed: the load behind it read the moved value.
+        let out = run_under(&prog, &[], oom_at(2));
+        assert_eq!(out.result.termination, oom_crash(24));
+        assert_eq!(out.result.steps, 5);
+        assert_eq!(out.result.checksum, 5);
+        assert_eq!(out.counters.frees, 1, "the realloc released the old block");
+        // Armed at the realloc's own ordinal, nothing fires.
+        let clean = run_under(&prog, &[], None);
+        let out = run_under(&prog, &[], oom_at(1));
+        assert_eq!(out.result.termination, Termination::Finished);
+        assert_eq!(out.result.digest(), clean.result.digest());
+        assert_eq!(out.counters, clean.counters);
+    }
+
+    #[test]
+    fn bit_flip_corrupts_and_check_fails_closed() {
+        // Flipping bit 1 of the first code of a 64-byte object makes it
+        // claim less than the object: the in-bounds full-object write is
+        // reported (a false positive) instead of admitted, and the run goes
+        // on without a crash.
+        let mut b = ProgramBuilder::new("flip");
+        let p = b.alloc_heap(64i64);
+        b.memset(p, 0i64, 64i64, 1i64);
+        let prog = b.build();
+        let flip = FaultKind::ShadowBitFlip {
+            byte_offset: 0,
+            bit: 1,
+        };
+        let clean = run_under(&prog, &[], None);
+        assert!(clean.result.reports.is_empty());
+        let out = run_under(&prog, &[], Some(FaultPlan::new(2).with_event(flip, 0)));
+        assert_eq!(out.result.termination, Termination::Finished);
+        assert_eq!(out.result.reports.len(), 1);
+        assert_eq!(out.counters.reports, 1);
+        assert_eq!(out.counters.allocs, clean.counters.allocs);
+    }
+
+    #[test]
+    fn fold_downgrade_is_sound() {
+        // The access offset is an input, so the planner cannot prove it safe.
+        let downgraded = |access: &dyn Fn(&mut ProgramBuilder, PtrId, Expr)| {
+            let mut b = ProgramBuilder::new("downgrade");
+            let p = b.alloc_heap(256i64);
+            let offset = b.input(0);
+            access(&mut b, p, offset);
+            let downgrade = FaultKind::FoldDowngrade { byte_offset: 0 };
+            let plan = FaultPlan::new(3).with_event(downgrade, 0);
+            run_under(&b.build(), &[0], Some(plan))
+        };
+        // Losing a fold never admits an invalid access (sound direction)...
+        let out = downgraded(&|b, p, off| b.memset(p, off, 257i64, 1i64));
+        assert_eq!(out.result.termination, Termination::Finished);
+        assert_eq!(out.result.reports.len(), 1);
+        assert_eq!(out.result.reports[0].len, 257);
+        // ...the O(1) full-object check fails closed (a false positive on
+        // a valid write)...
+        let out = downgraded(&|b, p, off| b.memset(p, off, 256i64, 1i64));
+        assert_eq!(out.result.termination, Termination::Finished);
+        assert_eq!(out.result.reports.len(), 1);
+        // ...and the downgraded code still admits the 8 bytes it covers.
+        let out = downgraded(&|b, p, off| b.load_discard(p, off, 8));
+        assert_eq!(out.result.termination, Termination::Finished);
+        assert_eq!(out.counters.total_checks(), 1);
+        assert!(out.result.reports.is_empty());
     }
 }

@@ -53,7 +53,7 @@ pub use batch::{BatchOutcome, BatchRunner, CellFailure, FailureSummary};
 pub use campaign::{Campaign, CampaignError, ResumeStats, ShardSpec};
 pub use cli::CliOpts;
 pub use cost::{geomean, CostModel};
-pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultySanitizer};
+pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use session::SessionSpec;
 pub use study::{Record, Study, StudyOpts, StudyOutput, StudyRegistry};
 pub use table::{pct, TextTable};

@@ -114,10 +114,12 @@ pub enum QueueRefusal {
 
 /// A bounded MPMC FIFO with shutdown semantics.
 ///
-/// Producers (HTTP handlers) [`BoundedQueue::push`]; consumers (job workers)
-/// [`BoundedQueue::pop`], blocking until an item or drain. Closing the queue
-/// wakes every waiter: producers start refusing, consumers drain what is
-/// left and then observe `None`.
+/// Producers (HTTP handlers) [`BoundedQueue::push`], or
+/// [`BoundedQueue::reserve`] a slot before building the item and then
+/// [`Slot::fill`] it; consumers (job workers) [`BoundedQueue::pop`],
+/// blocking until an item or drain. Closing the queue wakes every waiter:
+/// producers start refusing, consumers drain what is left and then observe
+/// `None`.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
     inner: Mutex<QueueInner<T>>,
@@ -128,7 +130,42 @@ pub struct BoundedQueue<T> {
 #[derive(Debug)]
 struct QueueInner<T> {
     items: VecDeque<T>,
+    /// Slots handed out by [`BoundedQueue::reserve`] and not yet filled or
+    /// dropped; they count against the capacity.
+    reserved: usize,
     closed: bool,
+}
+
+/// A place in a [`BoundedQueue`], held between
+/// [`BoundedQueue::reserve`] and [`Slot::fill`]. Dropping it unfilled
+/// gives the place back.
+#[derive(Debug)]
+pub struct Slot<'q, T> {
+    queue: &'q BoundedQueue<T>,
+}
+
+impl<T> Slot<'_, T> {
+    /// Enqueues `item` in the reserved place. A slot reserved before the
+    /// queue closed is still filled: the item joins the drain.
+    pub fn fill(self, item: T) {
+        let queue = self.queue;
+        std::mem::forget(self);
+        let mut inner = queue.inner.lock().expect("queue poisoned");
+        inner.reserved -= 1;
+        inner.items.push_back(item);
+        drop(inner);
+        queue.available.notify_one();
+    }
+}
+
+impl<T> Drop for Slot<'_, T> {
+    fn drop(&mut self) {
+        // A poisoned queue refuses every later call anyway; a drop must not
+        // panic.
+        if let Ok(mut inner) = self.queue.inner.lock() {
+            inner.reserved -= 1;
+        }
+    }
 }
 
 impl<T> BoundedQueue<T> {
@@ -137,6 +174,7 @@ impl<T> BoundedQueue<T> {
         BoundedQueue {
             inner: Mutex::new(QueueInner {
                 items: VecDeque::new(),
+                reserved: 0,
                 closed: false,
             }),
             available: Condvar::new(),
@@ -156,21 +194,27 @@ impl<T> BoundedQueue<T> {
 
     /// Enqueues `item`, refusing when full or draining.
     pub fn push(&self, item: T) -> Result<(), QueueRefusal> {
+        self.reserve()?.fill(item);
+        Ok(())
+    }
+
+    /// Takes one place in the queue for an item not built yet, refusing
+    /// when full or draining. A refused caller has done no work for the
+    /// item.
+    pub fn reserve(&self) -> Result<Slot<'_, T>, QueueRefusal> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         if inner.closed {
             return Err(QueueRefusal::Draining);
         }
-        if inner.items.len() >= self.capacity {
+        if inner.items.len() + inner.reserved >= self.capacity {
             // Retry-After scales with how deep the backlog is: a full queue
             // of slow jobs needs a longer back-off than a blip.
             return Err(QueueRefusal::Full {
                 retry_after_s: (self.capacity as u64 / 64).clamp(1, 30),
             });
         }
-        inner.items.push_back(item);
-        drop(inner);
-        self.available.notify_one();
-        Ok(())
+        inner.reserved += 1;
+        Ok(Slot { queue: self })
     }
 
     /// Dequeues the next item, blocking while the queue is open and empty.
@@ -233,6 +277,21 @@ mod tests {
         assert!(matches!(q.push(4), Err(QueueRefusal::Draining)));
         // Drain semantics: queued items survive the close.
         assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn a_reserved_slot_counts_until_filled_or_dropped() {
+        let q = BoundedQueue::new(1);
+        let slot = q.reserve().unwrap();
+        assert!(matches!(q.push(1), Err(QueueRefusal::Full { .. })));
+        drop(slot);
+        let slot = q.reserve().unwrap();
+        q.close();
+        assert!(matches!(q.reserve(), Err(QueueRefusal::Draining)));
+        // Reserved before the close, the slot still joins the drain.
+        slot.fill(2);
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
     }

@@ -123,39 +123,6 @@ impl JobSpec {
         }
         j
     }
-
-    fn from_descriptor(body: &Json) -> Result<JobSpec, String> {
-        let study = body
-            .get("study")
-            .and_then(Json::as_str)
-            .ok_or("descriptor missing `study`")?
-            .to_string();
-        let mut pairs = Vec::new();
-        if let Some(Json::Object(fields)) = body.get("params") {
-            for (k, v) in fields {
-                let rendered = match v {
-                    Json::Str(s) => s.clone(),
-                    other => other.render_compact(),
-                };
-                pairs.push((k.clone(), rendered));
-            }
-        }
-        let opts = StudyOpts::from_params(&pairs)?;
-        let shards = body
-            .get("shards")
-            .and_then(Json::as_u64)
-            .ok_or("descriptor missing `shards`")? as usize;
-        let deadline = body
-            .get("deadline_ms")
-            .and_then(Json::as_u64)
-            .map(Duration::from_millis);
-        Ok(JobSpec {
-            study,
-            opts,
-            shards,
-            deadline,
-        })
-    }
 }
 
 /// Where a job is in its lifecycle.
@@ -313,7 +280,9 @@ impl JobEntry {
             j = j.field("error", e.as_str());
         }
         // Splice the spec fields in at the top level so the descriptor is
-        // itself a valid resubmission body (minus `id`/`state`/`digest`).
+        // a valid submission body plus the status keys `id`, `state`,
+        // `digest` and `error`; `recover` drops those and re-parses it with
+        // `JobSpec::from_json`.
         let spec = self.spec.to_json();
         if let (Json::Object(target), Json::Object(fields)) = (&mut j, spec) {
             target.extend(fields);
@@ -436,15 +405,23 @@ impl JobRegistry {
                     continue;
                 }
             };
-            let parsed = Json::parse(&text).map_err(|e| e.to_string()).and_then(|j| {
-                let spec = JobSpec::from_descriptor(&j)?;
-                let phase = j
-                    .get("state")
-                    .and_then(Json::as_str)
-                    .and_then(JobPhase::parse)
-                    .ok_or("descriptor missing `state`")?;
-                Ok((spec, phase, j.get("digest").and_then(Json::as_hex)))
-            });
+            // The descriptor is the submission body plus four status keys.
+            let parsed = Json::parse(&text)
+                .map_err(|e| e.to_string())
+                .and_then(|mut j| {
+                    let phase = j
+                        .get("state")
+                        .and_then(Json::as_str)
+                        .and_then(JobPhase::parse)
+                        .ok_or("descriptor missing `state`")?;
+                    let digest = j.get("digest").and_then(Json::as_hex);
+                    if let Json::Object(fields) = &mut j {
+                        fields.retain(|(k, _)| {
+                            !matches!(k.as_str(), "id" | "state" | "digest" | "error")
+                        });
+                    }
+                    Ok((JobSpec::from_json(&j, registry)?, phase, digest))
+                });
             let (spec, phase, digest) = match parsed {
                 Ok(v) => v,
                 Err(e) => {
@@ -452,13 +429,6 @@ impl JobRegistry {
                     continue;
                 }
             };
-            if registry.get(&spec.study).is_none() {
-                eprintln!(
-                    "repro serve: skipping {id}: study `{}` not in this binary",
-                    spec.study
-                );
-                continue;
-            }
             let entry = Arc::new(JobEntry {
                 id: id.clone(),
                 spec,
@@ -540,7 +510,8 @@ mod tests {
         )
         .unwrap();
         let a = jobs.create(spec.clone()).unwrap();
-        let b = jobs.create(spec).unwrap();
+        let b = jobs.create(spec.clone()).unwrap();
+        let c = jobs.create(spec).unwrap();
         assert_eq!(a.id, "job-000001");
         assert_eq!(b.id, "job-000002");
         a.update(|st| {
@@ -548,21 +519,39 @@ mod tests {
             st.digest = Some(0xdead_beef);
         });
         b.update(|st| st.phase = JobPhase::Running);
+        c.update(|st| {
+            st.phase = JobPhase::Failed;
+            st.error = Some("deadline exceeded".to_string());
+        });
+        // A descriptor naming a study this binary lacks is skipped.
+        let stale = dir.join("jobs").join("job-000004");
+        std::fs::create_dir(&stale).unwrap();
+        std::fs::write(
+            stale.join("job.json"),
+            r#"{"id":"job-000004","state":"queued","study":"gone","params":{},"shards":1}"#,
+        )
+        .unwrap();
 
-        // A fresh registry (new process) recovers: terminal job indexed,
+        // A fresh registry (new process) recovers: terminal jobs indexed,
         // running job re-queued, ids never reused.
         let jobs2 = JobRegistry::open(&dir).unwrap();
         let requeue = jobs2.recover(&reg);
         assert_eq!(requeue.len(), 1);
         assert_eq!(requeue[0].id, "job-000002");
         assert_eq!(requeue[0].status().phase, JobPhase::Queued);
+        assert_eq!(requeue[0].spec.shards, 2);
         let done = jobs2.get("job-000001").unwrap();
         assert_eq!(done.status().phase, JobPhase::Completed);
         assert_eq!(done.status().digest, Some(0xdead_beef));
-        let c = jobs2
+        assert_eq!(
+            jobs2.get("job-000003").unwrap().status().phase,
+            JobPhase::Failed
+        );
+        assert!(jobs2.get("job-000004").is_none());
+        let d = jobs2
             .create(JobSpec::from_json(&Json::parse(r#"{"study":"echo"}"#).unwrap(), &reg).unwrap())
             .unwrap();
-        assert_eq!(c.id, "job-000003");
+        assert_eq!(d.id, "job-000005");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -569,6 +569,19 @@ mod tests {
         ] {
             assert!(metrics.contains(&line), "missing `{line}`:\n{metrics}");
         }
+        // A shed submission touches no disk: the data dir holds exactly the
+        // completed jobs, and the job list has no failed entry.
+        let mut on_disk: Vec<String> = std::fs::read_dir(dir.join("jobs"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        on_disk.sort();
+        let mut completed = ids.clone();
+        completed.sort();
+        assert_eq!(on_disk, completed);
+        let (st, list) = request(addr, "GET /v1/jobs HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert_eq!(st, 200);
+        assert!(!list.contains("\"failed\""), "{list}");
         srv.stop();
         srv.join();
         let _ = std::fs::remove_dir_all(&dir);

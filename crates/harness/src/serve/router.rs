@@ -132,41 +132,33 @@ impl Router {
             Ok(s) => s,
             Err(e) => return Response::error(400, &e),
         };
+        // The queue place is taken before the job is created, so a shed
+        // submission leaves nothing on disk or in the job list.
+        let slot = match self.shared.queue.reserve() {
+            Ok(slot) => slot,
+            Err(QueueRefusal::Full { retry_after_s }) => {
+                self.bump(&self.shared.metrics.shed_queue_full);
+                return Response::error(429, "admission queue full")
+                    .header("Retry-After", retry_after_s.to_string());
+            }
+            Err(QueueRefusal::Draining) => {
+                self.bump(&self.shared.metrics.shed_draining);
+                return Response::error(503, "server is draining").header("Retry-After", "5");
+            }
+        };
         let job = match self.shared.jobs.create(spec) {
             Ok(j) => j,
             Err(e) => return Response::error(500, &format!("cannot persist job: {e}")),
         };
-        match self.shared.queue.push(Arc::clone(&job)) {
-            Ok(()) => {
-                self.bump(&self.shared.metrics.jobs_admitted);
-                Response::json(
-                    202,
-                    Json::obj()
-                        .field("id", job.id.as_str())
-                        .field("state", JobPhase::Queued.name())
-                        .render(),
-                )
-            }
-            Err(QueueRefusal::Full { retry_after_s }) => {
-                self.bump(&self.shared.metrics.shed_queue_full);
-                // The job directory was created but never queued; mark the
-                // descriptor failed so recovery does not resurrect it.
-                job.update(|st| {
-                    st.phase = JobPhase::Failed;
-                    st.error = Some("shed: admission queue full".to_string());
-                });
-                Response::error(429, "admission queue full")
-                    .header("Retry-After", retry_after_s.to_string())
-            }
-            Err(QueueRefusal::Draining) => {
-                self.bump(&self.shared.metrics.shed_draining);
-                job.update(|st| {
-                    st.phase = JobPhase::Failed;
-                    st.error = Some("shed: server draining".to_string());
-                });
-                Response::error(503, "server is draining").header("Retry-After", "5")
-            }
-        }
+        slot.fill(Arc::clone(&job));
+        self.bump(&self.shared.metrics.jobs_admitted);
+        Response::json(
+            202,
+            Json::obj()
+                .field("id", job.id.as_str())
+                .field("state", JobPhase::Queued.name())
+                .render(),
+        )
     }
 
     fn job_subresource(&self, req: &Request, path: &str) -> Response {

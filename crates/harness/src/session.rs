@@ -32,7 +32,7 @@ use giantsan_ir::{run_with, CheckPlan, ExecConfig, Program};
 use giantsan_runtime::{NullSanitizer, RuntimeConfig, Sanitizer};
 use giantsan_telemetry::{NoopRecorder, Recorder};
 
-use crate::faults::{FaultPlan, FaultySanitizer};
+use crate::faults::FaultPlan;
 use crate::tool::{RunOutcome, Tool};
 
 /// A complete, thread-shareable description of one sanitizer configuration.
@@ -76,15 +76,18 @@ impl SessionSpec {
     }
 
     /// The interpreter policy sessions run under: the config's recovery
-    /// policy, with the fault plan's step budget (if any) capping
-    /// `max_steps`.
+    /// policy, plus the fault plan (if any): its step budget caps
+    /// `max_steps` and its events are armed in [`ExecConfig::faults`].
     pub fn exec_config(&self) -> ExecConfig {
         let mut exec = ExecConfig {
             recovery: self.config.recovery,
             ..ExecConfig::default()
         };
-        if let Some(budget) = self.faults.as_ref().and_then(FaultPlan::step_budget) {
-            exec.max_steps = exec.max_steps.min(budget);
+        if let Some(plan) = &self.faults {
+            if let Some(budget) = plan.step_budget() {
+                exec.max_steps = exec.max_steps.min(budget);
+            }
+            exec.faults = plan.events.clone();
         }
         exec
     }
@@ -115,7 +118,6 @@ impl SessionSpec {
             plan,
             inputs,
             exec: self.exec_config(),
-            faults: self.faults.as_ref(),
             rec,
         };
         let cfg = self.session_config();
@@ -142,26 +144,17 @@ struct Run<'a, R> {
     plan: &'a CheckPlan,
     inputs: &'a [i64],
     exec: ExecConfig,
-    faults: Option<&'a FaultPlan>,
     rec: &'a mut R,
 }
 
 impl<R: Recorder> Run<'_, R> {
-    /// Runs under `san`, wrapped in a [`FaultySanitizer`] when a fault plan
-    /// is armed; either way the interpreter is instantiated at a concrete
-    /// type.
-    fn on<S: Sanitizer>(self, san: S) -> RunOutcome {
-        match self.faults {
-            Some(plan) => self.counted(&mut FaultySanitizer::new(san, plan)),
-            None => self.counted(&mut { san }),
-        }
-    }
-
-    fn counted<S: Sanitizer>(self, san: &mut S) -> RunOutcome {
+    /// Runs under `san`, a concrete type, so the interpreter is
+    /// instantiated once per runtime.
+    fn on<S: Sanitizer>(self, mut san: S) -> RunOutcome {
         let result = run_with(
             self.program,
             self.inputs,
-            san,
+            &mut san,
             self.plan,
             &self.exec,
             self.rec,

@@ -35,8 +35,8 @@
 //! [`TraceRecorder`]: giantsan_telemetry::TraceRecorder
 
 use giantsan_runtime::{
-    AccessKind, Admission, CacheSlot, Counters, ErrorReport, RecoveryPolicy, RecoveryState, Region,
-    Sanitizer,
+    AccessKind, Admission, Allocation, CacheSlot, Counters, ErrorReport, FaultEvent, FaultKind,
+    HeapError, MetadataFault, RecoveryPolicy, RecoveryState, Region, Sanitizer,
 };
 use giantsan_shadow::Addr;
 use giantsan_telemetry::{
@@ -48,7 +48,7 @@ use crate::lower::{Form, Lowerer};
 use crate::plan::{CheckPlan, SiteAction};
 use crate::program::{Program, SiteId, Stmt};
 
-/// Interpreter limits and error policy.
+/// Interpreter limits, error policy and armed faults.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Abort after this many executed statements (runaway-loop backstop).
@@ -56,6 +56,14 @@ pub struct ExecConfig {
     /// What a raised report does: halt, record-and-continue (the paper's
     /// configuration, the default), or recover with dedup + containment.
     pub recovery: RecoveryPolicy,
+    /// A fault plan's events, applied at their allocation ordinals. Every
+    /// `Alloc` and `Realloc` statement takes the next ordinal (0-based). At
+    /// an `Alloc` ordinal, [`FaultKind::AllocOom`] fails the allocation
+    /// before it reaches the tool, and the metadata kinds call
+    /// [`Sanitizer::inject_metadata_fault`] right after it succeeds; a
+    /// `Realloc` fires nothing. Session-wide kinds are ignored here. Empty
+    /// by default.
+    pub faults: Vec<FaultEvent>,
 }
 
 impl Default for ExecConfig {
@@ -63,6 +71,7 @@ impl Default for ExecConfig {
         ExecConfig {
             max_steps: 200_000_000,
             recovery: RecoveryPolicy::Continue,
+            faults: Vec::new(),
         }
     }
 }
@@ -195,6 +204,7 @@ pub fn run_with<S: Sanitizer + ?Sized, R: Recorder>(
         ptrs: vec![0; program.num_ptrs as usize],
         slots: vec![CacheSlot::new(); plan.num_caches as usize],
         recovery: RecoveryState::new(),
+        allocs: 0,
         result: ExecResult {
             reports: Vec::new(),
             termination: Termination::Finished,
@@ -541,6 +551,8 @@ struct Interp<'a, S: Sanitizer + ?Sized, R: Recorder> {
     ptrs: Vec<u64>,
     slots: Vec<CacheSlot>,
     recovery: RecoveryState,
+    /// Allocation ordinals handed out so far (see [`ExecConfig::faults`]).
+    allocs: u64,
     result: ExecResult,
 }
 
@@ -781,6 +793,38 @@ impl<S: Sanitizer + ?Sized, R: Recorder> Interp<'_, S, R> {
         }
     }
 
+    /// `san.alloc` as the faults armed at allocation `ordinal` leave it: an
+    /// armed OOM fails it without reaching the tool, and each armed
+    /// metadata fault corrupts the fresh object's shadow.
+    #[cold]
+    #[inline(never)]
+    fn alloc_under_faults(
+        &mut self,
+        ordinal: u64,
+        size: u64,
+        region: Region,
+    ) -> Result<Allocation, HeapError> {
+        let config: &ExecConfig = self.config;
+        let armed = || config.faults.iter().filter(|e| e.alloc_index == ordinal);
+        if armed().any(|e| e.kind == FaultKind::AllocOom) {
+            return Err(HeapError::OutOfMemory { requested: size });
+        }
+        let a = self.san.alloc(size, region)?;
+        for e in armed() {
+            let (byte_offset, fault) = match e.kind {
+                FaultKind::ShadowBitFlip { byte_offset, bit } => {
+                    (byte_offset, MetadataFault::BitFlip { bit })
+                }
+                FaultKind::FoldDowngrade { byte_offset } => {
+                    (byte_offset, MetadataFault::FoldDowngrade)
+                }
+                _ => continue,
+            };
+            self.san.inject_metadata_fault(a.base + byte_offset, fault);
+        }
+        Ok(a)
+    }
+
     fn exec_block(&mut self, ops: &[Op]) -> Result<(), Stop> {
         for op in ops {
             self.exec(op)?;
@@ -797,7 +841,14 @@ impl<S: Sanitizer + ?Sized, R: Recorder> Interp<'_, S, R> {
             Op::Alloc { ptr, size, region } => {
                 let size = self.eval(size).max(0) as u64;
                 let stores_before = self.counters_snapshot().shadow_stores;
-                match self.san.alloc(size, *region) {
+                let ordinal = self.allocs;
+                self.allocs += 1;
+                let allocated = if self.config.faults.is_empty() {
+                    self.san.alloc(size, *region)
+                } else {
+                    self.alloc_under_faults(ordinal, size, *region)
+                };
+                match allocated {
                     Ok(a) => {
                         self.ptrs[*ptr] = a.base.raw();
                         if R::ENABLED {
@@ -841,6 +892,7 @@ impl<S: Sanitizer + ?Sized, R: Recorder> Interp<'_, S, R> {
                 let size = self.eval(new_size).max(0) as u64;
                 let addr = Addr::new(self.ptrs[*ptr]);
                 let stores_before = self.counters_snapshot().shadow_stores;
+                self.allocs += 1;
                 match self.san.realloc(addr, size) {
                     Ok(a) => {
                         self.ptrs[*ptr] = a.base.raw();
@@ -1293,7 +1345,7 @@ mod tests {
         let mut san = native();
         let cfg = ExecConfig {
             max_steps: 1000,
-            recovery: RecoveryPolicy::Continue,
+            ..ExecConfig::default()
         };
         let r = run(&prog, &[], &mut san, &CheckPlan::none(&prog), &cfg);
         assert_eq!(r.termination, Termination::StepLimit);
@@ -1314,7 +1366,7 @@ mod tests {
         {
             let cfg = ExecConfig {
                 max_steps,
-                recovery: RecoveryPolicy::Continue,
+                ..ExecConfig::default()
             };
             let r = run(&prog, &[], &mut native(), &CheckPlan::none(&prog), &cfg);
             assert_eq!((r.termination, r.steps), (termination, 12));

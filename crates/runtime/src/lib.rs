@@ -52,8 +52,8 @@ pub use heap::{HeapError, SimHeap};
 pub use object::{ObjectId, ObjectInfo, ObjectState, ObjectTable};
 pub use quarantine::{Evictions, Quarantine};
 pub use recovery::{
-    Admission, MetadataFault, RecoveryPolicy, RecoveryState, MAX_REPORTS_PER_KIND,
-    MAX_REPORTS_PER_SITE,
+    Admission, FaultEvent, FaultKind, MetadataFault, RecoveryPolicy, RecoveryState,
+    MAX_REPORTS_PER_KIND, MAX_REPORTS_PER_SITE,
 };
 pub use report::{AccessKind, CheckResult, ErrorKind, ErrorReport};
 pub use sanitizer::{CacheSlot, NullSanitizer, Sanitizer};

@@ -116,8 +116,9 @@ impl RecoveryState {
 /// A deterministic corruption applied to a tool's shadow metadata.
 ///
 /// Fault-injection campaigns use these to model bit rot / metadata races:
-/// the harness asks the tool (via [`crate::Sanitizer::inject_metadata_fault`])
-/// to corrupt its own encoding, then observes whether checks still behave
+/// a [`FaultKind`] armed at an allocation makes the interpreter ask the
+/// tool (via [`crate::Sanitizer::inject_metadata_fault`]) to corrupt its
+/// own encoding, and the campaign observes whether checks still behave
 /// sanely under [`RecoveryPolicy::Recover`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetadataFault {
@@ -129,6 +130,54 @@ pub enum MetadataFault {
     /// Downgrade a folded segment code to its unfolded form (GiantSan's
     /// `64 − x → 64`), losing folding performance but staying sound.
     FoldDowngrade,
+}
+
+/// One fault of a fault plan, triggered by an allocation event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// Flip `bit` of the shadow byte covering `base + byte_offset` of the
+    /// triggering allocation (models metadata corruption).
+    ShadowBitFlip {
+        /// Offset into the triggering allocation whose covering shadow byte
+        /// is corrupted.
+        byte_offset: u64,
+        /// Bit index to flip, `0..8`.
+        bit: u8,
+    },
+    /// Downgrade the folded code covering `base + byte_offset` to its
+    /// unfolded form (GiantSan loses folding performance but stays sound;
+    /// flat-encoding tools have nothing to downgrade).
+    FoldDowngrade {
+        /// Offset into the triggering allocation whose covering code is
+        /// downgraded.
+        byte_offset: u64,
+    },
+    /// Fail the triggering allocation with out-of-memory.
+    AllocOom,
+    /// Run the whole session with the quarantine capped at `cap` bytes,
+    /// forcing early recycling (temporal-detection pressure).
+    QuarantineExhaustion {
+        /// Quarantine byte capacity forced on the session.
+        cap: u64,
+    },
+    /// Run the interpreter with at most `max_steps` statements.
+    StepBudget {
+        /// Statement budget forced on the execution.
+        max_steps: u64,
+    },
+}
+
+/// A [`FaultKind`] armed at the `alloc_index`-th allocation of the run
+/// (0-based, counting every `alloc` and `realloc` the program performs).
+///
+/// Session-wide kinds ([`FaultKind::QuarantineExhaustion`],
+/// [`FaultKind::StepBudget`]) ignore the index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultEvent {
+    /// Which fault to inject.
+    pub kind: FaultKind,
+    /// Allocation ordinal that triggers it.
+    pub alloc_index: u64,
 }
 
 #[cfg(test)]

@@ -170,8 +170,10 @@ pub trait Sanitizer: Send {
     /// metadata at `addr`, returning `true` when the tool has metadata there
     /// to corrupt. The default (no shadow) injects nothing.
     ///
-    /// Fault-injection campaigns use this hook; production code never calls
-    /// it.
+    /// The interpreter calls this right after a successful `alloc` when the
+    /// run's fault plan arms a [`crate::FaultKind::ShadowBitFlip`] or
+    /// [`crate::FaultKind::FoldDowngrade`] at that allocation; a run with
+    /// no plan never calls it.
     fn inject_metadata_fault(&mut self, _addr: Addr, _fault: MetadataFault) -> bool {
         false
     }
